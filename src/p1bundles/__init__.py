@@ -11,10 +11,7 @@ from .errors import (
     DimensionMismatch,
     InternalCheckError,
     InvalidBundle,
-    NotUnimodularlyCompletable,
     ParseError,
-    QuotientDegreePositive,
-    SearchExhausted,
     SectionVanishes,
     WindowUnstable,
 )
@@ -38,7 +35,6 @@ from .lmatrix import (
     is_unimodular,
     kernel_basis,
     kron,
-    unimodular_complete,
 )
 from .bundle import (
     VectorBundle,
@@ -93,12 +89,9 @@ __all__ = [
     "InvalidBundle",
     "LaurentMatrix",
     "LaurentPoly",
-    "NotUnimodularlyCompletable",
     "ParseError",
-    "QuotientDegreePositive",
     "Rational",
     "ScalarMatrix",
-    "SearchExhausted",
     "Section",
     "SectionVanishes",
     "SplittingType",
@@ -142,7 +135,6 @@ __all__ = [
     "random_unimodular",
     "splitting_type",
     "trivial_bundle",
-    "unimodular_complete",
     "validate",
     "verify_factorization",
     "z_power",

@@ -5,9 +5,10 @@ Subcommands cover the whole library: `split`, `h0`, `h1`, `deg`, `chi`,
 are printed as stable `key: value` lines, or as one deterministic JSON
 object (sorted keys, no timestamps) under `--json`.
 
-Exit codes: 0 success, 1 invalid bundle, 2 parse/usage error, 3 failed
-internal certificate (window instability or a broken splitting
-invariant).
+Exit codes: 0 success, 1 invalid bundle, 2 parse/usage error (including
+an argument the library refuses, such as a negative window), 3 failed
+internal certificate (window instability, a broken splitting invariant,
+or a modular kernel that does not stabilize).
 """
 
 from __future__ import annotations
@@ -330,7 +331,10 @@ def main(argv=None) -> int:
     except InvalidBundle as exc:
         print(f"invalid bundle: {exc}", file=sys.stderr)
         return 1
-    except InternalCheckError as exc:
+    except ValueError as exc:  # an argument the library refuses
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except (InternalCheckError, ArithmeticError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
 

@@ -27,14 +27,6 @@ class DimensionMismatch(ValueError):
     """Matrix shapes are incompatible for the requested operation."""
 
 
-class NotUnimodularlyCompletable(ValueError):
-    """Column cannot be the first column of a unimodular matrix.
-
-    The components share a non-unit factor, so the column vanishes
-    somewhere on the chart.
-    """
-
-
 class InternalCheckError(AssertionError):
     """Base class for failed runtime certificates.
 
@@ -47,13 +39,5 @@ class WindowUnstable(InternalCheckError):
     """Cohomology dimension changed when the truncation window grew."""
 
 
-class SearchExhausted(InternalCheckError):
-    """Minimal-twist search left its guaranteed bracket."""
-
-
 class SectionVanishes(InternalCheckError):
     """A section expected to vanish nowhere has a common zero."""
-
-
-class QuotientDegreePositive(InternalCheckError):
-    """A quotient line-bundle degree came out positive mid-recursion."""

@@ -352,18 +352,3 @@ def poly_gcd_bezout(f: LaurentPoly, g: LaurentPoly, chart: Chart):
     v = t.scale(lead_inv)
     return _from_z(d, chart), _from_z(u, chart), _from_z(v, chart)
 
-
-def chart_gcd_many(polys, chart: Chart) -> LaurentPoly:
-    """Monic gcd of a family (ignoring zeros); ValueError if all are zero."""
-    acc = None
-    for p in polys:
-        if p.is_zero():
-            continue
-        if acc is None:
-            lead = chart_leading_coeff(p, chart).inverse()
-            acc = p.scale(lead)
-        else:
-            acc, _, _ = poly_gcd_bezout(acc, p, chart)
-    if acc is None:
-        raise ValueError("gcd of all-zero family is undefined")
-    return acc

@@ -3,10 +3,13 @@
 Two layers live here:
 
 * :class:`LaurentMatrix` -- transition-matrix algebra: products, exact
-  determinants, adjugate inverses for unit-determinant matrices,
-  chart-unimodularity tests, and unimodular completion of a
-  nowhere-vanishing column (the effective form of "a nowhere-zero section
-  spans a trivial subbundle").
+  determinants and chart-unimodularity tests, plus the one column
+  reduction (:func:`column_reduce`) that both the splitter and
+  :meth:`LaurentMatrix.inverse` are built on.  Column-reducing z^N*T
+  yields T = z^-N * Winv * diag(z^r_j) * V^-1 with V unimodular over
+  C[z] and, when det T is a unit, Winv unimodular over C[1/z]; Winv is
+  inverted as a w-adic series (:func:`w_adic_inverse`), so no adjugate
+  is ever formed.
 
 * :class:`ScalarMatrix` + :func:`kernel_basis` -- exact null spaces of
   coefficient-level linear systems.  Small systems run a fraction-free
@@ -27,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotUnimodularlyCompletable
+from .errors import DimensionMismatch, InternalCheckError
 from .exact import GaussianRational, ONE, ZERO
 from .laurent import (
     Chart,
@@ -36,7 +39,6 @@ from .laurent import (
     ZERO_POLY,
     chart_contains,
     chart_divexact,
-    poly_gcd_bezout,
 )
 
 # ---------------------------------------------------------------------------
@@ -147,17 +149,26 @@ class LaurentMatrix:
         return _det(self.entries)
 
     def inverse(self) -> "LaurentMatrix":
-        """Exact inverse; requires det to be a unit c*z^e of the Laurent ring."""
-        d = self.det()
-        unit = d.is_unit()
-        if unit is None:
-            raise ValueError("matrix determinant is not a unit; no Laurent inverse")
-        c, e = unit
-        from .laurent import monomial
+        """Exact inverse; requires det to be a unit c*z^e of the Laurent ring.
 
-        dinv = monomial(c.inverse(), -e)
-        adj = _adjugate(self.entries)
-        return LaurentMatrix([[dinv * a for a in row] for row in adj])
+        With z^N*T*V = Q from :func:`column_reduce`, the w-chart factor
+        Winv = Q*diag(z^-r_j) is w-unimodular, and
+        T^-1 = z^N * V * diag(z^-r_j) * Winv^-1 with Winv^-1 from
+        :func:`w_adic_inverse`.  The result is re-multiplied: T*T^-1 = I
+        exactly proves det T a unit, so the determinant is only computed
+        when that check fails, to tell a non-unit determinant (ValueError)
+        from a failed internal check (InternalCheckError).
+        """
+        if not self.is_square():
+            raise DimensionMismatch("inverse of a non-square matrix")
+        n, degs, v, q = column_reduce(self)
+        left = shift_columns(v, [n - r for r in degs])
+        inv = left * w_adic_inverse(shift_columns(q, [-r for r in degs]))
+        if self * inv != LaurentMatrix.identity(self.rows):
+            if self.det().is_unit() is None:
+                raise ValueError("matrix determinant is not a unit; no Laurent inverse")
+            raise InternalCheckError("inverse failed to re-multiply to the identity")
+        return inv
 
     # -- comparisons / text -------------------------------------------------
 
@@ -176,14 +187,6 @@ class LaurentMatrix:
 
     def __repr__(self):
         return f"<LaurentMatrix {self.rows}x{self.cols} {self}>"
-
-
-def _minor(grid, drop_i, drop_j):
-    return [
-        [e for j, e in enumerate(row) if j != drop_j]
-        for i, row in enumerate(grid)
-        if i != drop_i
-    ]
 
 
 def _det(grid) -> LaurentPoly:
@@ -236,18 +239,6 @@ def _det_bareiss(grid) -> LaurentPoly:
     return d if sign == 1 else -d
 
 
-def _adjugate(grid):
-    n = len(grid)
-    if n == 1:
-        return [[ONE_POLY]]
-    adj = [[ZERO_POLY] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor_det = _det(_minor(grid, i, j))
-            adj[j][i] = minor_det if (i + j) % 2 == 0 else -minor_det
-    return adj
-
-
 def kron(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     """Kronecker product (the transition matrix of a tensor product)."""
     out = []
@@ -286,62 +277,147 @@ def is_unimodular(a: LaurentMatrix, chart: Chart) -> bool:
     return unit is not None and unit[1] == 0
 
 
-def unimodular_complete(column, chart: Chart) -> LaurentMatrix:
-    """Extend a nowhere-vanishing chart column to a unimodular matrix.
+def shift_columns(m: LaurentMatrix, shifts) -> LaurentMatrix:
+    """m * diag(z^shifts[j]): column j multiplied by z^shifts[j]."""
+    return LaurentMatrix(
+        [[p.shift(e) for p, e in zip(row, shifts)] for row in m.entries]
+    )
 
-    The components must lie in the chart ring and have unit gcd (no common
-    zero on the chart).  Works by an iterated two-component Bezout chain:
-    elementary 2x2 blocks move the running gcd into slot 0; the inverse of
-    the accumulated transform is the completion.  The result U has first
-    column equal to the input and constant nonzero determinant.
+
+# ---------------------------------------------------------------------------
+# Column reduction and the w-adic inverse
+# ---------------------------------------------------------------------------
+
+
+def _column_degree(col) -> int:
+    degs = [p.degree for p in col if p]
+    if not degs:
+        raise ValueError("matrix is singular: a column reduced to zero")
+    return max(degs)
+
+
+def column_reduce(t: LaurentMatrix):
+    """Column-reduce P = z^N * T over C[z], N the largest |exponent| of T.
+
+    T must be square; a singular T raises ValueError.  Returns (N, r, V, Q)
+    with Q = P*V, V unimodular over C[z], r_j the degree of column j of Q,
+    and the leading-coefficient matrix of Q (the z^(r_j) coefficients of
+    column j) nonsingular.  Each step takes a constant kernel vector u of the
+    leading-coefficient matrix and replaces the highest-degree
+    participating column j* by sum_j u_j z^(r_j* - r_j) col_j, which
+    strictly drops its degree.
+
+    Q*diag(z^-r_j) then lies in the w-chart ring with that nonsingular
+    matrix as its constant term, so it is w-unimodular whenever det T is a
+    unit: z^N*T*V = Q is the Wiener-Hopf factorization of T.
     """
-    col = list(column)
-    k = len(col)
-    if k == 0:
-        raise ValueError("empty column")
-    for p in col:
-        if not chart_contains(p, chart):
-            raise NotUnimodularlyCompletable(
-                f"column component outside the {chart.value}-chart ring"
-            )
-    if all(p.is_zero() for p in col):
-        raise NotUnimodularlyCompletable("zero column has no unimodular completion")
-
-    if k == 1:
-        unit = col[0].is_unit()
-        if unit is None or unit[1] != 0:
-            raise NotUnimodularlyCompletable("single component is not a nonzero constant")
-        return LaurentMatrix([[col[0]]])
-
-    s = list(col)
-    minv = [
-        [ONE_POLY if i == j else ZERO_POLY for j in range(k)] for i in range(k)
-    ]
-    for i in range(1, k):
-        a, b = s[0], s[i]
-        if b.is_zero():
-            continue
-        d, u, v = poly_gcd_bezout(a, b, chart)
-        a_d = chart_divexact(a, d, chart)
-        b_d = chart_divexact(b, d, chart)
-        # Block [[u, v], [-b/d, a/d]] sends (a, b) to (d, 0); its inverse
-        # [[a/d, -v], [b/d, u]] is accumulated into the completion.
-        s[0], s[i] = d, ZERO_POLY
-        for r in range(k):
-            m0, mi = minv[r][0], minv[r][i]
-            minv[r][0] = m0 * a_d + mi * b_d
-            minv[r][i] = -(m0 * v) + mi * u
-
-    unit = s[0].is_unit()
-    if unit is None or unit[1] != 0:
-        raise NotUnimodularlyCompletable(
-            "components share a non-constant factor; the column vanishes on the chart"
+    k = t.rows
+    n = max(
+        (max(p.degree, -p.order) for row in t.entries for p in row if p), default=0
+    )
+    cols = [[t[i, j].shift(n) for i in range(k)] for j in range(k)]
+    v = [[ONE_POLY if i == j else ZERO_POLY for i in range(k)] for j in range(k)]
+    guard = sum(_column_degree(c) for c in cols) + k + 1
+    for _ in range(guard + 1):
+        degs = [_column_degree(c) for c in cols]
+        lead = ScalarMatrix(
+            [[cols[j][i].coeff(degs[j]) for j in range(k)] for i in range(k)]
         )
-    # s[0] is the monic gcd; rescale so the first column is exactly the input.
-    c = unit[0]
-    for r in range(k):
-        minv[r][0] = minv[r][0] * c
-    return LaurentMatrix(minv)
+        null = kernel_basis(lead)
+        if not null:
+            return n, degs, _from_columns(v), _from_columns(cols)
+        u = null[0]
+        picked = max(
+            (j for j in range(k) if u[j] != ZERO), key=lambda j: (degs[j], j)
+        )
+        new_col = [ZERO_POLY] * k
+        new_v = [ZERO_POLY] * k
+        for j in range(k):
+            c = u[j]
+            if c == ZERO:
+                continue
+            shift = degs[picked] - degs[j]
+            for i in range(k):
+                new_col[i] = new_col[i] + cols[j][i].shift(shift).scale(c)
+                new_v[i] = new_v[i] + v[j][i].shift(shift).scale(c)
+        cols[picked] = new_col
+        v[picked] = new_v
+    raise InternalCheckError("column reduction failed to terminate")
+
+
+def _from_columns(cols) -> LaurentMatrix:
+    return LaurentMatrix([list(row) for row in zip(*cols)])
+
+
+def _scalar_inverse(grid):
+    """Gauss-Jordan inverse of a nonsingular Q(i) matrix (lists of rows)."""
+    k = len(grid)
+    aug = [list(row) + [ONE if i == j else ZERO for j in range(k)]
+           for i, row in enumerate(grid)]
+    for c in range(k):
+        piv = next((r for r in range(c, k) if aug[r][c]), None)
+        if piv is None:
+            raise ValueError("singular constant matrix")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = aug[c][c].inverse()
+        aug[c] = [x * inv for x in aug[c]]
+        for r in range(k):
+            f = aug[r][c]
+            if r != c and f:
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[k:] for row in aug]
+
+
+def _sparse_rows(grid):
+    return [[(j, x) for j, x in enumerate(row) if x] for row in grid]
+
+
+def _mul_into(acc, rows, b):
+    """acc += rows * b for Q(i) matrices, rows given by _sparse_rows."""
+    for out, row in zip(acc, rows):
+        for j, x in row:
+            for m, y in enumerate(b[j]):
+                if y:
+                    out[m] = out[m] + x * y
+
+
+def w_adic_inverse(a: LaurentMatrix) -> LaurentMatrix:
+    """Inverse of a w-unimodular matrix, summed as a w-adic series.
+
+    a = A_0 + A_1 w + ... + A_s w^s (w = 1/z) must lie in the w-chart ring
+    with A_0 nonsingular.  The inverse is B_0 + B_1 w + ... with
+    B_0 = A_0^-1 and B_n = -A_0^-1 * sum_{j=1..s} A_j B_(n-j).  The
+    recurrence reads only the last s terms, so s consecutive zero terms
+    end the series.  A w-unimodular input has a polynomial inverse of
+    w-degree at most (k-1)*s (the adjugate bound), which caps the series;
+    on any other input the capped sum is no inverse, so callers
+    re-multiply.
+    """
+    k = a.rows
+    if any(not chart_contains(p, Chart.W) for row in a.entries for p in row):
+        raise ValueError("matrix is not holomorphic on the w-chart")
+    s = max((-p.order for row in a.entries for p in row if p), default=0)
+    coeffs = [[[p.coeff(-j) for p in row] for row in a.entries] for j in range(s + 1)]
+    a_rows = [_sparse_rows(aj) for aj in coeffs]
+    a0inv = _scalar_inverse(coeffs[0])
+    minus_a0inv = _sparse_rows([[-x for x in row] for row in a0inv])
+    terms = [a0inv]
+    zeros = 0
+    while zeros < s and len(terms) <= (k - 1) * s:
+        n = len(terms)
+        acc = [[ZERO] * k for _ in range(k)]
+        for j in range(1, min(s, n) + 1):
+            _mul_into(acc, a_rows[j], terms[n - j])
+        term = [[ZERO] * k for _ in range(k)]
+        _mul_into(term, minus_a0inv, acc)
+        terms.append(term)
+        zeros = 0 if any(any(row) for row in term) else zeros + 1
+    return LaurentMatrix(
+        [
+            [LaurentPoly({-e: t[i][m] for e, t in enumerate(terms)}) for m in range(k)]
+            for i in range(k)
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +805,3 @@ def _verify_kernel(int_rows, basis):
                 return False
     return True
 
-
-def scalar_rank(m: ScalarMatrix) -> int:
-    """Exact rank, via the same certified kernel machinery."""
-    return m.cols - len(kernel_basis(m))

@@ -6,28 +6,21 @@ certificate: unimodular chart gauges W (over C[1/z]) and U (over C[z])
 with W*T*U = diag(z^(-d1), ..., z^(-dk)) exactly.  Re-multiplying the
 certificate is the proof; no step of the output is trusted without it.
 
-The factorization follows the constructive splitting argument:
+The factorization is one column reduction (Kailath, Linear Systems,
+1980, sec. 6.3).  With N the largest |exponent| of T, the polynomial
+matrix z^N*T is column-reduced over C[z] to Q = z^N*T*V
+(:func:`lmatrix.column_reduce`): V is C[z]-unimodular, Q has column
+degrees r_j and a nonsingular leading-coefficient matrix.  Then
+Winv = Q*diag(z^(-r_j)) lies in C[1/z] with that matrix as its constant
+term, so it is w-unimodular, and
 
-1. twist E minimally so it first acquires a nonzero section;
-2. that section vanishes nowhere (certified: unit content on chart 0,
-   nonzero value at infinity), so it spans a trivial line subbundle;
-3. complete it to unimodular gauges on both charts, exposing a
-   block [[1, coupling row], [0, quotient]];
-4. recurse on the quotient, whose degrees are certified nonpositive;
-5. eliminate the coupling row by a chart-0 shear (exponents >= 1) and a
-   chart-1 shear (exponents <= 0) per entry -- the split at exponent 0
-   is exactly why nonpositive quotient degrees matter;
-6. untwist and sort the diagonal with a permutation gauge.
+    Winv^-1 * T * V = diag(z^(r_j - N)),  i.e.  d_j = N - r_j.
 
-Sections are located by exact column reduction: with N the largest
-|exponent| of T, the polynomial matrix P = z^N * T is column-reduced by
-unimodular column operations over C[z].  Once the leading-column-
-coefficient matrix is nonsingular, degrees are predictable: column
-degrees r_j of the reduced form give h0(E(m)) = sum_j max(0, (N - r_j) +
-m + 1) for every twist m at once, the minimal twist is min_j r_j - N,
-and the reducing columns themselves are the sections.  The Cech module
-recomputes all of these dimensions by brute-force linear algebra, so the
-two routes check each other.
+Winv^-1 is summed as a w-adic series (:func:`lmatrix.w_adic_inverse`); a
+permutation sorts the diagonal.  The column degrees also give
+h0(E(m)) = sum_j max(0, d_j + m + 1) for every twist m at once, which the
+Cech module recomputes by brute-force linear algebra, so the two routes
+check each other.
 """
 
 from __future__ import annotations
@@ -35,31 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bundle import VectorBundle
-from .cech import Section
-from .errors import (
-    InternalCheckError,
-    NotUnimodularlyCompletable,
-    QuotientDegreePositive,
-    SearchExhausted,
-    SectionVanishes,
-)
-from .exact import GaussianRational, ZERO
-from .laurent import (
-    Chart,
-    LaurentPoly,
-    ONE_POLY,
-    ZERO_POLY,
-    chart_contains,
-    chart_gcd_many,
-    monomial,
-    z_power,
-)
+from .cech import Section, is_section
+from .errors import InternalCheckError, SectionVanishes
+from .exact import GaussianRational
+from .laurent import Chart, z_power
 from .lmatrix import (
     LaurentMatrix,
-    ScalarMatrix,
+    column_reduce,
     is_unimodular,
-    kernel_basis,
-    unimodular_complete,
+    shift_columns,
+    w_adic_inverse,
 )
 
 
@@ -96,229 +74,54 @@ class Factorization:
         )
 
 
-# ---------------------------------------------------------------------------
-# Column reduction (the section-finding engine)
-# ---------------------------------------------------------------------------
-
-
-def _column_degree(col) -> int:
-    return max(p.degree for p in col if not p.is_zero())
-
-
-def _column_reduce(cols):
-    """Reduce polynomial columns until leading coefficients are independent.
-
-    Input: list of columns (lists of z-polynomials) of a nonsingular
-    matrix.  Repeatedly finds a constant kernel vector u of the leading-
-    coefficient matrix and replaces the highest-degree participating
-    column j* by sum_j u_j z^(r_j* - r_j) col_j, which strictly drops its
-    degree.  Returns (reduced columns, V columns) with V the accumulated
-    unimodular column transform.
-    """
-    k = len(cols)
-    cols = [list(c) for c in cols]
-    v = [[ONE_POLY if i == j else ZERO_POLY for i in range(k)] for j in range(k)]
-    guard = sum(_column_degree(c) for c in cols) + k + 1
-    for _ in range(guard + 1):
-        degs = [_column_degree(c) for c in cols]
-        lead = ScalarMatrix(
-            [[cols[j][i].coeff(degs[j]) for j in range(k)] for i in range(k)]
-        )
-        null = kernel_basis(lead)
-        if not null:
-            return cols, v, degs
-        u = null[0]
-        picked = max(
-            (j for j in range(k) if u[j] != ZERO), key=lambda j: (degs[j], j)
-        )
-        new_col = [ZERO_POLY] * k
-        new_v = [ZERO_POLY] * k
-        for j in range(k):
-            c = u[j]
-            if c == ZERO:
-                continue
-            shift = degs[picked] - degs[j]
-            for i in range(k):
-                new_col[i] = new_col[i] + cols[j][i].shift(shift).scale(c)
-                new_v[i] = new_v[i] + v[j][i].shift(shift).scale(c)
-        cols[picked] = new_col
-        v[picked] = new_v
-    raise InternalCheckError("column reduction failed to terminate")
-
-
-def _reduction_data(t: LaurentMatrix):
-    """Column-reduce z^N * T; returns (n, column degrees, V as a matrix)."""
-    k = t.rows
-    n = 0
-    for row in t.entries:
-        for p in row:
-            if not p.is_zero():
-                n = max(n, p.degree, -p.order)
-    p_cols = [[t[i, j].shift(n) for i in range(k)] for j in range(k)]
-    _, v_cols, degs = _column_reduce(p_cols)
-    v = LaurentMatrix([[v_cols[j][i] for j in range(k)] for i in range(k)])
-    return n, degs, v
-
-
 def minimal_twist(e: VectorBundle) -> int:
     """The unique m with h0(E(m)) > 0 and h0(E(m-1)) = 0; equals -d1.
 
-    Found from the column degrees of the reduced z^N*T: twisting shifts
-    every predictable degree uniformly, so the first twist with a section
-    is min_j r_j - N.  The certified search bracket |m| <= k*(N+1) is
-    asserted; leaving it would signal an implementation bug.
+    Twisting shifts every column degree of the reduced z^N*T uniformly, so
+    the first twist with a section is min_j r_j - N.
     """
-    n, degs, _ = _reduction_data(e.transition)
-    m = min(degs) - n
-    if abs(m) > e.rank * (n + 1):
-        raise SearchExhausted(
-            f"minimal twist {m} left the bracket +-{e.rank * (n + 1)}"
-        )
-    return m
+    n, degs, _, _ = column_reduce(e.transition)
+    return min(degs) - n
 
 
 def extract_section(e_twisted: VectorBundle) -> Section:
     """A nowhere-vanishing section of a minimally twisted bundle.
 
-    Caller contract: h0(E) > 0 and h0(E(-1)) = 0.  The chosen section is
-    the first minimal-degree column of the reducing transform; both
-    nonvanishing certificates are checked exactly and SectionVanishes is
-    raised on any failure (under a violated contract the value at infinity
-    degenerates, so misuse is loud).
+    Caller contract: h0(E) > 0 and h0(E(-1)) = 0, i.e. min_j r_j = N.  The
+    section is the first minimal-degree column v of V: it is a column of a
+    C[z]-unimodular matrix, so it has no zero on chart 0, and T*v is the
+    matching column of Winv, whose value at infinity is a column of a
+    nonsingular matrix.  A violated contract raises SectionVanishes (the
+    column then vanishes at infinity or is no section at all).
     """
-    n, degs, v = _reduction_data(e_twisted.transition)
-    best = min(degs)
-    j0 = degs.index(best)
-    s = v.column(j0)
-    _assert_nowhere_vanishing(e_twisted, s)
-    return Section(s)
-
-
-def _assert_nowhere_vanishing(e: VectorBundle, s):
-    # chart 0: the components may share no zero, i.e. gcd is a constant
-    g = chart_gcd_many(s, Chart.Z)
-    unit = g.is_unit()
-    if unit is None or unit[1] != 0:
-        raise SectionVanishes("section components share a zero on chart 0")
-    # chart 1: T*s must be holomorphic at infinity and nonzero there
-    t = e.transition
-    k = e.rank
-    image = []
-    for i in range(k):
-        acc = ZERO_POLY
-        for j in range(k):
-            acc = acc + t[i, j] * s[j]
-        image.append(acc)
-    at_infinity = []
-    for p in image:
-        if not chart_contains(p, Chart.W):
-            raise SectionVanishes("image of section is not holomorphic at infinity")
-        at_infinity.append(p.coeff(0))
-    if all(c == ZERO for c in at_infinity):
-        raise SectionVanishes("section vanishes at infinity")
-
-
-# ---------------------------------------------------------------------------
-# The factorization recursion
-# ---------------------------------------------------------------------------
-
-
-def _split_matrix(t: LaurentMatrix):
-    """Returns (degrees, W, U) with W*T*U = diag(z^(-d_i)), d nonincreasing."""
-    k = t.rows
-    if k == 1:
-        c, exp = t[0, 0].is_unit()
-        w = LaurentMatrix([[monomial(c.inverse(), 0)]])
-        u = LaurentMatrix.identity(1)
-        return (-exp,), w, u
-
-    e = VectorBundle(t)
-    m = minimal_twist(e)
-    e1 = e.twist(m)
-    s = extract_section(e1)
-    t1 = e1.transition
-
-    # Trivial subbundle: complete the section on chart 0, its image on
-    # chart 1; the conjugated matrix is [[1, coupling row], [0, quotient]].
-    # Completability was certified by the nowhere-vanishing checks, so a
-    # failure here is a bug, not bad input.
-    try:
-        u1 = unimodular_complete(list(s), Chart.Z)
-        m1 = t1 * u1
-        s1 = m1.column(0)
-        w1 = unimodular_complete(list(s1), Chart.W).inverse()
-    except NotUnimodularlyCompletable as exc:
-        raise InternalCheckError(
-            f"certified section failed unimodular completion: {exc}"
-        ) from exc
-    block = w1 * m1
-    if block[0, 0] != ONE_POLY or any(block[i, 0] != ZERO_POLY for i in range(1, k)):
-        raise InternalCheckError("trivial subbundle did not split off")
-
-    quotient = LaurentMatrix(
-        [[block[i, j] for j in range(1, k)] for i in range(1, k)]
-    )
-    b, wq, uq = _split_matrix(quotient)
-    if any(bi > 0 for bi in b):
-        raise QuotientDegreePositive(
-            f"quotient degrees {b} contain a positive entry at the minimal twist"
+    n, degs, v, _ = column_reduce(e_twisted.transition)
+    if min(degs) != n:
+        raise SectionVanishes(
+            f"bundle is not minimally twisted (its minimal twist is "
+            f"{min(degs) - n}); its minimal-degree column vanishes at infinity "
+            "or is no section"
         )
-
-    w2 = _embed_lower(wq)
-    u2 = _embed_lower(uq)
-    block2 = w2 * block * u2
-
-    # Coupling elimination: entry j sits over the diagonal pair
-    # (z^0, z^(-b_j)); exponents >= 1 go to a chart-0 column shear,
-    # exponents <= 0 to a chart-1 row shear (valid because b_j <= 0).
-    w3_grid = [list(row) for row in LaurentMatrix.identity(k).entries]
-    u3_grid = [list(row) for row in LaurentMatrix.identity(k).entries]
-    for j in range(1, k):
-        c = block2[0, j]
-        low, high = c.split(0)
-        u3_grid[0][j] = -high
-        w3_grid[0][j] = -(low.shift(b[j - 1]))
-    w3 = LaurentMatrix(w3_grid)
-    u3 = LaurentMatrix(u3_grid)
-
-    w_total = w3 * (w2 * w1)
-    u_total = (u1 * u2) * u3
-    degrees = (-m,) + tuple(bj - m for bj in b)
-
-    # The twist was scalar, so W*T*U = z^m * (eliminated block); the sorted
-    # permutation gauge is applied last (the recursion layout keeps the
-    # trivial summand first, which is already sorted when degrees are).
-    order = sorted(range(k), key=lambda i: (-degrees[i], i))
-    if order != list(range(k)):
-        perm = LaurentMatrix(
-            [
-                [ONE_POLY if order[i] == j else ZERO_POLY for j in range(k)]
-                for i in range(k)
-            ]
-        )
-        w_total = perm * w_total
-        u_total = u_total * perm.transpose()
-        degrees = tuple(degrees[i] for i in order)
-    return degrees, w_total, u_total
-
-
-def _embed_lower(m: LaurentMatrix) -> LaurentMatrix:
-    k = m.rows + 1
-    grid = [[ONE_POLY if i == j else ZERO_POLY for j in range(k)] for i in range(k)]
-    for i in range(m.rows):
-        for j in range(m.cols):
-            grid[i + 1][j + 1] = m[i, j]
-    return LaurentMatrix(grid)
+    s = Section(v.column(degs.index(n)))
+    if not is_section(e_twisted, s):
+        raise InternalCheckError("reducing column is not a section")
+    return s
 
 
 def grothendieck_split(e: VectorBundle):
     """Full splitting: returns (SplittingType, Factorization).
 
-    The certificate is verified before being returned; a failed
+    W = Perm*Winv^-1 and U = V*Perm^T from one column reduction (see the
+    module docstring), Perm sorting d_j = N - r_j into nonincreasing
+    order.  The certificate is verified before being returned; a failed
     verification raises InternalCheckError rather than producing an
     unproven answer.
     """
-    degrees, w, u = _split_matrix(e.transition)
+    n, degs, v, q = column_reduce(e.transition)
+    winv_inv = w_adic_inverse(shift_columns(q, [-r for r in degs]))
+    order = sorted(range(e.rank), key=lambda j: (degs[j], j))
+    degrees = tuple(n - degs[j] for j in order)
+    w = LaurentMatrix([winv_inv.row(j) for j in order])
+    u = LaurentMatrix([[row[j] for j in order] for row in v.entries])
     d = LaurentMatrix.diagonal([z_power(-di) for di in degrees])
     fact = Factorization(w, u, d)
     if not verify_factorization(e, fact):

@@ -1,0 +1,47 @@
+"""Shared seeded inputs for the property tests."""
+
+from fractions import Fraction
+
+import pytest
+
+from p1bundles import GaussianRational, LaurentMatrix, LaurentPoly, monomial
+
+
+def _qi_scalar(rng):
+    # Nonzero Q(i) scalar with denominators.
+    while True:
+        c = GaussianRational(
+            Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+            Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+        )
+        if c:
+            return c
+
+
+def _laurent_entry(rng):
+    # One to three terms, exponents anywhere in [-3, 3].
+    return LaurentPoly(
+        {rng.randint(-3, 3): _qi_scalar(rng) for _ in range(rng.randint(1, 3))}
+    )
+
+
+def unit_det_matrix(rng, k, shears):
+    """A unit-determinant k x k Laurent matrix the gauge scrambler never makes.
+
+    A monomial diagonal times elementary shears, each shear on a random
+    side with an arbitrary Laurent entry (not a chart polynomial) and Q(i)
+    coefficients with denominators, so det is the diagonal's c*z^e.
+    """
+    t = LaurentMatrix.diagonal(
+        [monomial(_qi_scalar(rng), rng.randint(-3, 3)) for _ in range(k)]
+    )
+    for _ in range(shears if k > 1 else 0):
+        i, j = rng.sample(range(k), 2)
+        shear = LaurentMatrix.identity(k).with_entry(i, j, _laurent_entry(rng))
+        t = shear * t if rng.random() < 0.5 else t * shear
+    return t
+
+
+@pytest.fixture
+def unit_det():
+    return unit_det_matrix

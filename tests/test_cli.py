@@ -147,3 +147,39 @@ def test_installed_entry_point_help():
     assert r.returncode == 0
     for sub in ("split", "h0", "profile", "random", "verify"):
         assert sub in r.stdout
+
+
+def test_negative_window_is_usage_error():
+    r = run_cli("h0", str(DATA / "euler.bundle"), "--window", "-1")
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+
+
+def test_empty_profile_range_is_usage_error():
+    r = run_cli("profile", str(DATA / "euler.bundle"), "--from", "3", "--to", "1")
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+
+
+def test_negative_gauge_degree_is_usage_error(tmp_path):
+    out = tmp_path / "x.bundle"
+    r = run_cli(
+        "random", "--type", "1,0", "--gauge-degree", "-1", "--seed", "1", "-o", str(out)
+    )
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
+def test_unstable_modular_kernel_exits_3(monkeypatch, capsys):
+    from p1bundles import cech, cli
+
+    def unstable(matrix):
+        raise ArithmeticError("modular kernel failed to stabilize")
+
+    # An explicit window solves afresh, so no cached dimension hides the patch.
+    monkeypatch.setattr(cech, "kernel_basis", unstable)
+    assert cli.main(["h0", str(DATA / "o3.bundle"), "--window", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "internal check failed" in err
+    assert "Traceback" not in err

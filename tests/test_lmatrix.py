@@ -7,15 +7,15 @@ from p1bundles import (
     DimensionMismatch,
     GaussianRational,
     LaurentMatrix,
-    NotUnimodularlyCompletable,
     ScalarMatrix,
     W_CHART,
     Z_CHART,
     constant,
     is_unimodular,
     kernel_basis,
+    kron,
+    monomial,
     random_unimodular,
-    unimodular_complete,
     z_power,
 )
 from p1bundles.laurent import ONE_POLY, ZERO_POLY
@@ -81,7 +81,7 @@ def test_det_multiplicativity_random_3x3():
 
 def test_det_bareiss_path_4x4_agrees_with_cofactor():
     rng = random.Random(11)
-    from p1bundles.lmatrix import _adjugate, _det_bareiss
+    from p1bundles.lmatrix import _det_bareiss
 
     for _ in range(8):
         a = _random_laurent_matrix(rng, 4)
@@ -202,29 +202,6 @@ def test_unimodular_examples():
     assert is_unimodular(both, Z_CHART)
 
 
-def test_unimodular_completion_examples():
-    assert unimodular_complete([ONE_POLY, ZERO_POLY], Z_CHART) == I2
-    u = unimodular_complete([z_power(1), constant(1) - z_power(1)], Z_CHART)
-    assert u == lm([[z_power(1), -constant(1)], [constant(1) - z_power(1), ONE_POLY]])
-    assert u.det() == ONE_POLY
-    with pytest.raises(NotUnimodularlyCompletable):
-        unimodular_complete([z_power(1), z_power(2)], Z_CHART)
-
-
-@pytest.mark.parametrize("chart", [Z_CHART, W_CHART])
-def test_completion_roundtrip_200_random_columns(chart):
-    # Columns with unit gcd come from reading a column off a random
-    # unimodular matrix, so completability is guaranteed by construction.
-    rng = random.Random(31337 if chart is Z_CHART else 31338)
-    for _ in range(200):
-        k = rng.randint(1, 4)
-        u = random_unimodular(k, chart, rng.randint(0, 3), rng, moves=rng.randint(1, 4))
-        col = list(u.column(rng.randrange(k)))
-        completed = unimodular_complete(col, chart)
-        assert list(completed.column(0)) == col
-        assert is_unimodular(completed, chart)
-
-
 def test_inverse_of_unimodular():
     rng = random.Random(5)
     for chart in (Z_CHART, W_CHART):
@@ -233,3 +210,47 @@ def test_inverse_of_unimodular():
             u = random_unimodular(k, chart, 2, rng, moves=3)
             assert u * u.inverse() == LaurentMatrix.identity(k)
             assert is_unimodular(u.inverse(), chart)
+
+
+def _cofactor_inverse(t):
+    # Independent oracle for k <= 3: adj(T) / det(T), minors written out.
+    g = t.entries
+    k = t.rows
+    if k == 1:
+        cof = [[ONE_POLY]]
+    else:
+
+        def minor(i, j):
+            sub = [[g[r][c] for c in range(k) if c != j] for r in range(k) if r != i]
+            if k == 2:
+                return sub[0][0]
+            return sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
+
+        cof = [
+            [minor(i, j) if (i + j) % 2 == 0 else -minor(i, j) for j in range(k)]
+            for i in range(k)
+        ]
+    det = ZERO_POLY
+    for j in range(k):
+        det = det + g[0][j] * cof[0][j]
+    c, e = det.is_unit()
+    dinv = monomial(c.inverse(), -e)
+    return LaurentMatrix([[dinv * cof[j][i] for j in range(k)] for i in range(k)])
+
+
+def test_inverse_on_shear_products(unit_det):
+    # Arbitrary Laurent shears with Q(i) denominators, and tensor products
+    # of them: inputs the chart-move scrambler never produces.
+    rng = random.Random(2026)
+    for _ in range(24):
+        k = rng.choice((1, 2, 3, 4, 0))
+        if k:
+            t = unit_det(rng, k, rng.randint(1, 3))
+        else:  # a rank-4 tensor product
+            t = kron(unit_det(rng, 2, 1), unit_det(rng, 2, 1))
+        inv = t.inverse()
+        ident = LaurentMatrix.identity(t.rows)
+        assert t * inv == ident
+        assert inv * t == ident
+        if t.rows <= 3:
+            assert inv == _cofactor_inverse(t)

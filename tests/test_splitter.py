@@ -210,3 +210,19 @@ def test_profile_inversion_agrees_with_splitter():
             recovered.append(-m)
         prev = jumps[m]
     assert SplittingType(recovered) == splitting_type(e)
+
+
+def test_split_cross_checks_on_shear_products(unit_det):
+    # Three independent routes to the type of a bundle built from arbitrary
+    # Laurent shears: the certificate, the Cech profile and the dual.
+    rng = random.Random(4711)
+    for _ in range(12):
+        e = VectorBundle(unit_det(rng, rng.randint(2, 4), rng.randint(1, 3)))
+        st, fact = grothendieck_split(e)
+        assert verify_factorization(e, fact)
+        d = list(st)
+        lo, hi = -d[0] - 1, -d[-1]
+        assert h0_profile(e, lo, hi) == [
+            (m, sum(max(0, x + m + 1) for x in d)) for m in range(lo, hi + 1)
+        ]
+        assert tuple(splitting_type(e.dual())) == tuple(-x for x in reversed(d))
