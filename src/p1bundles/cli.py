@@ -8,7 +8,7 @@ object (sorted keys, no timestamps) under `--json`.
 Exit codes: 0 success, 1 invalid bundle, 2 parse/usage error (including
 an argument the library refuses, such as a negative window), 3 failed
 internal certificate (window instability, a broken splitting invariant,
-or a modular kernel that does not stabilize).
+or a kernel solve that finds no verified basis within its prime budget).
 """
 
 from __future__ import annotations
@@ -28,22 +28,12 @@ from .text import (
 )
 
 
-def _load_bundle(path: str) -> VectorBundle:
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-    return parse_bundle(text)
-
-
-def _load_factorization(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
-    return parse_factorization(text)
 
 
 def _write(path: str, text: str):
@@ -74,7 +64,7 @@ def _fmt_type(t) -> str:
 
 
 def _cmd_split(args):
-    e = _load_bundle(args.file)
+    e = parse_bundle(_read(args.file))
     stype, fact = splitter.grothendieck_split(e)
     verified = splitter.verify_factorization(e, fact)
     fact_text = format_factorization(fact)
@@ -97,35 +87,35 @@ def _cmd_split(args):
 
 
 def _cmd_h0(args):
-    e = _load_bundle(args.file)
+    e = parse_bundle(_read(args.file))
     value = cech.h0_dim(e, window=args.window)
     _emit(args, "h0", [args.file], {"h0": value}, [f"h0: {value}"])
     return 0
 
 
 def _cmd_h1(args):
-    e = _load_bundle(args.file)
+    e = parse_bundle(_read(args.file))
     value = cech.h1_dim_oracle(e, window=args.window)
     _emit(args, "h1", [args.file], {"h1": value}, [f"h1: {value}"])
     return 0
 
 
 def _cmd_deg(args):
-    e = _load_bundle(args.file)
+    e = parse_bundle(_read(args.file))
     result = {"deg": e.degree, "rank": e.rank}
     _emit(args, "deg", [args.file], result, [f"deg: {e.degree}", f"rank: {e.rank}"])
     return 0
 
 
 def _cmd_chi(args):
-    e = _load_bundle(args.file)
+    e = parse_bundle(_read(args.file))
     value = cech.euler_char(e, window=args.window)
     _emit(args, "chi", [args.file], {"chi": value}, [f"chi: {value}"])
     return 0
 
 
 def _cmd_profile(args):
-    e = _load_bundle(args.file)
+    e = parse_bundle(_read(args.file))
     profile = cech.h0_profile(e, args.m_from, args.m_to, window=args.window)
     result = {
         "from": args.m_from,
@@ -138,11 +128,11 @@ def _cmd_profile(args):
 
 
 def _cmd_op(args):
-    a = _load_bundle(args.a)
+    a = parse_bundle(_read(args.a))
     if args.kind in ("dsum", "tensor"):
         if args.b is None:
             raise ParseError(f"op {args.kind} needs two bundle files")
-        b = _load_bundle(args.b)
+        b = parse_bundle(_read(args.b))
         out = a.dsum(b) if args.kind == "dsum" else a.tensor(b)
         inputs = [args.a, args.b]
     else:
@@ -154,7 +144,7 @@ def _cmd_op(args):
 
 
 def _cmd_twist(args):
-    e = _load_bundle(args.file)
+    e = parse_bundle(_read(args.file))
     return _emit_bundle(args, "twist", [args.file], e.twist(args.m))
 
 
@@ -174,8 +164,8 @@ def _emit_bundle(args, command, inputs, out: VectorBundle):
 
 
 def _cmd_iso(args):
-    a = _load_bundle(args.a)
-    b = _load_bundle(args.b)
+    a = parse_bundle(_read(args.a))
+    b = parse_bundle(_read(args.b))
     ta = splitter.splitting_type(a)
     tb = splitter.splitting_type(b)
     same = a.rank == b.rank and ta == tb
@@ -190,7 +180,7 @@ def _cmd_iso(args):
 
 
 def _cmd_selfdual(args):
-    e = _load_bundle(args.file)
+    e = parse_bundle(_read(args.file))
     stype = splitter.splitting_type(e)
     sd = list(stype) == [-d for d in reversed(stype)]
     result = {"self_dual": sd, "type": list(stype)}
@@ -221,8 +211,8 @@ def _cmd_random(args):
 
 
 def _cmd_verify(args):
-    e = _load_bundle(args.file)
-    fact = _load_factorization(args.factfile)
+    e = parse_bundle(_read(args.file))
+    fact = parse_factorization(_read(args.factfile))
     ok = splitter.verify_factorization(e, fact)
     _emit(
         args,

@@ -12,15 +12,17 @@ Two layers live here:
   is ever formed.
 
 * :class:`ScalarMatrix` + :func:`kernel_basis` -- exact null spaces of
-  coefficient-level linear systems.  Small systems run a fraction-free
-  (Bareiss) elimination over the Gaussian integers.  Large systems are
-  solved by a certified multi-modular method: row-reduce modulo primes
-  p = 1 (mod 4) where Q(i) embeds in GF(p), reconstruct the reduced
-  echelon form by CRT + rational reconstruction, then *verify every
-  kernel vector exactly*.  A verified basis of size (cols - modular rank)
-  pins the nullity on both sides, so the result is exact, never
-  probabilistic.  Both paths return the same canonical (reduced-echelon)
-  basis.
+  coefficient-level linear systems, from one certified multi-modular
+  engine.  Each row is cleared to Gaussian integers, then row-reduced
+  modulo primes p = 1 (mod 4), where Q(i) embeds in GF(p); the reduced
+  echelon form is rebuilt by CRT and Wang's rational reconstruction at
+  1, 2, 4, 8, ... primes, and *every kernel vector is verified exactly*.
+  A verified basis of size (cols - modular rank) pins the nullity on both
+  sides, so the result is exact, never probabilistic.  The prime budget
+  comes from the Hadamard bound H of the cleared rows: reconstruction is
+  certain once the modulus exceeds 2*H^4, and at most log2(H^2)/30 primes
+  can be unlucky, so the cost grows with coefficient height as well as
+  with shape.  The basis is the canonical (reduced-echelon) one.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .laurent import (
     LaurentPoly,
     ONE_POLY,
     ZERO_POLY,
+    _promote_scalar,
     chart_contains,
     chart_divexact,
 )
@@ -349,25 +352,6 @@ def _from_columns(cols) -> LaurentMatrix:
     return LaurentMatrix([list(row) for row in zip(*cols)])
 
 
-def _scalar_inverse(grid):
-    """Gauss-Jordan inverse of a nonsingular Q(i) matrix (lists of rows)."""
-    k = len(grid)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(k)]
-           for i, row in enumerate(grid)]
-    for c in range(k):
-        piv = next((r for r in range(c, k) if aug[r][c]), None)
-        if piv is None:
-            raise ValueError("singular constant matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = aug[c][c].inverse()
-        aug[c] = [x * inv for x in aug[c]]
-        for r in range(k):
-            f = aug[r][c]
-            if r != c and f:
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [row[k:] for row in aug]
-
-
 def _sparse_rows(grid):
     return [[(j, x) for j, x in enumerate(row) if x] for row in grid]
 
@@ -399,7 +383,15 @@ def w_adic_inverse(a: LaurentMatrix) -> LaurentMatrix:
     s = max((-p.order for row in a.entries for p in row if p), default=0)
     coeffs = [[[p.coeff(-j) for p in row] for row in a.entries] for j in range(s + 1)]
     a_rows = [_sparse_rows(aj) for aj in coeffs]
-    a0inv = _scalar_inverse(coeffs[0])
+    # A_0^-1 from the kernel of [A_0 | -I]: its canonical vector at free
+    # column k+m is (A_0^-1 e_m, e_m) exactly when A_0 is nonsingular.
+    ident = [[ONE if i == m else ZERO for m in range(k)] for i in range(k)]
+    null = kernel_basis(
+        ScalarMatrix([row + [-x for x in e] for row, e in zip(coeffs[0], ident)])
+    )
+    if [list(v[k:]) for v in null] != ident:
+        raise ValueError("singular constant matrix")
+    a0inv = [[v[i] for v in null] for i in range(k)]
     minus_a0inv = _sparse_rows([[-x for x in row] for row in a0inv])
     terms = [a0inv]
     zeros = 0
@@ -423,14 +415,6 @@ def w_adic_inverse(a: LaurentMatrix) -> LaurentMatrix:
 # ---------------------------------------------------------------------------
 # Scalar matrices and exact kernels
 # ---------------------------------------------------------------------------
-
-
-def _promote_scalar(e):
-    if isinstance(e, GaussianRational):
-        return e
-    if isinstance(e, (int, Fraction)):
-        return GaussianRational(e)
-    raise TypeError(f"scalar entry must be GaussianRational, got {type(e).__name__}")
 
 
 class ScalarMatrix:
@@ -468,9 +452,6 @@ class ScalarMatrix:
         return hash((self.cols, self.entries))
 
 
-_EXACT_PATH_LIMIT = 2400  # rows*cols at or below this run the Bareiss path
-
-
 def kernel_basis(m: ScalarMatrix):
     """Exact canonical basis of the right null space of m.
 
@@ -478,20 +459,14 @@ def kernel_basis(m: ScalarMatrix):
     the reduced echelon form; each vector has 1 at its own free column and
     0 at the others, so the list is empty exactly when the kernel is
     trivial.
+
+    The basis comes from the certified multi-modular engine and is verified
+    exactly against m before it is returned.  The number of primes it may
+    use is derived from the Hadamard bound of m's cleared rows, so the cost
+    grows with coefficient height as well as with shape; ArithmeticError
+    means that budget ran out without a verified basis.
     """
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        basis = []
-        for f in range(m.cols):
-            v = [ZERO] * m.cols
-            v[f] = ONE
-            basis.append(tuple(v))
-        return basis
-    int_rows = _clear_rows(m)
-    if m.rows * m.cols <= _EXACT_PATH_LIMIT:
-        return _kernel_exact(int_rows, m.rows, m.cols)
-    return _kernel_modular(int_rows, m.rows, m.cols)
+    return _kernel_modular(_clear_rows(m), m.rows, m.cols)
 
 
 def _clear_rows(m: ScalarMatrix):
@@ -516,92 +491,7 @@ def _clear_rows(m: ScalarMatrix):
     return out
 
 
-# -- exact (fraction-free) path ---------------------------------------------
-
-
-def _kernel_exact(int_rows, nrows, ncols):
-    # Bareiss forward elimination over Z[i] keeps every intermediate entry a
-    # Gaussian integer (each is a minor of the original matrix), then the
-    # canonical kernel is read off by back substitution over Q(i).
-    m = [[(0, 0)] * ncols for _ in range(nrows)]
-    for i, row in enumerate(int_rows):
-        for j, a, b in row:
-            m[i][j] = (a, b)
-
-    def gmul(x, y):
-        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-    def gsub(x, y):
-        return (x[0] - y[0], x[1] - y[1])
-
-    def gdiv(x, y):
-        # exact division in Z[i]
-        n = y[0] * y[0] + y[1] * y[1]
-        p = gmul(x, (y[0], -y[1]))
-        q0, r0 = divmod(p[0], n)
-        q1, r1 = divmod(p[1], n)
-        if r0 or r1:
-            raise ArithmeticError("non-exact division in Bareiss elimination")
-        return (q0, q1)
-
-    piv_cols = []
-    prev = (1, 0)
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if m[i][c] != (0, 0):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        for i in range(r + 1, nrows):
-            mic = m[i][c]
-            if mic == (0, 0):
-                for j in range(c + 1, ncols):
-                    if m[i][j] != (0, 0):
-                        m[i][j] = gdiv(gmul(m[i][j], pv), prev)
-            else:
-                for j in range(c + 1, ncols):
-                    m[i][j] = gdiv(gsub(gmul(m[i][j], pv), gmul(mic, m[r][j])), prev)
-                m[i][c] = (0, 0)
-        prev = pv
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-
-    return _kernel_from_echelon(m, piv_cols, ncols)
-
-
-def _kernel_from_echelon(m, piv_cols, ncols):
-    rank = len(piv_cols)
-    pivset = set(piv_cols)
-    free_cols = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for f in free_cols:
-        x = [ZERO] * ncols
-        x[f] = ONE
-        for i in range(rank - 1, -1, -1):
-            c = piv_cols[i]
-            if c > f:
-                continue
-            acc = ZERO
-            row = m[i]
-            for j in range(c + 1, ncols):
-                e = row[j]
-                if e != (0, 0) and x[j]:
-                    acc = acc + GaussianRational(e[0], e[1]) * x[j]
-            pv = row[c]
-            x[c] = -acc / GaussianRational(pv[0], pv[1])
-        basis.append(tuple(x))
-    return basis
-
-
-# -- certified multi-modular path --------------------------------------------
+# -- certified multi-modular engine ------------------------------------------
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -636,6 +526,7 @@ def _sqrt_minus_one(p: int) -> int:
 
 
 _PRIME_CACHE: list = []
+_PRIME_BITS = 30  # every prime used exceeds 2^30
 
 
 def _primes_with_i():
@@ -648,6 +539,23 @@ def _primes_with_i():
             _PRIME_CACHE.append(pair)
             yield pair
         n -= 4
+
+
+def _prime_budget(int_rows):
+    """(certain, budget): primes that make reconstruction certain, and the
+    most primes the engine may consume.
+
+    With H the product of the row 2-norms (Hadamard), every minor D has
+    |D| <= H, so the real and imaginary parts of each reduced-echelon entry
+    N/D are fractions with numerator and denominator at most H^2; Wang's
+    reconstruction recovers them once the modulus exceeds 2*H^4.  A prime
+    can only be unlucky by dividing the norm |D|^2 <= H^2 of the pivot
+    minor, which at most log2(H^2)/30 primes above 2^30 do.
+    """
+    h2 = math.prod(sum(a * a + b * b for _, a, b in row) or 1 for row in int_rows)
+    bits = h2.bit_length()
+    certain = -(-(2 * bits + 1) // _PRIME_BITS)
+    return certain, certain + bits // _PRIME_BITS
 
 
 def _rref_mod_p(a: np.ndarray, p: int):
@@ -676,17 +584,38 @@ def _rref_mod_p(a: np.ndarray, p: int):
     return piv_cols
 
 
-def _embed_mod_p(int_rows, nrows, ncols, p, u):
-    a = np.zeros((nrows, ncols), dtype=np.int64)
-    for i, row in enumerate(int_rows):
-        for j, x, y in row:
-            a[i, j] = (x + y * u) % p
-    return a
+def _residues_mod_p(entries, shape, p, u):
+    """Reduced echelon form mod p under both embeddings i -> u and i -> -u.
 
-
-def _crt_pair(c1, m1, c2, m2):
-    t = (c2 - c1) * pow(m1, -1, m2) % m2
-    return c1 + m1 * t, m1 * m2
+    entries is (row indices, column indices, real parts, imaginary parts)
+    of the nonzero Z[i] entries.  Returns the structure key (-rank, pivot
+    columns) and the residues {(i, f): (re, im)} of the entry at pivot row
+    i and free column f, or (None, None) when the two embeddings disagree
+    (an unlucky prime).
+    """
+    rows, cols, res, ims = entries
+    x = np.array([v % p for v in res], dtype=np.int64)
+    y = np.array([v % p for v in ims], dtype=np.int64)
+    a1 = np.zeros(shape, dtype=np.int64)
+    a1[rows, cols] = (x + y * u) % p
+    a2 = np.zeros(shape, dtype=np.int64)
+    a2[rows, cols] = (x + y * (p - u)) % p
+    piv_cols = _rref_mod_p(a1, p)
+    if _rref_mod_p(a2, p) != piv_cols:
+        return None, None
+    pivset = set(piv_cols)
+    free_cols = [c for c in range(shape[1]) if c not in pivset]
+    half = pow(2, -1, p)
+    uinv2 = pow(2 * u, -1, p)
+    fresh = {}
+    for i, c in enumerate(piv_cols):
+        r1 = a1[i]
+        r2 = a2[i]
+        for f in free_cols:
+            if f > c:
+                c1, c2 = int(r1[f]), int(r2[f])
+                fresh[(i, f)] = ((c1 + c2) * half % p, (c1 - c2) * uinv2 % p)
+    return (-len(piv_cols), tuple(piv_cols)), fresh
 
 
 def _rat_recon(c: int, m: int):
@@ -705,66 +634,45 @@ def _rat_recon(c: int, m: int):
 
 
 def _kernel_modular(int_rows, nrows, ncols):
-    best = None  # (-rank, piv_cols) of the structure being accumulated
-    residues = None  # {(i, f): (re_residue, im_residue)} accumulated via CRT
-    modulus = 1
-    used = 0
-    for p, u in _primes_with_i():
-        a1 = _embed_mod_p(int_rows, nrows, ncols, p, u)
-        piv1 = _rref_mod_p(a1, p)
-        a2 = _embed_mod_p(int_rows, nrows, ncols, p, p - u)
-        piv2 = _rref_mod_p(a2, p)
-        if piv1 != piv2:
-            continue  # embeddings disagree: unlucky prime
-        rank = len(piv1)
-        key = (-rank, tuple(piv1))
-        if best is None or key < best:
-            # Higher rank (or an earlier pivot pattern at equal rank) wins;
-            # start accumulation over.
-            best = key
-            residues = {}
-            modulus = 1
-        elif key > best:
-            continue
-        piv_cols = list(best[1])
-        pivset = set(piv_cols)
-        free_cols = [c for c in range(ncols) if c not in pivset]
-        half = pow(2, -1, p)
-        uinv2 = pow(2 * u, -1, p)
-        fresh = {}
-        for i in range(len(piv_cols)):
-            r1 = a1[i]
-            r2 = a2[i]
-            for f in free_cols:
-                if f < piv_cols[i]:
-                    continue
-                c1, c2 = int(r1[f]), int(r2[f])
-                fresh[(i, f)] = (
-                    (c1 + c2) * half % p,
-                    (c1 - c2) * uinv2 % p,
-                )
-        if modulus == 1:
-            residues = fresh
-            modulus = p
-        else:
-            for kxy, (xr, xi) in fresh.items():
-                orr, oxi = residues[kxy]
-                nr, _ = _crt_pair(orr, modulus, xr, p)
-                ni, _ = _crt_pair(oxi, modulus, xi, p)
-                residues[kxy] = (nr, ni)
-            modulus *= p
-        used += 1
-
-        candidate = _reconstruct_kernel(
-            residues, modulus, piv_cols, free_cols, ncols
-        )
-        if candidate is not None and _verify_kernel(int_rows, candidate):
-            return candidate
-        if used > 256:
-            raise ArithmeticError("modular kernel failed to stabilize")
+    certain, budget = _prime_budget(int_rows)
+    flat = [(i, j, a, b) for i, row in enumerate(int_rows) for j, a, b in row]
+    entries = [list(col) for col in zip(*flat)] or [[], [], [], []]
+    best = None  # (-rank, pivot columns) of the structure being accumulated
+    residues = None  # {(i, f): (re, im)} modulo `modulus`, combined by CRT
+    modulus = count = 0
+    for used, (p, u) in enumerate(_primes_with_i(), 1):
+        key, fresh = _residues_mod_p(entries, (nrows, ncols), p, u)
+        checkpoint = False
+        if key is not None and (best is None or key <= best):
+            if key == best:
+                # CRT: the residue mod modulus*p that is c mod modulus, x mod p
+                inv = pow(modulus, -1, p)
+                for kxy, (xr, xi) in fresh.items():
+                    cr, ci = residues[kxy]
+                    residues[kxy] = (
+                        cr + modulus * ((xr - cr) * inv % p),
+                        ci + modulus * ((xi - ci) * inv % p),
+                    )
+                modulus *= p
+                count += 1
+            else:
+                # Higher rank (or an earlier pivot pattern at equal rank)
+                # wins; start accumulation over.
+                best, residues, modulus, count = key, fresh, p, 1
+            # Reconstruct at 1, 2, 4, 8, ... primes: the work stays within
+            # twice what the actual entry heights need.
+            checkpoint = (count & (count - 1)) == 0 or count == certain
+        if best is not None and (checkpoint or used == budget):
+            basis = _reconstruct_kernel(residues, modulus, best[1], ncols)
+            if basis is not None and _verify_kernel(int_rows, basis):
+                return basis
+        if used == budget:
+            raise ArithmeticError(
+                f"modular kernel failed to stabilize within {budget} primes"
+            )
 
 
-def _reconstruct_kernel(residues, modulus, piv_cols, free_cols, ncols):
+def _reconstruct_kernel(residues, modulus, piv_cols, ncols):
     values = {}
     for kxy, (xr, xi) in residues.items():
         fr = _rat_recon(xr, modulus)
@@ -774,8 +682,11 @@ def _reconstruct_kernel(residues, modulus, piv_cols, free_cols, ncols):
         if fi is None:
             return None
         values[kxy] = GaussianRational(fr, fi)
+    pivset = set(piv_cols)
     basis = []
-    for f in free_cols:
+    for f in range(ncols):
+        if f in pivset:
+            continue
         v = [ZERO] * ncols
         v[f] = ONE
         for i, c in enumerate(piv_cols):

@@ -160,3 +160,27 @@ def test_rank_one_goes_through_generic_path():
     # no line-bundle special casing: the same engine handles k = 1
     assert h0_dim(VectorBundle(LaurentMatrix([[constant(5)]]))) == 1
     assert h1_dim_oracle(VectorBundle(LaurentMatrix([[constant(5)]]))) == 0
+
+
+def test_h0_of_tall_coefficient_bundle(monkeypatch):
+    # O(3) + O + O(-3) under shears whose coefficients have 350 digits: the
+    # Cech system is 55 x 50 and its echelon entries need more than 256
+    # primes, so this pins the prime budget to the input's height.
+    c = [10**350 + 7 + 13 * n for n in range(4)]
+
+    def shear(i, j, coeffs):
+        return LaurentMatrix.identity(3).with_entry(i, j, LaurentPoly(coeffs))
+
+    t = LaurentMatrix.diagonal([z_power(-3), ONE_POLY, z_power(3)])
+    t = shear(0, 1, {0: c[0], -1: c[1]}) * shear(2, 0, {-1: c[2]}) * t
+    t = t * shear(1, 0, {0: c[3], 1: c[0]}) * shear(0, 2, {1: c[1]})
+    shapes = []
+    solve = cech.kernel_basis
+
+    def spy(matrix):
+        shapes.append((matrix.rows, matrix.cols))
+        return solve(matrix)
+
+    monkeypatch.setattr(cech, "kernel_basis", spy)
+    assert h0_dim(VectorBundle(t)) == 4 + 1 + 0
+    assert max(r * c for r, c in shapes) > 2400

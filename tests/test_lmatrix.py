@@ -18,8 +18,8 @@ from p1bundles import (
     random_unimodular,
     z_power,
 )
+from p1bundles import lmatrix
 from p1bundles.laurent import ONE_POLY, ZERO_POLY
-from p1bundles.lmatrix import _clear_rows, _kernel_exact, _kernel_modular
 
 
 def gq(re, im=0):
@@ -174,13 +174,77 @@ def test_kernel_rank_nullity_and_exactness():
                 assert v[col] == (gq(1) if vi == vj else gq(0))
 
 
-def test_modular_and_exact_paths_agree():
+def _sympy_kernel(m: ScalarMatrix):
+    # Independent oracle: sympy's exact rref over QQ_I.  The canonical basis
+    # has 1 at its own free column, 0 at the other free columns and
+    # -rref[i][f] at pivot i.
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    qq, qq_i = sympy.QQ, sympy.QQ_I
+
+    def to_sympy(e):
+        re, im = e.re, e.im
+        return qq_i(qq(re.numerator, re.denominator), qq(im.numerator, im.denominator))
+
+    def from_sympy(x):
+        return GaussianRational(
+            Fraction(int(x.x.numerator), int(x.x.denominator)),
+            Fraction(int(x.y.numerator), int(x.y.denominator)),
+        )
+
+    grid = [[to_sympy(e) for e in row] for row in m.entries]
+    rref, pivots = DomainMatrix(grid, (m.rows, m.cols), qq_i).rref()
+    rref = rref.to_list()
+    basis = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = [gq(0)] * m.cols
+        v[f] = gq(1)
+        for i, c in enumerate(pivots):
+            v[c] = -from_sympy(rref[i][f])
+        basis.append(tuple(v))
+    return basis
+
+
+def _deficient_scalar_matrix(rng, rows, cols, density):
+    # Sparse Q(i) rows with denominators, then rank deficiency: rows that
+    # repeat an earlier row times a scalar, and columns set to zero.
+    def entry():
+        if rng.random() > density:
+            return gq(0)
+        return GaussianRational(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+        )
+
+    grid = [[entry() for _ in range(cols)] for _ in range(rows)]
+    for i in rng.sample(range(1, rows), rows // 4):
+        c = gq(rng.randint(-3, 3) or 1, rng.randint(-2, 2))
+        grid[i] = [c * e for e in grid[rng.randrange(i)]]
+    for j in rng.sample(range(cols), cols // 5):
+        for row in grid:
+            row[j] = gq(0)
+    return ScalarMatrix(grid)
+
+
+def test_kernel_matches_sympy_rref():
     rng = random.Random(4242)
-    for _ in range(20):
-        rows, cols = rng.randint(2, 9), rng.randint(2, 9)
-        m = _random_scalar_matrix(rng, rows, cols)
-        ir = _clear_rows(m)
-        assert _kernel_exact(ir, rows, cols) == _kernel_modular(ir, rows, cols)
+    shapes = [(rng.randint(2, 12), rng.randint(2, 12)) for _ in range(24)]
+    # sparse systems above 2,400 cells, one wide and one tall
+    shapes += [(45, 60), (70, 40)]
+    for rows, cols in shapes:
+        density = 0.6 if rows * cols <= 144 else 0.08
+        m = _deficient_scalar_matrix(rng, rows, cols, density)
+        assert kernel_basis(m) == _sympy_kernel(m)
+
+
+def test_scalar_matrix_rejects_bad_entry():
+    with pytest.raises(TypeError):
+        ScalarMatrix([[gq(1), "2"]])
+    with pytest.raises(TypeError):
+        ScalarMatrix([[0.5]])
 
 
 def test_kernel_empty_shapes():
@@ -254,3 +318,29 @@ def test_inverse_on_shear_products(unit_det):
         assert inv * t == ident
         if t.rows <= 3:
             assert inv == _cofactor_inverse(t)
+
+
+def test_kernel_of_tall_small_system(monkeypatch):
+    # 300-digit Gaussian rationals: the echelon entries outgrow 256 primes.
+    rng = random.Random(300)
+
+    def tall():
+        return GaussianRational(
+            Fraction(rng.randrange(10**299, 10**300), rng.randrange(1, 10**5)),
+            rng.randrange(-(10**300), 10**300),
+        )
+
+    a = [[tall() for _ in range(3)] for _ in range(2)]
+    # a budget too small for these heights is refused, never answered wrongly
+    with monkeypatch.context() as patch:
+        patch.setattr(lmatrix, "_prime_budget", lambda rows: (2, 3))
+        with pytest.raises(ArithmeticError):
+            kernel_basis(ScalarMatrix(a))
+    (v,) = kernel_basis(ScalarMatrix(a))
+    # the cross product of the two rows spans the kernel of a rank-2 2x3
+    cross = [
+        a[0][1] * a[1][2] - a[0][2] * a[1][1],
+        a[0][2] * a[1][0] - a[0][0] * a[1][2],
+        a[0][0] * a[1][1] - a[0][1] * a[1][0],
+    ]
+    assert v == tuple(x / cross[2] for x in cross)
