@@ -13,6 +13,7 @@ from .errors import (
     InvalidBundle,
     ParseError,
     SectionVanishes,
+    SystemTooLarge,
     WindowUnstable,
 )
 from .exact import GaussianRational, Rational
@@ -95,6 +96,7 @@ __all__ = [
     "Section",
     "SectionVanishes",
     "SplittingType",
+    "SystemTooLarge",
     "VectorBundle",
     "W_CHART",
     "WindowUnstable",

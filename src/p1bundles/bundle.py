@@ -43,6 +43,9 @@ class VectorBundle:
                 "det of transition matrix is not c*z^e; the matrix degenerates "
                 "somewhere on the overlap"
             )
+        self._fill(transition, unit)
+
+    def _fill(self, transition: LaurentMatrix, unit):
         object.__setattr__(self, "rank", transition.rows)
         object.__setattr__(self, "transition", transition)
         object.__setattr__(self, "det_unit", unit)
@@ -68,8 +71,16 @@ class VectorBundle:
     # -- constructions from the transition-matrix calculus -----------------
 
     def dual(self) -> "VectorBundle":
-        """Dual bundle: transition is the inverse transpose."""
-        return VectorBundle(self.transition.inverse().transpose())
+        """Dual bundle: transition is the inverse transpose.
+
+        Not re-validated: ``LaurentMatrix.inverse`` re-multiplies
+        T*T^-1 = I exactly, which proves det(T^-T) = c^-1 * z^-e for
+        det T = c*z^e.
+        """
+        c, e = self.det_unit
+        out = object.__new__(VectorBundle)
+        out._fill(self.transition.inverse().transpose(), (c.inverse(), -e))
+        return out
 
     def det_bundle(self) -> "VectorBundle":
         """Determinant line bundle: 1x1 transition det T."""

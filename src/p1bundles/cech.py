@@ -12,6 +12,15 @@ phrased through one primitive,
 
 which is the chart-0 model of H0(E tensor O(c)).
 
+Assembly.  The system is block-Toeplitz: the entry multiplying f_{j,s} in
+the row for exponent t of component i is the z^(t-s) coefficient of T_ij.
+It is built straight from the transition's sparse terms, each term c*z^d
+of T_ij landing in the rows t = s + d above the cutoff, as sparse Z[i]
+rows (lmatrix.SparseSystem), each cleared by the lcm of its own
+denominators; no dense grid and no zero entry is made.  The shape is known
+before anything is allocated, and a system over MAX_SYSTEM_CELLS
+rows x unknowns raises SystemTooLarge.
+
 Truncation windows.  The section space is recovered from polynomials of
 degree at most D* = k*(N+1), where N is the largest |exponent| in T; a
 column of degree s is unconstrained precisely when s <= c - (top degree of
@@ -40,10 +49,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bundle import VectorBundle
-from .errors import WindowUnstable
+from .errors import SystemTooLarge, WindowUnstable
 from .exact import ZERO
 from .laurent import LaurentPoly, chart_contains, Chart
-from .lmatrix import ScalarMatrix, kernel_basis
+from .lmatrix import SparseSystem, clear_row, fraction_parts, kernel_basis
+
+# The largest constraint system (rows x unknowns) assembled; a larger one
+# raises SystemTooLarge before anything is allocated.  The benchmark ladder
+# peaks at 31,320 cells and the test suite at 24,178, so this leaves 9x.
+MAX_SYSTEM_CELLS = 300_000
 
 # Counters so test harnesses can confirm stability checks actually ran.
 STABILITY_CHECKS = 0
@@ -102,37 +116,57 @@ def _column_top_degrees(e: VectorBundle):
     return tops
 
 
-def _constraint_matrix(e: VectorBundle, cutoff: int, col_ranges):
-    """Rows: coefficients of (T*f)_i at exponents above the cutoff.
+def _constraint_system(e: VectorBundle, cutoff: int, col_ranges):
+    """Rows: coefficients of (T*f)_i at exponents above the cutoff, over Z[i].
 
-    Unknowns are the coefficients f_{j,s} for s in col_ranges[j]; the entry
-    multiplying f_{j,s} in the row for exponent t of component i is the
-    z^(t-s) coefficient of T_ij.
+    Unknowns are the coefficients f_{j,s} for s in col_ranges[j], numbered
+    column by column; the entry multiplying f_{j,s} in the row for exponent
+    t of component i is the z^(t-s) coefficient of T_ij.  Each term c*z^d
+    of T_ij is placed straight into the rows t = s + d > cutoff it reaches,
+    so no zero entry is ever made, and each row is cleared to Gaussian
+    integers by the lcm of its own denominators.  Returns the system and
+    the unknowns (j, s) in column order.
+
+    The shape is bounded before anything is allocated: more than
+    MAX_SYSTEM_CELLS rows x unknowns raises SystemTooLarge.
     """
     t = e.transition
     k = e.rank
-    unknowns = [(j, s) for j in range(k) for s in range(col_ranges[j][0], col_ranges[j][1] + 1)]
+    starts = []  # the column of f_{j,s} is starts[j] + s
+    ncols = 0
+    for lo, hi in col_ranges:
+        starts.append(ncols - lo)
+        ncols += max(0, hi - lo + 1)
+    nrows = 0
+    for i in range(k):
+        reach = [
+            (lo + t[i, j].order, hi + t[i, j].degree)
+            for j, (lo, hi) in enumerate(col_ranges)
+            if t[i, j] and lo <= hi
+        ]
+        if reach:
+            first = max(cutoff + 1, min(a for a, _ in reach))
+            nrows += max(0, max(b for _, b in reach) - first + 1)
+    if nrows * ncols > MAX_SYSTEM_CELLS:
+        raise SystemTooLarge(
+            f"Cech system of up to {nrows} x {ncols} exceeds the limit of "
+            f"{MAX_SYSTEM_CELLS} cells"
+        )
     rows = []
     for i in range(k):
-        reach = None
-        for j in range(k):
-            p = t[i, j]
-            if not p.is_zero():
-                top = p.degree + col_ranges[j][1]
-                reach = top if reach is None else max(reach, top)
-        if reach is None:
-            continue
-        for exp in range(cutoff + 1, reach + 1):
-            row = []
-            nonzero = False
-            for (j, s) in unknowns:
-                c = t[i, j].coeff(exp - s)
-                if c:
-                    nonzero = True
-                row.append(c)
-            if nonzero:
-                rows.append(row)
-    return ScalarMatrix(rows, cols=len(unknowns)), unknowns
+        by_exp = {}
+        for j, (lo, hi) in enumerate(col_ranges):
+            start = starts[j]
+            # Descending d puts each row's entries in increasing column order.
+            for d, c in sorted(t[i, j].items(), reverse=True):
+                parts = fraction_parts(c)
+                for s in range(max(lo, cutoff + 1 - d), hi + 1):
+                    by_exp.setdefault(s + d, []).append((start + s, parts))
+        rows += [clear_row(by_exp[x]) for x in sorted(by_exp)]
+    unknowns = [
+        (j, s) for j, (lo, hi) in enumerate(col_ranges) for s in range(lo, hi + 1)
+    ]
+    return SparseSystem(rows, ncols), unknowns
 
 
 def h0_sections(e: VectorBundle, window: int):
@@ -145,8 +179,8 @@ def h0_sections(e: VectorBundle, window: int):
         raise ValueError("window must be >= 0")
     k = e.rank
     ranges = [(0, window)] * k
-    matrix, unknowns = _constraint_matrix(e, 0, ranges)
-    basis = kernel_basis(matrix)
+    system, unknowns = _constraint_system(e, 0, ranges)
+    basis = kernel_basis(system)
     sections = []
     for v in basis:
         comps = [dict() for _ in range(k)]
@@ -181,8 +215,8 @@ def _sections_dim_at_cutoff(e: VectorBundle, cutoff: int) -> int:
     dstar = max(0, cutoff) + k * (n + 1)
     dw = dstar + 1
     ranges = [(max(0, cutoff - tops[j] + 1), dw) for j in range(k)]
-    matrix, unknowns = _constraint_matrix(e, cutoff, ranges)
-    basis = kernel_basis(matrix)
+    system, unknowns = _constraint_system(e, cutoff, ranges)
+    basis = kernel_basis(system)
     # Stability: a kernel vector supported on the extra degree-dw slot would
     # mean the window at dstar undercounted.
     top_idx = [idx for idx, (j, s) in enumerate(unknowns) if s == dw]

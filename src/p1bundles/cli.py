@@ -8,7 +8,10 @@ object (sorted keys, no timestamps) under `--json`.
 Exit codes: 0 success, 1 invalid bundle, 2 parse/usage error (including
 an argument the library refuses, such as a negative window), 3 failed
 internal certificate (window instability, a broken splitting invariant,
-or a kernel solve that finds no verified basis within its prime budget).
+or a kernel solve that finds no verified basis within its prime budget),
+4 a Cech constraint system above the fixed size limit
+(``cech.MAX_SYSTEM_CELLS`` rows x unknowns), refused before it is built:
+a large exponent such as ``z^1000000`` or a large ``--window``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import sys
 
 from . import cech, splitter
 from .bundle import VectorBundle, random_bundle
-from .errors import InternalCheckError, InvalidBundle, ParseError
+from .errors import InternalCheckError, InvalidBundle, ParseError, SystemTooLarge
 from .text import (
     format_bundle,
     format_factorization,
@@ -321,6 +324,9 @@ def main(argv=None) -> int:
     except InvalidBundle as exc:
         print(f"invalid bundle: {exc}", file=sys.stderr)
         return 1
+    except SystemTooLarge as exc:
+        print(f"too large: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:  # an argument the library refuses
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

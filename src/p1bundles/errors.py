@@ -1,7 +1,8 @@
 """Exception types shared across the library.
 
 The CLI maps these onto exit codes: bad bundle data is exit 1, unparsable
-text is exit 2, and a failed internal certificate check is exit 3.
+text is exit 2, a failed internal certificate check is exit 3, and a
+system over the size limit (SystemTooLarge) is exit 4.
 """
 
 
@@ -20,6 +21,15 @@ class InvalidBundle(ValueError):
     """Transition matrix is not invertible away from 0 and infinity.
 
     Raised when the determinant is not of the form c*z^e with c != 0.
+    """
+
+
+class SystemTooLarge(ValueError):
+    """A Cech constraint system would exceed the fixed size limit.
+
+    The limit is ``cech.MAX_SYSTEM_CELLS`` rows x unknowns.  The check runs
+    before the system is built, so a tiny input such as ``z^1000000`` is
+    refused at once instead of running without bound.
     """
 
 

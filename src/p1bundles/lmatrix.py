@@ -11,18 +11,26 @@ Two layers live here:
   inverted as a w-adic series (:func:`w_adic_inverse`), so no adjugate
   is ever formed.
 
-* :class:`ScalarMatrix` + :func:`kernel_basis` -- exact null spaces of
-  coefficient-level linear systems, from one certified multi-modular
-  engine.  Each row is cleared to Gaussian integers, then row-reduced
-  modulo primes p = 1 (mod 4), where Q(i) embeds in GF(p); the reduced
-  echelon form is rebuilt by CRT and Wang's rational reconstruction at
-  1, 2, 4, 8, ... primes, and *every kernel vector is verified exactly*.
-  A verified basis of size (cols - modular rank) pins the nullity on both
-  sides, so the result is exact, never probabilistic.  The prime budget
-  comes from the Hadamard bound H of the cleared rows: reconstruction is
-  certain once the modulus exceeds 2*H^4, and at most log2(H^2)/30 primes
-  can be unlucky, so the cost grows with coefficient height as well as
-  with shape.  The basis is the canonical (reduced-echelon) one.
+* :class:`SparseSystem` + :func:`kernel_basis` -- exact null spaces of
+  coefficient-level linear systems.  A system has one input form: sparse
+  rows of (col, re, im) over the Gaussian integers, each row a Q(i) row
+  cleared by the lcm of its own denominators (:func:`clear_row`).  The
+  Cech constraint systems are assembled in that form directly;
+  :class:`ScalarMatrix` is its Q(i) front end, which keeps a dense grid
+  and clears its rows once, at construction.  One certified multi-modular
+  engine row-reduces the rows modulo primes p = 1 (mod 4), where Q(i)
+  embeds in GF(p), and rebuilds the reduced echelon form by CRT and Wang's
+  rational reconstruction; *every kernel vector is verified exactly*.  A
+  verified basis of size (cols - modular rank) pins the nullity on both
+  sides, so the result is exact, never probabilistic.  Reconstruction is
+  tried at the first prime and then whenever the entry that stopped the
+  last try reconstructs to the same value at two consecutive moduli (a
+  one-entry probe per prime), as well as at the certain count and at the
+  last prime of the budget.  The prime budget comes from the Hadamard
+  bound H of the rows: reconstruction is certain once the modulus exceeds
+  2*H^4, and at most log2(H^2)/30 primes can be unlucky, so the cost grows
+  with coefficient height as well as with shape.  The basis is the
+  canonical (reduced-echelon) one.
 """
 
 from __future__ import annotations
@@ -417,10 +425,54 @@ def w_adic_inverse(a: LaurentMatrix) -> LaurentMatrix:
 # ---------------------------------------------------------------------------
 
 
-class ScalarMatrix:
-    """A dense grid of Q(i) scalars (coefficient-level linear systems)."""
+class SparseSystem:
+    """A linear system over Z[i] in sparse rows: the one kernel input form.
 
-    __slots__ = ("rows", "cols", "entries")
+    ``int_rows`` holds one list per row of (col, re, im) integer triples,
+    one per nonzero entry re + im*i, in increasing column order; ``rows``
+    and ``cols`` give the shape.  Rows cleared from Q(i) come from
+    :func:`clear_row`.
+    """
+
+    __slots__ = ("rows", "cols", "int_rows")
+
+    def __init__(self, int_rows, cols):
+        object.__setattr__(self, "rows", len(int_rows))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "int_rows", int_rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def fraction_parts(c: GaussianRational):
+    """(re numerator, re denominator, im numerator, im denominator) of c."""
+    return c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator
+
+
+def clear_row(row):
+    """Scale one sparse Q(i) row to Z[i] by the lcm of its denominators.
+
+    row lists (col, fraction_parts(c)) for the nonzero coefficients c;
+    returns the (col, re, im) triples of the scaled row.  Row scaling leaves
+    the kernel unchanged.
+    """
+    denom = 1
+    for _, (_, rd, _, idn) in row:
+        if rd != 1 or idn != 1:
+            denom = math.lcm(denom, rd, idn)
+    if denom == 1:
+        return [(j, a, b) for j, (a, _, b, _) in row]
+    return [(j, a * (denom // rd), b * (denom // idn)) for j, (a, rd, b, idn) in row]
+
+
+class ScalarMatrix(SparseSystem):
+    """A dense grid of Q(i) scalars: the Q(i) front end of :class:`SparseSystem`.
+
+    ``entries`` keeps the grid; its rows are cleared to Z[i] once, here.
+    """
+
+    __slots__ = ("entries",)
 
     def __init__(self, entries, cols=None):
         grid = tuple(tuple(_promote_scalar(e) for e in row) for row in entries)
@@ -432,12 +484,12 @@ class ScalarMatrix:
             if cols is None:
                 raise ValueError("empty matrix needs an explicit column count")
             width = cols
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", width)
+        int_rows = [
+            clear_row([(j, fraction_parts(e)) for j, e in enumerate(row) if e])
+            for row in grid
+        ]
+        super().__init__(int_rows, width)
         object.__setattr__(self, "entries", grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScalarMatrix is immutable")
 
     def __getitem__(self, key):
         i, j = key
@@ -452,43 +504,21 @@ class ScalarMatrix:
         return hash((self.cols, self.entries))
 
 
-def kernel_basis(m: ScalarMatrix):
+def kernel_basis(m: SparseSystem):
     """Exact canonical basis of the right null space of m.
 
-    Returns a list of tuples of GaussianRational, one per free column of
-    the reduced echelon form; each vector has 1 at its own free column and
-    0 at the others, so the list is empty exactly when the kernel is
-    trivial.
+    m is a :class:`SparseSystem` (a :class:`ScalarMatrix` is one).  Returns
+    a list of tuples of GaussianRational, one per free column of the
+    reduced echelon form; each vector has 1 at its own free column and 0 at
+    the others, so the list is empty exactly when the kernel is trivial.
 
     The basis comes from the certified multi-modular engine and is verified
     exactly against m before it is returned.  The number of primes it may
-    use is derived from the Hadamard bound of m's cleared rows, so the cost
-    grows with coefficient height as well as with shape; ArithmeticError
-    means that budget ran out without a verified basis.
+    use is derived from the Hadamard bound of m's rows, so the cost grows
+    with coefficient height as well as with shape; ArithmeticError means
+    that budget ran out without a verified basis.
     """
-    return _kernel_modular(_clear_rows(m), m.rows, m.cols)
-
-
-def _clear_rows(m: ScalarMatrix):
-    """Sparse integer form: per row, a list of (col, re, im) over Z[i].
-
-    Each row is scaled by the lcm of its denominators; row scaling leaves
-    the kernel unchanged.
-    """
-    out = []
-    for row in m.entries:
-        denom = 1
-        for e in row:
-            denom = denom * e.re.denominator // math.gcd(denom, e.re.denominator)
-            denom = denom * e.im.denominator // math.gcd(denom, e.im.denominator)
-        sparse = []
-        for j, e in enumerate(row):
-            if e:
-                a = e.re.numerator * (denom // e.re.denominator)
-                b = e.im.numerator * (denom // e.im.denominator)
-                sparse.append((j, a, b))
-        out.append(sparse)
-    return out
+    return _kernel_modular(m.int_rows, m.rows, m.cols)
 
 
 # -- certified multi-modular engine ------------------------------------------
@@ -625,8 +655,8 @@ def _rat_recon(c: int, m: int):
     r0, r1 = m, c
     t0, t1 = 0, 1
     while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
         t0, t1 = t1, t0 - q * t1
     if t1 == 0 or abs(t1) > bound or math.gcd(r1, abs(t1)) != 1:
         return None
@@ -640,9 +670,12 @@ def _kernel_modular(int_rows, nrows, ncols):
     best = None  # (-rank, pivot columns) of the structure being accumulated
     residues = None  # {(i, f): (re, im)} modulo `modulus`, combined by CRT
     modulus = count = 0
+    # (entry, value): the entry that stopped the last reconstruction, and
+    # what it reconstructed to at the previous prime (None if nothing).
+    probe = None
     for used, (p, u) in enumerate(_primes_with_i(), 1):
         key, fresh = _residues_mod_p(entries, (nrows, ncols), p, u)
-        checkpoint = False
+        attempt = False
         if key is not None and (best is None or key <= best):
             if key == best:
                 # CRT: the residue mod modulus*p that is c mod modulus, x mod p
@@ -658,30 +691,69 @@ def _kernel_modular(int_rows, nrows, ncols):
             else:
                 # Higher rank (or an earlier pivot pattern at equal rank)
                 # wins; start accumulation over.
-                best, residues, modulus, count = key, fresh, p, 1
-            # Reconstruct at 1, 2, 4, 8, ... primes: the work stays within
-            # twice what the actual entry heights need.
-            checkpoint = (count & (count - 1)) == 0 or count == certain
-        if best is not None and (checkpoint or used == budget):
-            basis = _reconstruct_kernel(residues, modulus, best[1], ncols)
-            if basis is not None and _verify_kernel(int_rows, basis):
-                return basis
+                best, residues, modulus, count, probe = key, fresh, p, 1, None
+            if probe is None or count == certain:
+                attempt = True
+            else:
+                # Probe: one entry per prime.  An undetermined residue still
+                # reconstructs to some fraction about 60% of the time, but
+                # to the same one at two consecutive moduli almost never.
+                kxy, last = probe
+                value = _rat_recon_pair(residues[kxy], modulus)
+                attempt = value is not None and value == last
+                probe = (kxy, value)
+        if best is not None and (attempt or used == budget):
+            values, failed = _reconstruct(residues, modulus)
+            if values is None:
+                probe = (failed, None)
+            else:
+                basis = _basis_from_echelon(values, best[1], ncols)
+                if _verify_kernel(int_rows, basis):
+                    return basis
+                # Every entry reconstructed, some wrongly: probe the tallest.
+                probe = max(
+                    values.items(), key=lambda kv: _height(kv[1]), default=None
+                )
         if used == budget:
             raise ArithmeticError(
                 f"modular kernel failed to stabilize within {budget} primes"
             )
 
 
-def _reconstruct_kernel(residues, modulus, piv_cols, ncols):
+def _rat_recon_pair(residue, modulus):
+    """GaussianRational with real and imaginary parts reconstructed from
+    the residue pair, or None when either part does not reconstruct."""
+    fr = _rat_recon(residue[0], modulus)
+    if fr is None:
+        return None
+    fi = _rat_recon(residue[1], modulus)
+    if fi is None:
+        return None
+    return GaussianRational(fr, fi)
+
+
+def _height(x: GaussianRational) -> int:
+    return max(
+        max(abs(f.numerator).bit_length(), f.denominator.bit_length())
+        for f in (x.re, x.im)
+    )
+
+
+def _reconstruct(residues, modulus):
+    """({(i, f): value}, None) when every residue reconstructs, else
+    (None, the first (i, f) that does not)."""
     values = {}
-    for kxy, (xr, xi) in residues.items():
-        fr = _rat_recon(xr, modulus)
-        if fr is None:
-            return None
-        fi = _rat_recon(xi, modulus)
-        if fi is None:
-            return None
-        values[kxy] = GaussianRational(fr, fi)
+    for kxy, residue in residues.items():
+        value = _rat_recon_pair(residue, modulus)
+        if value is None:
+            return None, kxy
+        values[kxy] = value
+    return values, None
+
+
+def _basis_from_echelon(values, piv_cols, ncols):
+    """Canonical kernel basis from the reduced-echelon entries
+    {(pivot row i, free column f): value}."""
     pivset = set(piv_cols)
     basis = []
     for f in range(ncols):

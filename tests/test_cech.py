@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,11 +12,13 @@ from p1bundles import (
     constant,
     diagonal_bundle,
     euler_char,
+    grothendieck_split,
     h0_dim,
     h0_profile,
     h0_sections,
     h1_dim_oracle,
     is_section,
+    kron,
     line_bundle,
     random_bundle,
     z_power,
@@ -184,3 +187,73 @@ def test_h0_of_tall_coefficient_bundle(monkeypatch):
     monkeypatch.setattr(cech, "kernel_basis", spy)
     assert h0_dim(VectorBundle(t)) == 4 + 1 + 0
     assert max(r * c for r, c in shapes) > 2400
+
+
+def _dense_constraint_rows(e, cutoff, ranges):
+    # Independent per-cell assembly: every cell is T_ij.coeff(t - s), a row
+    # is kept when any cell is nonzero, and a kept row is scaled by the lcm
+    # of its denominators.
+    t = e.transition
+    unknowns = [(j, s) for j, (lo, hi) in enumerate(ranges) for s in range(lo, hi + 1)]
+    top = max(hi for _, hi in ranges) + e.max_exponent
+    rows = []
+    for i in range(e.rank):
+        for exp in range(cutoff + 1, top + 1):
+            row = [t[i, j].coeff(exp - s) for j, s in unknowns]
+            if any(row):
+                denom = math.lcm(*(x.denominator for c in row for x in (c.re, c.im)))
+                rows.append(
+                    [
+                        (col, int(c.re * denom), int(c.im * denom))
+                        for col, c in enumerate(row)
+                        if c
+                    ]
+                )
+    return rows, unknowns
+
+
+def _assembly_inputs(unit_det):
+    rng = random.Random(31337)
+    for _ in range(4):
+        degrees = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+        yield random_bundle(degrees, rng.randint(0, 2), rng.randint(0, 10**6))
+    a = random_bundle([1, -1], 1, rng.randint(0, 10**6))
+    yield a.tensor(random_bundle([1, 0], 1, rng.randint(0, 10**6)))
+    for k in (1, 2, 3):
+        yield VectorBundle(unit_det(rng, k, 2))
+    yield VectorBundle(kron(unit_det(rng, 2, 1), unit_det(rng, 2, 1)))
+
+
+def test_sparse_assembly_matches_dense_oracle(unit_det):
+    for e in _assembly_inputs(unit_det):
+        k, n = e.rank, e.max_exponent
+        window = k * (n + 1)
+        cases = [(0, [(0, window)] * k)]
+        for cutoff in (-2, 0, 3):
+            dw = max(0, cutoff) + window + 1
+            cases.append((cutoff, [(max(0, cutoff + n + 1 - m), dw) for m in range(k)]))
+        for cutoff, ranges in cases:
+            system, unknowns = cech._constraint_system(e, cutoff, ranges)
+            rows, expected_unknowns = _dense_constraint_rows(e, cutoff, ranges)
+            assert unknowns == expected_unknowns
+            assert system.int_rows == rows
+            assert (system.rows, system.cols) == (len(rows), len(unknowns))
+
+
+def test_riemann_roch_profile_and_dual_on_shear_products(unit_det):
+    # Arbitrary Laurent shears with Q(i) denominators, and a tensor product
+    # of them: inputs the gauge scrambler never produces.
+    rng = random.Random(8088)
+    inputs = [
+        VectorBundle(unit_det(rng, k, rng.randint(1, 3))) for k in (1, 2, 2, 3, 3)
+    ]
+    inputs.append(VectorBundle(kron(unit_det(rng, 2, 1), unit_det(rng, 2, 1))))
+    for e in inputs:
+        assert h0_dim(e) - h1_dim_oracle(e) == e.degree + e.rank
+        d = list(grothendieck_split(e)[0])
+        lo, hi = -d[0] - 1, -d[-1]
+        assert h0_profile(e, lo, hi) == [
+            (m, sum(max(0, x + m + 1) for x in d)) for m in range(lo, hi + 1)
+        ]
+        dual = e.dual()
+        assert dual.det_unit == dual.transition.det().is_unit()

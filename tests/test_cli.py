@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -183,3 +184,15 @@ def test_unstable_modular_kernel_exits_3(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "internal check failed" in err
     assert "Traceback" not in err
+
+
+def test_oversized_system_exits_4(tmp_path):
+    # An 11-byte file whose Cech window would hold about 10^6 unknowns is
+    # refused before anything is built.
+    path = tmp_path / "big.bundle"
+    path.write_text("z^1000000\n")
+    start = time.monotonic()
+    r = run_cli("h1", str(path))
+    assert time.monotonic() - start < 2
+    assert r.returncode == 4
+    assert "Traceback" not in r.stderr
