@@ -50,6 +50,13 @@ class VectorBundle:
         object.__setattr__(self, "transition", transition)
         object.__setattr__(self, "det_unit", unit)
 
+    @classmethod
+    def _with_det(cls, transition: LaurentMatrix, unit) -> "VectorBundle":
+        # A transition whose determinant c*z^e is already proven: no det run.
+        out = object.__new__(cls)
+        out._fill(transition, unit)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("VectorBundle is immutable")
 
@@ -78,13 +85,15 @@ class VectorBundle:
         det T = c*z^e.
         """
         c, e = self.det_unit
-        out = object.__new__(VectorBundle)
-        out._fill(self.transition.inverse().transpose(), (c.inverse(), -e))
-        return out
+        return VectorBundle._with_det(
+            self.transition.inverse().transpose(), (c.inverse(), -e)
+        )
 
     def det_bundle(self) -> "VectorBundle":
-        """Determinant line bundle: 1x1 transition det T."""
-        return VectorBundle(LaurentMatrix([[self.transition.det()]]))
+        """Determinant line bundle: 1x1 transition det T = c*z^e, read off
+        det_unit rather than recomputed."""
+        c, e = self.det_unit
+        return VectorBundle._with_det(LaurentMatrix([[LaurentPoly({e: c})]]), (c, e))
 
     def dsum(self, other: "VectorBundle") -> "VectorBundle":
         """Direct sum: block-diagonal transition."""
@@ -95,10 +104,17 @@ class VectorBundle:
         return VectorBundle(kron(self.transition, other.transition))
 
     def twist(self, m: int) -> "VectorBundle":
-        """Tensor with O(m): transition z^(-m) * T; degree grows by rank*m."""
+        """Tensor with O(m): transition z^(-m) * T; degree grows by rank*m.
+
+        Not re-validated: det(z^(-m) * T) = c * z^(e - rank*m) for
+        det T = c*z^e.
+        """
         if m == 0:
             return self
-        return VectorBundle(self.transition.scale(z_power(-m)))
+        c, e = self.det_unit
+        return VectorBundle._with_det(
+            self.transition.scale(z_power(-m)), (c, e - self.rank * m)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, VectorBundle):

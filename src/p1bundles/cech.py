@@ -21,14 +21,19 @@ denominators; no dense grid and no zero entry is made.  The shape is known
 before anything is allocated, and a system over MAX_SYSTEM_CELLS
 rows x unknowns raises SystemTooLarge.
 
-Truncation windows.  The section space is recovered from polynomials of
-degree at most D* = k*(N+1), where N is the largest |exponent| in T; a
-column of degree s is unconstrained precisely when s <= c - (top degree of
-that transition column), so low-degree unknowns are counted structurally
-and only the constrained tail enters the elimination.  Every dimension is
-computed at D* and D*+1 and the two must agree, otherwise WindowUnstable
-is raised: an undersized window is always a loud error, never a wrong
-answer.
+Truncation windows.  Every dimension is one primitive, _sections_dim(E, c,
+W): the sections with cutoff c and components of degree <= W.  Slot s of
+column j is unconstrained exactly when s <= c - M_j (M_j the top degree of
+that transition column), so those slots are counted structurally and only
+the tail s in [max(0, c - M_j + 1), W + 1] is solved, once.  The count at W
+equals the count at W+1 exactly when no slot W+1 is free by structure and
+no kernel vector touches one; otherwise WindowUnstable is raised, so an
+undersized window is a loud error, never a wrong answer.  The default
+window D* = max(0, c) + k*(N+1), N the largest |exponent| in T, holds the
+whole section space and is cached per (bundle, cutoff); an explicit window
+(h0_dim, h0_profile, --window) is solved afresh.  h0_sections reads its
+basis off the same split, and a twist profile sums the shapes of all its
+systems and raises SystemTooLarge before the first solve.
 
 H1 is a truncated cokernel on the overlap: Laurent tails with exponents in
 [-D, D] modulo coboundaries of chart cochains, with the chart-0 cochain
@@ -49,15 +54,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bundle import VectorBundle
-from .errors import SystemTooLarge, WindowUnstable
-from .exact import ZERO
+from .errors import WindowUnstable
+from .exact import ONE
 from .laurent import LaurentPoly, chart_contains, Chart
-from .lmatrix import SparseSystem, clear_row, fraction_parts, kernel_basis
-
-# The largest constraint system (rows x unknowns) assembled; a larger one
-# raises SystemTooLarge before anything is allocated.  The benchmark ladder
-# peaks at 31,320 cells and the test suite at 24,178, so this leaves 9x.
-MAX_SYSTEM_CELLS = 300_000
+from .lmatrix import MAX_SYSTEM_CELLS, SparseSystem, check_size  # noqa: F401
+from .lmatrix import clear_row, fraction_parts, kernel_basis
 
 # Counters so test harnesses can confirm stability checks actually ran.
 STABILITY_CHECKS = 0
@@ -100,20 +101,30 @@ def is_section(e: VectorBundle, s: Section) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _column_top_degrees(e: VectorBundle):
-    """M_j = top z-degree of transition column j (finite: columns nonzero)."""
+def _tail_ranges(e: VectorBundle, cutoff: int, top: int):
+    """Ranges (lo_j, top) of the unknowns f_{j,s} that meet a row above the
+    cutoff: s > cutoff - M_j, M_j the top degree of transition column j
+    (finite: a valid transition has no zero column)."""
+    t, k = e.transition, e.rank
+    tops = [max(t[i, j].degree for i in range(k) if t[i, j]) for j in range(k)]
+    return [(max(0, cutoff - m + 1), top) for m in tops]
+
+
+def _system_shape(e: VectorBundle, cutoff: int, col_ranges):
+    """(rows, unknowns) of the Cech system, counted without building it."""
     t = e.transition
-    tops = []
-    for j in range(e.rank):
-        top = None
-        for i in range(e.rank):
-            p = t[i, j]
-            if not p.is_zero():
-                top = p.degree if top is None else max(top, p.degree)
-        if top is None:
-            raise AssertionError("valid bundle cannot have a zero transition column")
-        tops.append(top)
-    return tops
+    ncols = sum(max(0, hi - lo + 1) for lo, hi in col_ranges)
+    nrows = 0
+    for i in range(e.rank):
+        reach = [
+            (lo + t[i, j].order, hi + t[i, j].degree)
+            for j, (lo, hi) in enumerate(col_ranges)
+            if t[i, j] and lo <= hi
+        ]
+        if reach:
+            first = max(cutoff + 1, min(a for a, _ in reach))
+            nrows += max(0, max(b for _, b in reach) - first + 1)
+    return nrows, ncols
 
 
 def _constraint_system(e: VectorBundle, cutoff: int, col_ranges):
@@ -130,65 +141,25 @@ def _constraint_system(e: VectorBundle, cutoff: int, col_ranges):
     The shape is bounded before anything is allocated: more than
     MAX_SYSTEM_CELLS rows x unknowns raises SystemTooLarge.
     """
+    nrows, ncols = _system_shape(e, cutoff, col_ranges)
+    check_size(nrows * ncols, f"Cech system of up to {nrows} x {ncols}")
     t = e.transition
-    k = e.rank
-    starts = []  # the column of f_{j,s} is starts[j] + s
-    ncols = 0
-    for lo, hi in col_ranges:
-        starts.append(ncols - lo)
-        ncols += max(0, hi - lo + 1)
-    nrows = 0
-    for i in range(k):
-        reach = [
-            (lo + t[i, j].order, hi + t[i, j].degree)
-            for j, (lo, hi) in enumerate(col_ranges)
-            if t[i, j] and lo <= hi
-        ]
-        if reach:
-            first = max(cutoff + 1, min(a for a, _ in reach))
-            nrows += max(0, max(b for _, b in reach) - first + 1)
-    if nrows * ncols > MAX_SYSTEM_CELLS:
-        raise SystemTooLarge(
-            f"Cech system of up to {nrows} x {ncols} exceeds the limit of "
-            f"{MAX_SYSTEM_CELLS} cells"
-        )
     rows = []
-    for i in range(k):
+    for i in range(e.rank):
         by_exp = {}
+        start = 0  # the column of f_{j,s} is start + s - lo
         for j, (lo, hi) in enumerate(col_ranges):
-            start = starts[j]
             # Descending d puts each row's entries in increasing column order.
             for d, c in sorted(t[i, j].items(), reverse=True):
                 parts = fraction_parts(c)
                 for s in range(max(lo, cutoff + 1 - d), hi + 1):
-                    by_exp.setdefault(s + d, []).append((start + s, parts))
+                    by_exp.setdefault(s + d, []).append((start + s - lo, parts))
+            start += max(0, hi - lo + 1)
         rows += [clear_row(by_exp[x]) for x in sorted(by_exp)]
     unknowns = [
         (j, s) for j, (lo, hi) in enumerate(col_ranges) for s in range(lo, hi + 1)
     ]
     return SparseSystem(rows, ncols), unknowns
-
-
-def h0_sections(e: VectorBundle, window: int):
-    """Exact basis of the sections with components of degree <= window.
-
-    The constraint system is assembled coefficientwise and solved by the
-    exact kernel engine; each basis vector is returned as a Section.
-    """
-    if window < 0:
-        raise ValueError("window must be >= 0")
-    k = e.rank
-    ranges = [(0, window)] * k
-    system, unknowns = _constraint_system(e, 0, ranges)
-    basis = kernel_basis(system)
-    sections = []
-    for v in basis:
-        comps = [dict() for _ in range(k)]
-        for coeff, (j, s) in zip(v, unknowns):
-            if coeff:
-                comps[j][s] = coeff
-        sections.append(Section(tuple(LaurentPoly(c) for c in comps)))
-    return sections
 
 
 def _record_stability(ok: bool, what: str):
@@ -199,50 +170,65 @@ def _record_stability(ok: bool, what: str):
         raise WindowUnstable(what)
 
 
-@lru_cache(maxsize=512)
-def _sections_dim_at_cutoff(e: VectorBundle, cutoff: int) -> int:
-    """dim { f polynomial : T*f has exponents <= cutoff }, exactly.
-
-    Columns of degree s <= cutoff - M_j contribute no constraints and are
-    counted structurally; the rest are solved at tail window
-    D* = max(0, cutoff) + k*(N+1), with the D*+1 computation required to
-    agree (top-degree coefficients of every kernel vector must vanish).
-    """
-    k = e.rank
-    n = e.max_exponent
-    tops = _column_top_degrees(e)
-    free = sum(max(0, cutoff - m + 1) for m in tops)
-    dstar = max(0, cutoff) + k * (n + 1)
-    dw = dstar + 1
-    ranges = [(max(0, cutoff - tops[j] + 1), dw) for j in range(k)]
+def _sections_dim(e: VectorBundle, cutoff: int, window: int) -> int:
+    """dim { f : deg f_j <= window, T*f has exponents <= cutoff }, exactly:
+    the free slots s <= min(window, cutoff - M_j) plus one tail solve, which
+    is stable when no slot window+1 is free or touched by a kernel vector."""
+    if window < 0:
+        raise ValueError("window must be >= 0")
+    ranges = _tail_ranges(e, cutoff, window + 1)
     system, unknowns = _constraint_system(e, cutoff, ranges)
     basis = kernel_basis(system)
-    # Stability: a kernel vector supported on the extra degree-dw slot would
-    # mean the window at dstar undercounted.
-    top_idx = [idx for idx, (j, s) in enumerate(unknowns) if s == dw]
-    stable = all(all(v[idx] == ZERO for idx in top_idx) for v in basis)
-    _record_stability(
-        stable, f"section space still growing at tail window {dstar}+1"
-    )
-    return free + len(basis)
+    top = [idx for idx, (_, s) in enumerate(unknowns) if s == window + 1]
+    stable = all(lo <= hi for lo, hi in ranges)
+    stable = stable and not any(v[idx] for v in basis for idx in top)
+    _record_stability(stable, f"count changed between window {window} and {window + 1}")
+    return sum(min(lo, window + 1) for lo, _ in ranges) + len(basis)
+
+
+def _default_window(e: VectorBundle, cutoff: int) -> int:
+    """D* = max(0, cutoff) + k*(N+1): large enough for the whole space."""
+    return max(0, cutoff) + e.rank * (e.max_exponent + 1)
+
+
+@lru_cache(maxsize=512)
+def _sections_dim_at_cutoff(e: VectorBundle, cutoff: int) -> int:
+    """dim { f polynomial : T*f has exponents <= cutoff }, at window D*."""
+    return _sections_dim(e, cutoff, _default_window(e, cutoff))
+
+
+def h0_sections(e: VectorBundle, window: int):
+    """Exact basis of the sections with components of degree <= window.
+
+    The free monomials z^s e_j (s <= min(window, -M_j)) come first, then
+    the canonical kernel basis of the constrained tail, each as a Section.
+    """
+    if window < 0:
+        raise ValueError("window must be >= 0")
+    ranges = _tail_ranges(e, 0, window)
+    system, unknowns = _constraint_system(e, 0, ranges)
+    free = [(j, s) for j, (lo, hi) in enumerate(ranges) for s in range(min(lo, hi + 1))]
+    vectors = [{u: ONE} for u in free]
+    vectors += [{u: c for u, c in zip(unknowns, v) if c} for v in kernel_basis(system)]
+    sections = []
+    for vec in vectors:
+        comps = [{} for _ in range(e.rank)]
+        for (j, s), c in vec.items():
+            comps[j][s] = c
+        sections.append(Section(tuple(LaurentPoly(c) for c in comps)))
+    return sections
 
 
 def h0_dim(e: VectorBundle, window: int | None = None) -> int:
     """dim H0(E), exact.
 
-    With the default window the tail elimination runs at D* = k*(N+1) and
-    the result is stability-asserted against D*+1.  An explicit window
-    computes the section count among degree-<=window polynomials, again
-    asserted stable against window+1.
+    With the default window the tail elimination runs at D* = k*(N+1); an
+    explicit window counts the sections among degree-<=window polynomials.
+    Either way the count is asserted stable against window + 1.
     """
     if window is None:
         return _sections_dim_at_cutoff(e, 0)
-    a = len(h0_sections(e, window))
-    b = len(h0_sections(e, window + 1))
-    _record_stability(
-        a == b, f"h0 changed between window {window} and {window + 1}"
-    )
-    return a
+    return _sections_dim(e, 0, window)
 
 
 def h1_dim_oracle(e: VectorBundle, window: int | None = None) -> int:
@@ -254,17 +240,13 @@ def h1_dim_oracle(e: VectorBundle, window: int | None = None) -> int:
     docstring).  Stability-asserted between D and D+1.
     """
     k = e.rank
-    d = window if window is not None else k * (e.max_exponent + 1)
+    d = window if window is not None else _default_window(e, 0)
     if d < 0:
         raise ValueError("window must be >= 0")
     h0 = _sections_dim_at_cutoff(e, 0)
-    vals = []
-    for w in (d, d + 1):
-        vals.append(k * w - _sections_dim_at_cutoff(e, w) + h0)
-    _record_stability(
-        vals[0] == vals[1], f"h1 changed between window {d} and {d + 1}"
-    )
-    return vals[0]
+    a, b = (k * w - _sections_dim_at_cutoff(e, w) + h0 for w in (d, d + 1))
+    _record_stability(a == b, f"h1 changed between window {d} and {d + 1}")
+    return a
 
 
 def euler_char(e: VectorBundle, window: int | None = None) -> int:
@@ -276,10 +258,24 @@ def h0_profile(e: VectorBundle, m_lo: int, m_hi: int, window: int | None = None)
     """[(m, h0(E tensor O(m)))] for m in [m_lo, m_hi]; nondecreasing in m.
 
     The profile determines the splitting type: h0(E(m)) counts
-    sum_i max(0, d_i + m + 1) over the splitting degrees d_i.
+    sum_i max(0, d_i + m + 1) over the splitting degrees d_i.  h0(E(m)) is
+    the count of sections with cutoff m, so no twisted bundle is built.
+    The systems of all twists are counted first, and SystemTooLarge is
+    raised before the first solve when their cells sum over the limit.
     """
     if m_lo > m_hi:
         raise ValueError("empty profile range")
+    if window is not None and window < 0:
+        raise ValueError("window must be >= 0")
+    cells = 0
+    for m in range(m_lo, m_hi + 1):
+        top = (_default_window(e, m) if window is None else window) + 1
+        ranges = _tail_ranges(e, m, top)
+        rows, cols = _system_shape(e, m, ranges)
+        cells += rows * cols
+        check_size(cells, f"profile systems over twists {m_lo}..{m}")
+        if any(lo > hi for lo, hi in ranges):
+            break  # a free top slot: the profile stops here, unstable
     if window is None:
         return [(m, _sections_dim_at_cutoff(e, m)) for m in range(m_lo, m_hi + 1)]
-    return [(m, h0_dim(e.twist(m), window=window)) for m in range(m_lo, m_hi + 1)]
+    return [(m, _sections_dim(e, m, window)) for m in range(m_lo, m_hi + 1)]

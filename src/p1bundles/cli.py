@@ -9,9 +9,11 @@ Exit codes: 0 success, 1 invalid bundle, 2 parse/usage error (including
 an argument the library refuses, such as a negative window), 3 failed
 internal certificate (window instability, a broken splitting invariant,
 or a kernel solve that finds no verified basis within its prime budget),
-4 a Cech constraint system above the fixed size limit
-(``cech.MAX_SYSTEM_CELLS`` rows x unknowns), refused before it is built:
-a large exponent such as ``z^1000000`` or a large ``--window``.
+4 a job above the fixed size limit (``lmatrix.MAX_SYSTEM_CELLS`` cells),
+refused before it starts: a Cech constraint system (a large exponent such
+as ``z^1000000`` or a large ``--window``), a ``profile`` range whose
+systems sum over the limit, or a w-adic series inverse (``split``,
+``op dual``) whose term cap is over it.
 """
 
 from __future__ import annotations

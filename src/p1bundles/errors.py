@@ -25,11 +25,14 @@ class InvalidBundle(ValueError):
 
 
 class SystemTooLarge(ValueError):
-    """A Cech constraint system would exceed the fixed size limit.
+    """A linear-algebra job would exceed the fixed size limit.
 
-    The limit is ``cech.MAX_SYSTEM_CELLS`` rows x unknowns.  The check runs
-    before the system is built, so a tiny input such as ``z^1000000`` is
-    refused at once instead of running without bound.
+    The limit is ``lmatrix.MAX_SYSTEM_CELLS`` cells, applied to one Cech
+    constraint system (rows x unknowns), to the Cech systems of a whole
+    twist profile together, and to the cap of a w-adic series inverse
+    (terms x k^2).  The check runs before the work starts, so a tiny input
+    such as ``z^1000000`` is refused at once instead of running without
+    bound.
     """
 
 

@@ -127,9 +127,9 @@ class GaussianRational:
     # -- text form ------------------------------------------------------
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        return f"({self.re}, {self.im})"
+        from .text import format_scalar
+
+        return format_scalar(self)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"

@@ -7,10 +7,12 @@ polynomials in w (exponents <= 0 when written in z).  A single sparse
 exponent-to-coefficient map therefore serves both rings as well as the full
 Laurent ring on the overlap C*.
 
-The gcd/Bezout machinery at the bottom runs the extended Euclidean
-algorithm inside either chart ring (each is a PID); it is what turns
-"these components have no common zero on the chart" into an effective
-certificate u*f + v*g = 1.
+The chart division at the bottom serves the Bareiss determinant's exact
+Laurent division.  The gcd/Bezout routine next to it runs the extended
+Euclidean algorithm inside either chart ring (each is a PID) and returns
+a certificate u*f + v*g = gcd(f, g); it is public API only, since the
+splitter works from one column reduction (lmatrix.column_reduce) and
+does not call it.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatch, InternalCheckError
+from .errors import DimensionMismatch, InternalCheckError, SystemTooLarge
 from .exact import GaussianRational, ONE, ZERO
 from .laurent import (
     Chart,
@@ -51,6 +51,21 @@ from .laurent import (
     chart_contains,
     chart_divexact,
 )
+
+# The largest job, in cells, taken on: one Cech constraint system (rows x
+# unknowns), the Cech systems of a whole twist profile together, or a w-adic
+# series (its cap of terms x k^2 entries).  A larger one raises
+# SystemTooLarge before anything is allocated.  The benchmark ladder peaks
+# at 31,320 cells for one system, 154,083 for one profile and 1,080 for one
+# series; the test suite's largest system has 24,178.
+MAX_SYSTEM_CELLS = 300_000
+
+
+def check_size(cells: int, what: str):
+    """Raise SystemTooLarge when a job of this many cells is over the limit."""
+    if cells > MAX_SYSTEM_CELLS:
+        raise SystemTooLarge(f"{what} exceeds the limit of {MAX_SYSTEM_CELLS} cells")
+
 
 # ---------------------------------------------------------------------------
 # Laurent matrices
@@ -383,19 +398,28 @@ def w_adic_inverse(a: LaurentMatrix) -> LaurentMatrix:
     end the series.  A w-unimodular input has a polynomial inverse of
     w-degree at most (k-1)*s (the adjugate bound), which caps the series;
     on any other input the capped sum is no inverse, so callers
-    re-multiply.
+    re-multiply.  Each term sums only the nonzero A_j, and a cap of more
+    than MAX_SYSTEM_CELLS entries ((k-1)*s terms of k x k) raises
+    SystemTooLarge before the sum starts.
     """
     k = a.rows
     if any(not chart_contains(p, Chart.W) for row in a.entries for p in row):
         raise ValueError("matrix is not holomorphic on the w-chart")
     s = max((-p.order for row in a.entries for p in row if p), default=0)
-    coeffs = [[[p.coeff(-j) for p in row] for row in a.entries] for j in range(s + 1)]
-    a_rows = [_sparse_rows(aj) for aj in coeffs]
+    cap = (k - 1) * s
+    check_size(cap * k * k, f"w-adic series of up to {cap} terms of {k}x{k}")
+    coeffs = {}  # j -> A_j, for the nonzero A_j only
+    for i, row in enumerate(a.entries):
+        for m, p in enumerate(row):
+            for e, c in p.items():
+                coeffs.setdefault(-e, [[ZERO] * k for _ in range(k)])[i][m] = c
+    a_rows = [(j, _sparse_rows(coeffs[j])) for j in sorted(coeffs) if j]
     # A_0^-1 from the kernel of [A_0 | -I]: its canonical vector at free
     # column k+m is (A_0^-1 e_m, e_m) exactly when A_0 is nonsingular.
     ident = [[ONE if i == m else ZERO for m in range(k)] for i in range(k)]
+    a0 = coeffs.get(0, [[ZERO] * k for _ in range(k)])
     null = kernel_basis(
-        ScalarMatrix([row + [-x for x in e] for row, e in zip(coeffs[0], ident)])
+        ScalarMatrix([row + [-x for x in e] for row, e in zip(a0, ident)])
     )
     if [list(v[k:]) for v in null] != ident:
         raise ValueError("singular constant matrix")
@@ -403,11 +427,13 @@ def w_adic_inverse(a: LaurentMatrix) -> LaurentMatrix:
     minus_a0inv = _sparse_rows([[-x for x in row] for row in a0inv])
     terms = [a0inv]
     zeros = 0
-    while zeros < s and len(terms) <= (k - 1) * s:
+    while zeros < s and len(terms) <= cap:
         n = len(terms)
         acc = [[ZERO] * k for _ in range(k)]
-        for j in range(1, min(s, n) + 1):
-            _mul_into(acc, a_rows[j], terms[n - j])
+        for j, rows in a_rows:
+            if j > n:
+                break
+            _mul_into(acc, rows, terms[n - j])
         term = [[ZERO] * k for _ in range(k)]
         _mul_into(term, minus_a0inv, acc)
         terms.append(term)

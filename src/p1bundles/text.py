@@ -72,6 +72,14 @@ def _tokenize(text: str):
     return tokens
 
 
+def _integer(text: str, line: int, column: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() will convert
+        message = f"number of {len(text)} characters is too long"
+        raise ParseError(message, line, column) from None
+
+
 class _Parser:
     def __init__(self, tokens, end_line, end_col):
         self.tokens = tokens
@@ -102,12 +110,14 @@ class _Parser:
 
     def rational(self) -> Fraction:
         tok = self.expect("rat")
-        if "/" in tok.value:
-            num, den = tok.value.split("/")
-            if int(den) == 0:
-                self.fail("zero denominator", tok)
-            return Fraction(int(num), int(den))
-        return Fraction(int(tok.value))
+        num, _, den = tok.value.partition("/")
+        num = _integer(num, tok.line, tok.column)
+        if not den:
+            return Fraction(num)
+        den = _integer(den, tok.line, tok.column)
+        if den == 0:
+            self.fail("zero denominator", tok)
+        return Fraction(num, den)
 
     def coeff(self) -> GaussianRational:
         tok = self.peek()
@@ -126,13 +136,13 @@ class _Parser:
             self.fail("expected term")
         if tok.kind == "zpow":
             self.next()
-            return GaussianRational(1), int(tok.value[2:])
+            return GaussianRational(1), _integer(tok.value[2:], tok.line, tok.column)
         c = self.coeff()
         tok = self.peek()
         if tok is not None and tok.kind == "*":
             self.next()
             ztok = self.expect("zpow")
-            return c, int(ztok.value[2:])
+            return c, _integer(ztok.value[2:], ztok.line, ztok.column)
         return c, 0
 
     def entry(self) -> LaurentPoly:
@@ -221,7 +231,7 @@ def parse_bundle(text: str) -> VectorBundle:
     offset_lines = 0
     m = _HEADER_RE.match(text)
     if m is not None:
-        declared = int(m.group("rank"))
+        declared = _integer(m.group("rank"), *_end_position(text[: m.start("rank")]))
         body = text[m.end():]
         offset_lines = text[: m.end()].count("\n")
     tokens = _tokenize(body)

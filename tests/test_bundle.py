@@ -75,6 +75,18 @@ def test_twist_examples():
         assert e.twist(m).degree == e.degree + e.rank * m
 
 
+def test_det_bundle_and_twist_carry_the_determinant(unit_det):
+    # Neither construction re-runs det; the unit they carry must still be
+    # the determinant of the transition they hold.
+    rng = random.Random(4711)
+    for k in (1, 2, 3, 4):
+        e = VectorBundle(unit_det(rng, k, 3))
+        for out in (e.det_bundle(), e.twist(-2), e.twist(5)):
+            assert out.det_unit == out.transition.det().is_unit()
+        assert e.det_bundle().degree == e.degree
+        assert e.twist(5).degree == e.degree + 5 * k
+
+
 def test_random_bundle_zero_moves_is_diagonal():
     e = random_bundle([2, -1], 3, seed=5, moves=0)
     assert e.transition == lm([[z_power(-2), ZERO_POLY], [ZERO_POLY, z_power(1)]])

@@ -24,6 +24,7 @@ from p1bundles import (
     z_power,
 )
 from p1bundles.laurent import ONE_POLY, ZERO_POLY
+from p1bundles.lmatrix import SparseSystem, kernel_basis
 import p1bundles.cech as cech
 
 
@@ -257,3 +258,58 @@ def test_riemann_roch_profile_and_dual_on_shear_products(unit_det):
         ]
         dual = e.dual()
         assert dual.det_unit == dual.transition.det().is_unit()
+
+
+def _oracle_window(e, cutoff, window):
+    # The full system, every slot an unknown, solved at window and window+1.
+    dims = []
+    for w in (window, window + 1):
+        rows, unknowns = _dense_constraint_rows(e, cutoff, [(0, w)] * e.rank)
+        dims.append(len(kernel_basis(SparseSystem(rows, len(unknowns)))))
+    return dims[0] if dims[0] == dims[1] else WindowUnstable
+
+
+def _or_unstable(call):
+    try:
+        return call()
+    except WindowUnstable:
+        return WindowUnstable
+
+
+def test_explicit_windows_match_full_system_oracle(unit_det):
+    rng = random.Random(5150)
+    # O(3) at window 1: the slot of degree 2 is free by structure, so only
+    # the structural half of the stability test can see that it grows.
+    inputs = [line_bundle(3), euler_extension(), diagonal_bundle([2, -1])]
+    for k in (1, 2, 3):
+        degrees = [rng.randint(-3, 3) for _ in range(k)]
+        inputs.append(random_bundle(degrees, rng.randint(0, 2), rng.randint(0, 10**6)))
+    inputs += [VectorBundle(unit_det(rng, k, 2)) for k in (2, 3)]
+    for e in inputs:
+        dstar = e.rank * (e.max_exponent + 1)
+        for w in range(dstar + 3):
+            assert _or_unstable(lambda: h0_dim(e, window=w)) == _oracle_window(e, 0, w)
+        for w in (0, 1, 3, dstar):
+            expected = [(m, _oracle_window(e, m, w)) for m in range(-2, 3)]
+            if any(h is WindowUnstable for _, h in expected):
+                expected = WindowUnstable
+            assert _or_unstable(lambda: h0_profile(e, -2, 2, window=w)) == expected
+
+
+def test_explicit_window_solves_once_and_builds_no_bundle(monkeypatch):
+    e = random_bundle([2, 0, -1], 2, seed=21)
+    window = e.rank * (e.max_exponent + 1) + 2
+    solves, built = [], []
+    solve, fill = cech.kernel_basis, VectorBundle._fill
+    monkeypatch.setattr(cech, "kernel_basis", lambda m: solves.append(m) or solve(m))
+    monkeypatch.setattr(
+        VectorBundle, "_fill", lambda self, *args: built.append(1) or fill(self, *args)
+    )
+    assert h0_dim(e, window=window) == 4
+    assert len(solves) == 1
+    solves.clear()
+    assert h0_profile(e, -3, 2, window=window) == [
+        (m, sum(max(0, d + m + 1) for d in (2, 0, -1))) for m in range(-3, 3)
+    ]
+    assert len(solves) == 6
+    assert built == []

@@ -196,3 +196,22 @@ def test_oversized_system_exits_4(tmp_path):
     assert time.monotonic() - start < 2
     assert r.returncode == 4
     assert "Traceback" not in r.stderr
+
+
+def test_unbounded_series_and_profile_exit_4(tmp_path):
+    # A 30-byte file whose inverse series would run 10^6 terms, and a
+    # profile of 2*10^6 + 1 small twists: both refused before the work.
+    path = tmp_path / "gap.bundle"
+    path.write_text("z^1000000, 1 ; 0, z^-1000000\n")
+    o3 = str(DATA / "o3.bundle")
+    for args in (
+        ["split", str(path)],
+        ["op", "dual", str(path)],
+        ["profile", o3, "--from", "-1000000", "--to", "1000000"],
+    ):
+        start = time.monotonic()
+        r = run_cli(*args)
+        assert time.monotonic() - start < 2
+        assert r.returncode == 4
+        assert "too large" in r.stderr
+        assert "Traceback" not in r.stderr

@@ -1,11 +1,15 @@
 import pytest
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from p1bundles import (
     GaussianRational,
     InvalidBundle,
     LaurentMatrix,
+    LaurentPoly,
     ParseError,
+    VectorBundle,
     diagonal_bundle,
     format_bundle,
     format_factorization,
@@ -13,6 +17,7 @@ from p1bundles import (
     format_poly,
     grothendieck_split,
     line_bundle,
+    monomial,
     parse_bundle,
     parse_factorization,
     parse_matrix,
@@ -114,3 +119,51 @@ def test_zero_and_one_render():
     assert format_poly(z_power(-1)) == "z^-1"
     assert format_poly(-z_power(2)) == "-1*z^2"
     assert parse_poly(format_poly(-z_power(2))) == -z_power(2)
+
+
+# -- generated inputs ----------------------------------------------------------
+
+_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+_scalars = st.builds(GaussianRational, _fractions, _fractions).filter(bool)
+_exponents = st.integers(-(10**6), 10**6)
+_entries = st.dictionaries(_exponents, _scalars, min_size=1, max_size=3).map(
+    LaurentPoly
+)
+
+
+@st.composite
+def _shear_products(draw):
+    # A monomial diagonal times elementary shears with arbitrary Laurent
+    # entries: det is the diagonal's c*z^e, exponent gaps up to 10^6.
+    k = draw(st.integers(1, 3))
+    t = LaurentMatrix.diagonal(
+        [monomial(draw(_scalars), draw(_exponents)) for _ in range(k)]
+    )
+    for _ in range(draw(st.integers(0, 3)) if k > 1 else 0):
+        i, j = draw(st.permutations(range(k)))[:2]
+        shear = LaurentMatrix.identity(k).with_entry(i, j, draw(_entries))
+        t = shear * t if draw(st.booleans()) else t * shear
+    return VectorBundle(t)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(_shear_products())
+def test_format_parse_roundtrip_on_shear_products(e):
+    assert parse_bundle(format_bundle(e)) == e
+
+
+_PIECES = ["rank: 2\n", "z^", "z^-3", "z^7", "1", "-2/3", "0", "/0", "(", ")",
+           ",", ";", "+", "*", " ", "\n", "5/", "(1,2)", "7" * 4400]
+_texts = st.one_of(
+    st.text(alphabet="0123456789z^+-*/(),; \nrank:", max_size=40),
+    st.lists(st.sampled_from(_PIECES), max_size=16).map("".join),
+)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(_texts)
+def test_grammar_text_raises_only_typed_errors(text):
+    try:
+        parse_bundle(text)
+    except (ParseError, InvalidBundle):
+        pass
