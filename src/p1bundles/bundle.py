@@ -18,10 +18,11 @@ construction.
 
 from __future__ import annotations
 
+import math
 import random
 
 from .errors import InvalidBundle
-from .exact import GaussianRational
+from .exact import ONE, GaussianRational
 from .laurent import Chart, LaurentPoly, ONE_POLY, ZERO_POLY, constant, z_power
 from .lmatrix import LaurentMatrix, block_diag, kron
 
@@ -96,12 +97,28 @@ class VectorBundle:
         return VectorBundle._with_det(LaurentMatrix([[LaurentPoly({e: c})]]), (c, e))
 
     def dsum(self, other: "VectorBundle") -> "VectorBundle":
-        """Direct sum: block-diagonal transition."""
-        return VectorBundle(block_diag(self.transition, other.transition))
+        """Direct sum: block-diagonal transition.
+
+        Not re-validated: det(A + B) = det A * det B, so the unit is
+        (cA*cB, eA + eB).
+        """
+        (ca, ea), (cb, eb) = self.det_unit, other.det_unit
+        return VectorBundle._with_det(
+            block_diag(self.transition, other.transition), (ca * cb, ea + eb)
+        )
 
     def tensor(self, other: "VectorBundle") -> "VectorBundle":
-        """Tensor product: Kronecker product of transitions."""
-        return VectorBundle(kron(self.transition, other.transition))
+        """Tensor product: Kronecker product of transitions.
+
+        Not re-validated: det(A (x) B) = det(A)^kB * det(B)^kA for ranks
+        kA, kB, so the unit is (cA^kB * cB^kA, eA*kB + eB*kA).
+        """
+        (ca, ea), (cb, eb) = self.det_unit, other.det_unit
+        ka, kb = self.rank, other.rank
+        return VectorBundle._with_det(
+            kron(self.transition, other.transition),
+            (math.prod([ca] * kb + [cb] * ka, start=ONE), ea * kb + eb * ka),
+        )
 
     def twist(self, m: int) -> "VectorBundle":
         """Tensor with O(m): transition z^(-m) * T; degree grows by rank*m.

@@ -9,7 +9,12 @@ Two layers live here:
   yields T = z^-N * Winv * diag(z^r_j) * V^-1 with V unimodular over
   C[z] and, when det T is a unit, Winv unimodular over C[1/z]; Winv is
   inverted as a w-adic series (:func:`w_adic_inverse`), so no adjugate
-  is ever formed.
+  is ever formed.  The determinant serves only three callers: the
+  validation of a transition that arrives from outside
+  (``VectorBundle.__init__``), the public :func:`is_unimodular`, and
+  the error branch of :meth:`LaurentMatrix.inverse`.  Bundles built
+  from bundles carry their determinant, and certificates are checked by
+  a degree-sum argument (``splitter.verify_factorization``).
 
 * :class:`SparseSystem` + :func:`kernel_basis` -- exact null spaces of
   coefficient-level linear systems.  A system has one input form: sparse

@@ -31,11 +31,12 @@ from .bundle import VectorBundle
 from .cech import Section, is_section
 from .errors import InternalCheckError, SectionVanishes
 from .exact import GaussianRational
-from .laurent import Chart, z_power
+from .laurent import Chart, chart_contains, z_power
 from .lmatrix import (
     LaurentMatrix,
+    ScalarMatrix,
     column_reduce,
-    is_unimodular,
+    kernel_basis,
     shift_columns,
     w_adic_inverse,
 )
@@ -112,9 +113,9 @@ def grothendieck_split(e: VectorBundle):
 
     W = Perm*Winv^-1 and U = V*Perm^T from one column reduction (see the
     module docstring), Perm sorting d_j = N - r_j into nonincreasing
-    order.  The certificate is verified before being returned; a failed
-    verification raises InternalCheckError rather than producing an
-    unproven answer.
+    order.  The certificate passes :func:`verify_factorization` before it
+    is returned, degree sum included; a failed verification raises
+    InternalCheckError rather than producing an unproven answer.
     """
     n, degs, v, q = column_reduce(e.transition)
     winv_inv = w_adic_inverse(shift_columns(q, [-r for r in degs]))
@@ -126,8 +127,6 @@ def grothendieck_split(e: VectorBundle):
     fact = Factorization(w, u, d)
     if not verify_factorization(e, fact):
         raise InternalCheckError("factorization certificate failed to verify")
-    if sum(degrees) != e.degree:
-        raise InternalCheckError("splitting degrees do not sum to the bundle degree")
     return SplittingType(degrees), fact
 
 
@@ -137,7 +136,23 @@ def splitting_type(e: VectorBundle) -> SplittingType:
 
 
 def verify_factorization(e: VectorBundle, fact: Factorization) -> bool:
-    """Exact certificate check: W*T*U = D, chart unimodularity, sortedness."""
+    """Exact certificate check: W*T*U = D with W and U chart-unimodular.
+
+    Checks that W, U and D are k x k; that D = diag(z^(-d_i)) with unit
+    coefficients and d_i nonincreasing; that W has entries in C[w] and U
+    in C[z]; that sum d_i = deg E; that the constant matrix U(0) is
+    nonsingular (one k x k :func:`kernel_basis`); and that W*T*U = D
+    exactly.  No determinant is computed.
+
+    Those checks prove W and U chart-unimodular.  With det T = c*z^(-deg E)
+    (``e.det_unit``), taking determinants of W*T*U = D gives
+    det W * det U * c*z^(-deg E) = z^(-sum d_i), so the degree sum leaves
+    det W * det U = c^-1.  A divisor of a unit is a unit, and the units of
+    the Laurent ring are the monomials, so det W = alpha*w^n in C[w] and
+    det U = beta*z^m in C[z] with n, m >= 0; their product is constant, so
+    m = n.  Finally det U(0) = beta*0^n is nonzero only for n = 0: both
+    determinants are nonzero constants.
+    """
     w, u, d = fact.w, fact.u, fact.d
     k = e.rank
     if not (
@@ -159,7 +174,14 @@ def verify_factorization(e: VectorBundle, fact: Factorization) -> bool:
     degrees = [-x for x in exps]
     if degrees != sorted(degrees, reverse=True):
         return False
-    if not is_unimodular(w, Chart.W) or not is_unimodular(u, Chart.Z):
+    if not all(chart_contains(p, Chart.W) for row in w.entries for p in row):
+        return False
+    if not all(chart_contains(p, Chart.Z) for row in u.entries for p in row):
+        return False
+    if sum(degrees) != e.degree:
+        return False
+    u0 = ScalarMatrix([[p.coeff(0) for p in row] for row in u.entries])
+    if kernel_basis(u0):
         return False
     return w * e.transition * u == d
 

@@ -76,12 +76,14 @@ def test_twist_examples():
 
 
 def test_det_bundle_and_twist_carry_the_determinant(unit_det):
-    # Neither construction re-runs det; the unit they carry must still be
-    # the determinant of the transition they hold.
+    # No derived construction re-runs det; the unit each carries must still
+    # be the determinant of the transition it holds.  Ranks 4 and up check
+    # against the Bareiss path.
     rng = random.Random(4711)
+    f = VectorBundle(unit_det(rng, 2, 2))
     for k in (1, 2, 3, 4):
         e = VectorBundle(unit_det(rng, k, 3))
-        for out in (e.det_bundle(), e.twist(-2), e.twist(5)):
+        for out in (e.det_bundle(), e.twist(-2), e.twist(5), e.dsum(f), e.tensor(f)):
             assert out.det_unit == out.transition.det().is_unit()
         assert e.det_bundle().degree == e.degree
         assert e.twist(5).degree == e.degree + 5 * k

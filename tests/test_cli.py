@@ -215,3 +215,18 @@ def test_unbounded_series_and_profile_exit_4(tmp_path):
         assert r.returncode == 4
         assert "too large" in r.stderr
         assert "Traceback" not in r.stderr
+
+
+def test_unwritable_output_is_usage_error(tmp_path):
+    # A missing directory and a directory in place of a file: one line on
+    # stderr and exit 2, no traceback.
+    missing = tmp_path / "missing_dir" / "x.bundle"
+    for args in (
+        ["random", "--type", "1,-1", "-o", str(missing)],
+        ["split", str(DATA / "o3.bundle"), "-o", str(tmp_path)],
+    ):
+        r = run_cli(*args)
+        assert r.returncode == 2
+        assert "cannot write" in r.stderr
+        assert len(r.stderr.splitlines()) == 1
+        assert "Traceback" not in r.stderr

@@ -27,7 +27,9 @@ from p1bundles import (
     verify_factorization,
     z_power,
 )
+from p1bundles import cli, splitter
 from p1bundles.laurent import ONE_POLY, ZERO_POLY
+from p1bundles.text import format_bundle
 
 
 def lm(rows):
@@ -144,6 +146,44 @@ def test_certificate_tampering_detected():
     assert not verify_factorization(
         e, Factorization(fact.w, fact.u, LaurentMatrix.diagonal(swapped))
     )
+    # W*T*U = D and the degrees sum to deg E, but U(0) is singular:
+    # det W = w and det U = z, so neither gauge is unimodular.
+    e = diagonal_bundle([2, -1])
+    w = LaurentMatrix.diagonal([z_power(-1), ONE_POLY])
+    u = LaurentMatrix.diagonal([z_power(1), ONE_POLY])
+    assert w * e.transition * u == e.transition
+    assert not verify_factorization(e, Factorization(w, u, e.transition))
+    # W*T*U = D and U(0) = I, but the degrees sum to deg E + 1.
+    e = diagonal_bundle([1, -1])
+    ident = LaurentMatrix.identity(2)
+    d = diagonal_bundle([2, -1]).transition
+    assert w * e.transition * ident == d
+    assert not verify_factorization(e, Factorization(w, ident, d))
+
+
+def test_split_and_derived_bundles_compute_no_determinant(monkeypatch, tmp_path):
+    # A determinant is computed only to validate a transition from outside.
+    # Splitting, checking a certificate and building sums and tensors of
+    # validated bundles run none, and CLI split verifies once.
+    a = random_bundle([2, 0, -1], 2, seed=21)
+    b = random_bundle([1, -1], 2, seed=22)
+    path = tmp_path / "a.bundle"
+    path.write_text(format_bundle(a))
+    dets, verifies = [], []
+    det, verify = LaurentMatrix.det, splitter.verify_factorization
+    monkeypatch.setattr(LaurentMatrix, "det", lambda self: dets.append(1) or det(self))
+    monkeypatch.setattr(
+        splitter, "verify_factorization", lambda *args: verifies.append(1) or verify(*args)
+    )
+    _, fact = grothendieck_split(a)
+    assert verify(a, fact)
+    assert a.dsum(b).degree == 1
+    assert a.tensor(b).degree == 2
+    assert dets == []
+    verifies.clear()
+    assert cli.main(["split", str(path), "-o", str(tmp_path / "a.fact")]) == 0
+    assert len(dets) == 1  # the parse-time validation of the input file
+    assert len(verifies) == 1
 
 
 def test_splitting_consistent_with_cohomology():
