@@ -26,7 +26,6 @@ from .laurent import (
     chart_degree,
     constant,
     monomial,
-    poly_gcd_bezout,
     z_power,
 )
 from .lmatrix import (
@@ -132,7 +131,6 @@ __all__ = [
     "parse_matrix",
     "parse_poly",
     "parse_scalar",
-    "poly_gcd_bezout",
     "random_bundle",
     "random_unimodular",
     "splitting_type",

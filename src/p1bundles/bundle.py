@@ -207,6 +207,21 @@ def _swap(k: int, i: int, j: int) -> LaurentMatrix:
     return LaurentMatrix(grid)
 
 
+def _random_move(k: int, chart: Chart, max_degree: int, rng: random.Random):
+    # One elementary chart-unimodular move and its determinant: a unit
+    # scalar at rank 1, otherwise a shear (det 1) or a swap (det -1).
+    if k == 1:
+        c = rng.choice(_UNIT_SCALARS)
+        return LaurentMatrix([[constant(c)]]), c
+    kind = rng.choice(("shear", "swap", "constant_shear"))
+    i, j = rng.sample(range(k), 2)
+    if kind == "shear":
+        return _shear(k, i, j, _random_chart_poly(rng, chart, max_degree)), ONE
+    if kind == "swap":
+        return _swap(k, i, j), -ONE
+    return _shear(k, i, j, constant(_random_scalar(rng))), ONE
+
+
 def random_unimodular(
     k: int, chart: Chart, max_degree: int, rng: random.Random, moves: int = 3
 ) -> LaurentMatrix:
@@ -217,18 +232,13 @@ def random_unimodular(
     constant shears).  The result is unimodular over the chart by
     construction.
     """
-    if k == 1:
-        return LaurentMatrix([[constant(rng.choice(_UNIT_SCALARS))]])
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    if moves < 0:
+        raise ValueError("moves must be >= 0")
     acc = LaurentMatrix.identity(k)
-    for _ in range(moves):
-        kind = rng.choice(("shear", "swap", "constant_shear"))
-        i, j = rng.sample(range(k), 2)
-        if kind == "shear":
-            acc = acc * _shear(k, i, j, _random_chart_poly(rng, chart, max_degree))
-        elif kind == "swap":
-            acc = acc * _swap(k, i, j)
-        else:
-            acc = acc * _shear(k, i, j, constant(_random_scalar(rng)))
+    for _ in range(1 if k == 1 else moves):  # rank 1: one unit scaling
+        acc = acc * _random_move(k, chart, max_degree, rng)[0]
     return acc
 
 
@@ -242,19 +252,23 @@ def random_bundle(
     left, chart-0 (z-side) factors on the right, each with entries of degree
     at most gauge_degree.  Gauge moves never change the isomorphism class,
     so the splitting type of the output is the input type by construction.
-    Deterministic for a fixed (degrees, gauge_degree, seed, moves).
+    Deterministic for a fixed (degrees, gauge_degree, seed, moves).  Not
+    re-validated: det T is z^-(d1 + ... + dk) times the moves' unit dets.
     """
     degrees = [int(d) for d in degrees]
     if gauge_degree < 0:
         raise ValueError("gauge_degree must be >= 0")
+    if moves is not None and moves < 0:
+        raise ValueError("moves must be >= 0")
     k = len(degrees)
     rng = random.Random(seed)
     if moves is None:
         moves = 2 * k + 2
     t = LaurentMatrix.diagonal([z_power(-d) for d in degrees])
+    det = ONE
     for step in range(moves):
-        if step % 2 == 0:
-            t = random_unimodular(k, Chart.W, gauge_degree, rng, moves=1) * t
-        else:
-            t = t * random_unimodular(k, Chart.Z, gauge_degree, rng, moves=1)
-    return VectorBundle(t)
+        chart = Chart.W if step % 2 == 0 else Chart.Z
+        u, c = _random_move(k, chart, gauge_degree, rng)
+        t = u * t if chart is Chart.W else t * u
+        det = det * c
+    return VectorBundle._with_det(t, (det, -sum(degrees)))

@@ -7,12 +7,11 @@ polynomials in w (exponents <= 0 when written in z).  A single sparse
 exponent-to-coefficient map therefore serves both rings as well as the full
 Laurent ring on the overlap C*.
 
-The chart division at the bottom serves the Bareiss determinant's exact
-Laurent division.  The gcd/Bezout routine next to it runs the extended
-Euclidean algorithm inside either chart ring (each is a PID) and returns
-a certificate u*f + v*g = gcd(f, g); it is public API only, since the
-splitter works from one column reduction (lmatrix.column_reduce) and
-does not call it.
+The chart predicates at the bottom (chart_contains, chart_degree) read a
+polynomial's support to tell whether it lies in a chart ring and what its
+degree is there.  The module has no division: the one polynomial division
+of the library is the Bareiss determinant's exact Laurent division
+(lmatrix._lp_divexact).
 """
 
 from __future__ import annotations
@@ -169,14 +168,6 @@ class LaurentPoly:
         )
         return out
 
-    def mirror(self) -> "LaurentPoly":
-        """Substitute z -> 1/z (negate every exponent)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(
-            out, "_coeffs", {-e: c for e, c in self._coeffs.items()}
-        )
-        return out
-
     # -- structure tests --------------------------------------------------
 
     def is_unit(self) -> Optional[tuple]:
@@ -266,91 +257,3 @@ def chart_degree(p: LaurentPoly, chart: Chart) -> int:
     if p.is_zero():
         raise ValueError("zero polynomial has no degree")
     return p.degree if chart is Chart.Z else -p.order
-
-
-def chart_leading_coeff(p: LaurentPoly, chart: Chart) -> GaussianRational:
-    if chart is Chart.Z:
-        return p.coeff(p.degree)
-    return p.coeff(p.order)
-
-
-def _to_z(p: LaurentPoly, chart: Chart) -> LaurentPoly:
-    return p if chart is Chart.Z else p.mirror()
-
-
-def _from_z(p: LaurentPoly, chart: Chart) -> LaurentPoly:
-    return p if chart is Chart.Z else p.mirror()
-
-
-def _zpoly_divmod(a: LaurentPoly, b: LaurentPoly):
-    # Long division of ordinary polynomials in z (support >= 0), exact field
-    # coefficients so no growth surprises.
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    q = {}
-    rem = dict(a.items())
-
-    def deg(d):
-        return max(d) if d else -1
-
-    db = b.degree
-    lead = b.coeff(db)
-    lead_inv = lead.inverse()
-    while rem and deg(rem) >= db:
-        da = deg(rem)
-        f = rem[da] * lead_inv
-        q[da - db] = f
-        for e, c in b.items():
-            t = rem.get(e + da - db, ZERO) - f * c
-            if t:
-                rem[e + da - db] = t
-            else:
-                rem.pop(e + da - db, None)
-    return LaurentPoly(q), LaurentPoly(rem)
-
-
-def chart_divmod(f: LaurentPoly, g: LaurentPoly, chart: Chart):
-    """Euclidean division f = q*g + r inside the chart's polynomial ring."""
-    for p in (f, g):
-        if not chart_contains(p, chart):
-            raise ValueError(f"operand has support outside the {chart.value}-chart ring")
-    q, r = _zpoly_divmod(_to_z(f, chart), _to_z(g, chart))
-    return _from_z(q, chart), _from_z(r, chart)
-
-
-def chart_divexact(f: LaurentPoly, g: LaurentPoly, chart: Chart) -> LaurentPoly:
-    q, r = chart_divmod(f, g, chart)
-    if not r.is_zero():
-        raise ValueError("division is not exact in the chart ring")
-    return q
-
-
-def poly_gcd_bezout(f: LaurentPoly, g: LaurentPoly, chart: Chart):
-    """Monic gcd with Bezout certificate inside a chart ring.
-
-    Returns (d, u, v) with d = gcd(f, g) monic for the chart's degree
-    notion and u*f + v*g = d exactly.  Both cofactors stay inside the
-    chart ring.  Raises ValueError if an operand has support outside the
-    ring or both operands are zero.
-    """
-    for p in (f, g):
-        if not chart_contains(p, chart):
-            raise ValueError(f"operand has support outside the {chart.value}-chart ring")
-    if f.is_zero() and g.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-
-    a, b = _to_z(f, chart), _to_z(g, chart)
-    s, s1 = ONE_POLY, ZERO_POLY
-    t, t1 = ZERO_POLY, ONE_POLY
-    while not b.is_zero():
-        q, r = _zpoly_divmod(a, b)
-        a, b = b, r
-        s, s1 = s1, s - q * s1
-        t, t1 = t1, t - q * t1
-
-    lead_inv = a.coeff(a.degree).inverse()
-    d = a.scale(lead_inv)
-    u = s.scale(lead_inv)
-    v = t.scale(lead_inv)
-    return _from_z(d, chart), _from_z(u, chart), _from_z(v, chart)
-

@@ -9,12 +9,14 @@ Two layers live here:
   yields T = z^-N * Winv * diag(z^r_j) * V^-1 with V unimodular over
   C[z] and, when det T is a unit, Winv unimodular over C[1/z]; Winv is
   inverted as a w-adic series (:func:`w_adic_inverse`), so no adjugate
-  is ever formed.  The determinant serves only three callers: the
-  validation of a transition that arrives from outside
-  (``VectorBundle.__init__``), the public :func:`is_unimodular`, and
-  the error branch of :meth:`LaurentMatrix.inverse`.  Bundles built
-  from bundles carry their determinant, and certificates are checked by
-  a degree-sum argument (``splitter.verify_factorization``).
+  is ever formed.  Past 3x3 the determinant is a Bareiss elimination
+  that divides exactly in the Laurent ring (:func:`_lp_divexact`).  It
+  serves only three callers: the validation of a transition that arrives
+  from outside (``VectorBundle.__init__``), the public
+  :func:`is_unimodular`, and the error branch of
+  :meth:`LaurentMatrix.inverse`.  Derived and seeded bundles carry their
+  determinant, and certificates are checked by a degree-sum argument
+  (``splitter.verify_factorization``).
 
 * :class:`SparseSystem` + :func:`kernel_basis` -- exact null spaces of
   coefficient-level linear systems.  A system has one input form: sparse
@@ -54,7 +56,6 @@ from .laurent import (
     ZERO_POLY,
     _promote_scalar,
     chart_contains,
-    chart_divexact,
 )
 
 # The largest job, in cells, taken on: one Cech constraint system (rows x
@@ -174,7 +175,8 @@ class LaurentMatrix:
 
     def det(self) -> LaurentPoly:
         """Exact determinant: cofactor expansion up to 3x3, fraction-free
-        (Bareiss) elimination with exact Laurent division beyond."""
+        (Bareiss) elimination beyond, whose divisions are exact in the
+        Laurent ring (:func:`_lp_divexact`)."""
         if not self.is_square():
             raise DimensionMismatch("determinant of a non-square matrix")
         return _det(self.entries)
@@ -235,13 +237,26 @@ def _det(grid) -> LaurentPoly:
 
 
 def _lp_divexact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    # Exact division in the Laurent ring: normalize both to plain
-    # polynomials, long-divide, undo the shift.
+    # Exact division in the Laurent ring, top term first.  The quotient's
+    # exponents lie in [f.order - g.order, f.degree - g.degree]; a remainder
+    # below that range means g does not divide f, which Bareiss rules out.
     if f.is_zero():
         return ZERO_POLY
-    shift = f.order - g.order
-    q = chart_divexact(f.shift(-f.order), g.shift(-g.order), Chart.Z)
-    return q.shift(shift)
+    top, lowest = g.degree, f.order - g.order
+    lead_inv = g.coeff(top).inverse()
+    rem, q = dict(f.items()), {}
+    while rem:
+        head = max(rem)
+        c = rem.pop(head) * lead_inv
+        if c:  # else the term cancelled
+            e = head - top
+            if e < lowest:
+                raise InternalCheckError("Bareiss division left a remainder")
+            q[e] = c
+            for eg, cg in g.items():
+                if eg != top:
+                    rem[eg + e] = rem.get(eg + e, ZERO) - c * cg
+    return LaurentPoly(q)
 
 
 def _det_bareiss(grid) -> LaurentPoly:

@@ -76,9 +76,10 @@ def test_twist_examples():
 
 
 def test_det_bundle_and_twist_carry_the_determinant(unit_det):
-    # No derived construction re-runs det; the unit each carries must still
-    # be the determinant of the transition it holds.  Ranks 4 and up check
-    # against the Bareiss path.
+    # No derived construction re-runs det, and random_bundle carries the
+    # determinant of its moves; the unit each carries must still be the
+    # determinant of the transition it holds.  Ranks 4 and up check against
+    # the Bareiss path.
     rng = random.Random(4711)
     f = VectorBundle(unit_det(rng, 2, 2))
     for k in (1, 2, 3, 4):
@@ -87,6 +88,11 @@ def test_det_bundle_and_twist_carry_the_determinant(unit_det):
             assert out.det_unit == out.transition.det().is_unit()
         assert e.det_bundle().degree == e.degree
         assert e.twist(5).degree == e.degree + 5 * k
+    for k in range(1, 6):
+        for moves in (None, 0, 7):
+            degrees = [rng.randint(-3, 3) for _ in range(k)]
+            e = random_bundle(degrees, rng.randint(0, 3), rng.randint(0, 10**6), moves)
+            assert e.det_unit == e.transition.det().is_unit()
 
 
 def test_random_bundle_zero_moves_is_diagonal():
@@ -113,7 +119,19 @@ def test_random_bundle_deterministic_and_valid():
     for _ in range(15):
         degrees = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]
         e = random_bundle(degrees, rng.randint(0, 3), rng.randint(0, 10**6))
-        assert e.degree == sum(degrees)  # validation happened in __init__
+        # the degree is carried, not computed: the oracle is det itself
+        assert e.degree == sum(degrees)
+        assert e.transition.det().is_unit()[1] == -sum(degrees)
+
+
+def test_random_generators_reject_negative_arguments():
+    for moves in (-1, -3):
+        with pytest.raises(ValueError, match="moves must be >= 0"):
+            random_bundle([1, -1], 1, seed=0, moves=moves)
+        with pytest.raises(ValueError, match="moves must be >= 0"):
+            random_unimodular(2, Z_CHART, 1, random.Random(1), moves=moves)
+    with pytest.raises(ValueError, match="max_degree must be >= 0"):
+        random_unimodular(2, Z_CHART, -1, random.Random(1), moves=2)
 
 
 def test_random_unimodular_lives_on_its_chart():

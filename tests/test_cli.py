@@ -172,6 +172,14 @@ def test_negative_gauge_degree_is_usage_error(tmp_path):
     assert not out.exists()
 
 
+def test_negative_moves_is_usage_error(tmp_path):
+    out = tmp_path / "x.bundle"
+    r = run_cli("random", "--type", "1,-1", "--moves", "-1", "--seed", "1", "-o", str(out))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 def test_unstable_modular_kernel_exits_3(monkeypatch, capsys):
     from p1bundles import cech, cli
 

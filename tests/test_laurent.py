@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,10 +11,9 @@ from p1bundles import (
     constant,
     monomial,
     parse_poly,
-    poly_gcd_bezout,
     z_power,
 )
-from p1bundles.laurent import ONE_POLY, ZERO_POLY, chart_leading_coeff
+from p1bundles.laurent import ONE_POLY, ZERO_POLY
 
 
 def lp(d):
@@ -74,63 +71,6 @@ def test_split_reassembly(p, cutoff):
         assert low.degree <= cutoff
     if not high.is_zero():
         assert high.order >= cutoff + 1
-
-
-def test_gcd_examples():
-    z = z_power(1)
-    one = constant(1)
-    d, u, v = poly_gcd_bezout(z * z - one, z - one, Z_CHART)
-    assert d == z - one and u == ZERO_POLY and v == one
-    d, u, v = poly_gcd_bezout(z, one - z, Z_CHART)
-    assert d == one and u == one and v == one
-    f = lp({0: 3, 2: 6})
-    d, u, v = poly_gcd_bezout(f, ZERO_POLY, Z_CHART)
-    assert d == lp({0: GaussianRational(1, 0) / 2, 2: 1})
-    assert u * f == d and v == ZERO_POLY
-
-
-def test_gcd_rejects_bad_input():
-    with pytest.raises(ValueError):
-        poly_gcd_bezout(z_power(-1), constant(1), Z_CHART)
-    with pytest.raises(ValueError):
-        poly_gcd_bezout(z_power(1), constant(1), W_CHART)
-    with pytest.raises(ValueError):
-        poly_gcd_bezout(ZERO_POLY, ZERO_POLY, Z_CHART)
-
-
-def _random_chart_poly(rng, chart, max_deg=4):
-    sign = 1 if chart is Z_CHART else -1
-    return LaurentPoly(
-        {
-            sign * e: GaussianRational(rng.randint(-5, 5), rng.randint(-2, 2))
-            for e in range(rng.randint(0, max_deg) + 1)
-        }
-    )
-
-
-@pytest.mark.parametrize("chart", [Z_CHART, W_CHART])
-def test_bezout_certificate_500_random_pairs(chart):
-    rng = random.Random(20240 if chart is Z_CHART else 20241)
-    done = 0
-    while done < 500:
-        f = _random_chart_poly(rng, chart)
-        g = _random_chart_poly(rng, chart)
-        if f.is_zero() and g.is_zero():
-            continue
-        d, u, v = poly_gcd_bezout(f, g, chart)
-        assert u * f + v * g == d
-        # d divides both inputs with zero remainder
-        from p1bundles.laurent import chart_divmod
-
-        for h in (f, g):
-            if not h.is_zero():
-                _, r = chart_divmod(h, d, chart)
-                assert r.is_zero()
-        # outputs stay in the chart ring, gcd is monic there
-        for out in (d, u, v):
-            assert chart_contains(out, chart)
-        assert chart_leading_coeff(d, chart) == GaussianRational(1)
-        done += 1
 
 
 def test_chart_membership_and_degree():

@@ -6,6 +6,7 @@ import pytest
 from p1bundles import (
     DimensionMismatch,
     GaussianRational,
+    InternalCheckError,
     LaurentMatrix,
     ScalarMatrix,
     W_CHART,
@@ -57,13 +58,19 @@ def test_det_examples():
         lm([[ONE_POLY, ZERO_POLY]]).det()
 
 
-def _random_laurent_matrix(rng, k):
+def _random_laurent_matrix(rng, k, den=1):
+    # Gaussian-integer coefficients; den > 1 divides each by a random
+    # a + b*i with 1 <= a <= den, b in {0, 1}, giving Q(i) denominators.
     from p1bundles import LaurentPoly
+
+    def coeff():
+        c = gq(rng.randint(-3, 3), rng.randint(-1, 1))
+        return c if den == 1 else c / gq(rng.randint(1, den), rng.randint(0, 1))
 
     def poly():
         return LaurentPoly(
             {
-                e: gq(rng.randint(-3, 3), rng.randint(-1, 1))
+                e: coeff()
                 for e in range(rng.randint(-2, 0), rng.randint(0, 2) + 1)
             }
         )
@@ -79,12 +86,16 @@ def test_det_multiplicativity_random_3x3():
         assert (a * b).det() == a.det() * b.det()
 
 
-def test_det_bareiss_path_4x4_agrees_with_cofactor():
+def test_det_bareiss_path_4x4_agrees_with_cofactor(unit_det):
     rng = random.Random(11)
     from p1bundles.lmatrix import _det_bareiss
 
-    for _ in range(8):
-        a = _random_laurent_matrix(rng, 4)
+    # Gaussian-integer entries, then Q(i) denominators: dense matrices with
+    # a non-unit determinant and unit-determinant shear products.
+    cases = [_random_laurent_matrix(rng, 4) for _ in range(8)]
+    cases += [_random_laurent_matrix(rng, 4, den=3) for _ in range(4)]
+    cases += [unit_det(rng, 4, 6) for _ in range(4)]
+    for a in cases:
         # expansion along the first row is an independent 4x4 oracle
         expected = ZERO_POLY
         for j in range(4):
@@ -94,6 +105,22 @@ def test_det_bareiss_path_4x4_agrees_with_cofactor():
             term = a[0, j] * LaurentMatrix(minor).det()
             expected = expected + (term if j % 2 == 0 else -term)
         assert _det_bareiss(a.entries) == expected
+
+
+def test_lp_divexact_is_exact_or_raises():
+    from p1bundles.lmatrix import _lp_divexact
+
+    z, w, one = z_power(1), z_power(-1), ONE_POLY
+    assert _lp_divexact(z * z - one, z - one) == z + one
+    # Laurent operands with Q(i) coefficients: the quotient reaches below 0
+    f = w + monomial(gq(1, 2), 1)
+    g = z - constant(gq(0, 1))
+    assert _lp_divexact(f * g, g) == f
+    assert _lp_divexact(ZERO_POLY, z + one) == ZERO_POLY
+    with pytest.raises(InternalCheckError):
+        _lp_divexact(z + one, z - one)
+    with pytest.raises(InternalCheckError):
+        _lp_divexact(w, one + w)
 
 
 def test_kernel_examples():

@@ -163,8 +163,9 @@ def test_certificate_tampering_detected():
 
 def test_split_and_derived_bundles_compute_no_determinant(monkeypatch, tmp_path):
     # A determinant is computed only to validate a transition from outside.
-    # Splitting, checking a certificate and building sums and tensors of
-    # validated bundles run none, and CLI split verifies once.
+    # Splitting, checking a certificate, building sums and tensors of
+    # validated bundles and scrambling a seeded one run none, and CLI split
+    # verifies once.
     a = random_bundle([2, 0, -1], 2, seed=21)
     b = random_bundle([1, -1], 2, seed=22)
     path = tmp_path / "a.bundle"
@@ -179,6 +180,7 @@ def test_split_and_derived_bundles_compute_no_determinant(monkeypatch, tmp_path)
     assert verify(a, fact)
     assert a.dsum(b).degree == 1
     assert a.tensor(b).degree == 2
+    assert random_bundle([3, 1, 0, -2], 2, seed=23).degree == 2
     assert dets == []
     verifies.clear()
     assert cli.main(["split", str(path), "-o", str(tmp_path / "a.fact")]) == 0
