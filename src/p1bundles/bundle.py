@@ -231,6 +231,11 @@ def random_unimodular(
     most max_degree, and constant invertible moves (swaps, unit scalings,
     constant shears).  The result is unimodular over the chart by
     construction.
+
+    At rank 1 ``moves`` is ignored: the result is always one random unit
+    scalar, one draw from ``rng``, so ``moves=0`` does not give the
+    identity there as it does at rank >= 2.  Seeded callers depend on that
+    draw order.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")

@@ -28,12 +28,25 @@ that transition column), so those slots are counted structurally and only
 the tail s in [max(0, c - M_j + 1), W + 1] is solved, once.  The count at W
 equals the count at W+1 exactly when no slot W+1 is free by structure and
 no kernel vector touches one; otherwise WindowUnstable is raised, so an
-undersized window is a loud error, never a wrong answer.  The default
-window D* = max(0, c) + k*(N+1), N the largest |exponent| in T, holds the
-whole section space and is cached per (bundle, cutoff); an explicit window
-(h0_dim, h0_profile, --window) is solved afresh.  h0_sections reads its
-basis off the same split, and a twist profile sums the shapes of all its
-systems and raises SystemTooLarge before the first solve.
+undersized window is a loud error, never a wrong answer.
+
+The default windows are degree bounds read off T alone.  With det T =
+c*z^e, every entry of T^-1 = adj(T) / (c*z^e) has exponents in [lo, hi]:
+
+    hi = min(sum(rowmax) - min(rowmax), sum(colmax) - min(colmax)) - e,
+    lo = max(sum(rowmin) - max(rowmin), sum(colmin) - max(colmin)) - e,
+
+rowmax/colmax (rowmin/colmin) the top (lowest) exponents of T's rows and
+columns, since each cofactor takes one entry from all rows but one and all
+columns but one (Kailath, Linear Systems, 1980, ch. 6).  A section with
+cutoff c is f = T^-1 h with h of exponents <= c, so deg f <= c + hi, and
+the default window is min(D*, c + hi), D* = max(0, c) + k*(N+1) the older
+blanket bound (N the largest |exponent| in T).  When c + hi < 0 the
+section space is 0 and nothing is solved.  Default counts are cached per
+(bundle, cutoff); an explicit window (h0_dim, h0_profile, --window) is
+solved afresh.  h0_sections reads its basis off the same split, and a twist
+profile sums the shapes of all its systems, each twist charged at least one
+cell, and raises SystemTooLarge before the first solve.
 
 H1 is a truncated cokernel on the overlap: Laurent tails with exponents in
 [-D, D] modulo coboundaries of chart cochains, with the chart-0 cochain
@@ -45,7 +58,12 @@ image map gives
 
     h1 at window D  =  k*D - dim sections_with_cutoff(E, D) + h0(E),
 
-each term exact and window-stability-asserted.
+each term exact and window-stability-asserted.  For E = O(d_1) + ... +
+O(d_k), Riemann-Roch on E and E(D) makes this h1(E) - h1(E(D)), exact once
+D >= -d_min - 1.  A section f != 0 of the dual twist E*(m) (transition
+T^-T) has T^-T * f of lowest exponent >= lo and <= m, so m >= lo; the first
+such m is d_min, as E* = O(-d_1) + ... + O(-d_k).  So -d_min <= -lo, and
+the default D is min(k*(N+1), max(0, -lo - 1)).
 """
 
 from __future__ import annotations
@@ -186,15 +204,63 @@ def _sections_dim(e: VectorBundle, cutoff: int, window: int) -> int:
     return sum(min(lo, window + 1) for lo, _ in ranges) + len(basis)
 
 
+@lru_cache(maxsize=512)
+def _inverse_exponents(e: VectorBundle):
+    """(lo, hi) with every exponent of every entry of T^-1 in [lo, hi],
+    read off the exponents of T alone.
+
+    (T^-1)_ij = C_ji / (c*z^e) for det T = c*z^e, C_ji the (j, i)
+    cofactor: a (k-1)-minor, one entry from each row but one and from each
+    column but one.  Each of its terms has top exponent at most the sum of
+    the row maxima less the dropped row's, so at most
+    sum(rowmax) - min(rowmax), and by columns at most sum(colmax) -
+    min(colmax); hence hi = min of the two, minus e (Kailath, Linear
+    Systems, 1980, ch. 6).  Likewise each term's lowest exponent is at least
+    sum(rowmin) - max(rowmin) and at least sum(colmin) - max(colmin); both
+    hold, so lo = the larger of the two, minus e.
+    """
+    rows = [[p for p in row if p] for row in e.transition.entries]
+    cols = [[p for p in col if p] for col in zip(*e.transition.entries)]
+    det_exp = e.det_unit[1]
+    tops = [[max(p.degree for p in line) for line in lines] for lines in (rows, cols)]
+    lows = [[min(p.order for p in line) for line in lines] for lines in (rows, cols)]
+    hi = min(sum(x) - min(x) for x in tops) - det_exp
+    lo = max(sum(x) - max(x) for x in lows) - det_exp
+    return lo, hi
+
+
 def _default_window(e: VectorBundle, cutoff: int) -> int:
-    """D* = max(0, cutoff) + k*(N+1): large enough for the whole space."""
-    return max(0, cutoff) + e.rank * (e.max_exponent + 1)
+    """The degree bound min(D*, cutoff + hi) on every section with this cutoff.
+
+    A section is f = T^-1 h with h = T*f of exponents <= cutoff, so every
+    component of f has degree <= cutoff + hi, hi the top exponent of T^-1
+    (_inverse_exponents).  D* = max(0, cutoff) + k*(N+1) is the older,
+    looser bound.  A negative window means f = 0: no section exists.
+    """
+    dstar = max(0, cutoff) + e.rank * (e.max_exponent + 1)
+    return min(dstar, cutoff + _inverse_exponents(e)[1])
+
+
+def _overlap_window(e: VectorBundle) -> int:
+    """The h1 oracle's default D = min(k*(N+1), max(0, -lo - 1)).
+
+    With E = O(d_1) + ... + O(d_k), Riemann-Roch on E and E(D) turns the
+    oracle at D into h1(E) - h1(E(D)), exact once D >= -d_min - 1.  A
+    section f != 0 of E*(m), whose transition is T^-T, has T^-T * f of
+    lowest exponent >= ord(T^-1) >= lo (_inverse_exponents) and <= m, so
+    m >= lo; the first such m is d_min, so -d_min - 1 <= -lo - 1.  k*(N+1)
+    is the older, looser bound.
+    """
+    lo = _inverse_exponents(e)[0]
+    return min(e.rank * (e.max_exponent + 1), max(0, -lo - 1))
 
 
 @lru_cache(maxsize=512)
 def _sections_dim_at_cutoff(e: VectorBundle, cutoff: int) -> int:
-    """dim { f polynomial : T*f has exponents <= cutoff }, at window D*."""
-    return _sections_dim(e, cutoff, _default_window(e, cutoff))
+    """dim { f polynomial : T*f has exponents <= cutoff }, solved at the
+    default window; 0 with no solve when that window is negative."""
+    window = _default_window(e, cutoff)
+    return 0 if window < 0 else _sections_dim(e, cutoff, window)
 
 
 def h0_sections(e: VectorBundle, window: int):
@@ -222,9 +288,10 @@ def h0_sections(e: VectorBundle, window: int):
 def h0_dim(e: VectorBundle, window: int | None = None) -> int:
     """dim H0(E), exact.
 
-    With the default window the tail elimination runs at D* = k*(N+1); an
-    explicit window counts the sections among degree-<=window polynomials.
-    Either way the count is asserted stable against window + 1.
+    With the default window the tail elimination runs at the cofactor
+    degree bound min(D*, hi) (_default_window), and not at all when that is
+    negative; an explicit window counts the sections among degree-<=window
+    polynomials.  Every solve is asserted stable against window + 1.
     """
     if window is None:
         return _sections_dim_at_cutoff(e, 0)
@@ -237,10 +304,11 @@ def h1_dim_oracle(e: VectorBundle, window: int | None = None) -> int:
     Computed independently of any splitting: overlap tails with exponents
     in [-D, D] are quotiented by the coboundary images of matched chart
     cochains, counted through rank-nullity of the image map (see module
-    docstring).  Stability-asserted between D and D+1.
+    docstring).  The default D is _overlap_window.  Stability-asserted
+    between D and D+1.
     """
     k = e.rank
-    d = window if window is not None else _default_window(e, 0)
+    d = window if window is not None else _overlap_window(e)
     if d < 0:
         raise ValueError("window must be >= 0")
     h0 = _sections_dim_at_cutoff(e, 0)
@@ -261,21 +329,30 @@ def h0_profile(e: VectorBundle, m_lo: int, m_hi: int, window: int | None = None)
     sum_i max(0, d_i + m + 1) over the splitting degrees d_i.  h0(E(m)) is
     the count of sections with cutoff m, so no twisted bundle is built.
     The systems of all twists are counted first, and SystemTooLarge is
-    raised before the first solve when their cells sum over the limit.
+    raised before the first solve when their cells sum over the limit;
+    every twist is charged at least one cell, its entry in the answer.  At
+    the default window the twists m < -hi (hi the top exponent of T^-1)
+    have no section and no system, so they are counted and answered in one
+    step.
     """
     if m_lo > m_hi:
         raise ValueError("empty profile range")
     if window is not None and window < 0:
         raise ValueError("window must be >= 0")
-    cells = 0
-    for m in range(m_lo, m_hi + 1):
+    start = m_lo
+    if window is None:
+        start = min(m_hi + 1, max(m_lo, -_inverse_exponents(e)[1]))
+    cells = start - m_lo
+    check_size(cells, f"profile over twists {m_lo}..{start - 1}")
+    for m in range(start, m_hi + 1):
         top = (_default_window(e, m) if window is None else window) + 1
         ranges = _tail_ranges(e, m, top)
         rows, cols = _system_shape(e, m, ranges)
-        cells += rows * cols
+        cells += max(1, rows * cols)
         check_size(cells, f"profile systems over twists {m_lo}..{m}")
         if any(lo > hi for lo, hi in ranges):
             break  # a free top slot: the profile stops here, unstable
     if window is None:
-        return [(m, _sections_dim_at_cutoff(e, m)) for m in range(m_lo, m_hi + 1)]
+        empty = [(m, 0) for m in range(m_lo, start)]
+        return empty + [(m, _sections_dim_at_cutoff(e, m)) for m in range(start, m_hi + 1)]
     return [(m, _sections_dim(e, m, window)) for m in range(m_lo, m_hi + 1)]

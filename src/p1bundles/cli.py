@@ -11,10 +11,11 @@ that cannot be read or an output path that cannot be written), 3 failed
 internal certificate (window instability, a broken splitting invariant,
 or a kernel solve that finds no verified basis within its prime budget),
 4 a job above the fixed size limit (``lmatrix.MAX_SYSTEM_CELLS`` cells),
-refused before it starts: a Cech constraint system (a large exponent such
-as ``z^1000000`` or a large ``--window``), a ``profile`` range whose
-systems sum over the limit, or a w-adic series inverse (``split``,
-``op dual``) whose term cap is over it.
+refused before it starts: a Cech constraint system (sections that may
+reach a large degree, as in ``h0`` of ``z^1000000, 1 ; 0, z^-1000000``,
+or a large ``--window``), a ``profile`` range whose systems sum over the
+limit, or a w-adic series inverse (``split``, ``op dual``) whose term cap
+is over it.
 """
 
 from __future__ import annotations

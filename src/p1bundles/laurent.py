@@ -181,21 +181,6 @@ class LaurentPoly:
         ((e, c),) = self._coeffs.items()
         return (c, e)
 
-    def split(self, cutoff: int):
-        """Split into (low, high) with low supported on exponents <= cutoff.
-
-        The reassembly low + high == self always holds; this is the concrete
-        coboundary split used to push overlap data into the two charts.
-        """
-        low, high = {}, {}
-        for e, c in self._coeffs.items():
-            (low if e <= cutoff else high)[e] = c
-        lo = LaurentPoly.__new__(LaurentPoly)
-        hi = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(lo, "_coeffs", low)
-        object.__setattr__(hi, "_coeffs", high)
-        return lo, hi
-
     # -- comparisons ------------------------------------------------------
 
     def __eq__(self, other):

@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from p1bundles import (
+    GaussianRational,
     LaurentMatrix,
     LaurentPoly,
     Section,
@@ -20,12 +22,14 @@ from p1bundles import (
     is_section,
     kron,
     line_bundle,
+    monomial,
     random_bundle,
     z_power,
 )
 from p1bundles.laurent import ONE_POLY, ZERO_POLY
 from p1bundles.lmatrix import SparseSystem, kernel_basis
 import p1bundles.cech as cech
+import p1bundles.lmatrix as lmatrix
 
 
 def euler_extension():
@@ -168,8 +172,8 @@ def test_rank_one_goes_through_generic_path():
 
 def test_h0_of_tall_coefficient_bundle(monkeypatch):
     # O(3) + O + O(-3) under shears whose coefficients have 350 digits: the
-    # Cech system is 55 x 50 and its echelon entries need more than 256
-    # primes, so this pins the prime budget to the input's height.
+    # echelon entries of its Cech system need more than 256 primes, so this
+    # pins the prime budget to the input's height.
     c = [10**350 + 7 + 13 * n for n in range(4)]
 
     def shear(i, j, coeffs):
@@ -178,16 +182,18 @@ def test_h0_of_tall_coefficient_bundle(monkeypatch):
     t = LaurentMatrix.diagonal([z_power(-3), ONE_POLY, z_power(3)])
     t = shear(0, 1, {0: c[0], -1: c[1]}) * shear(2, 0, {-1: c[2]}) * t
     t = t * shear(1, 0, {0: c[3], 1: c[0]}) * shear(0, 2, {1: c[1]})
-    shapes = []
-    solve = cech.kernel_basis
+    consumed = []  # primes drawn, one count per kernel solve
+    primes = lmatrix._primes_with_i
 
-    def spy(matrix):
-        shapes.append((matrix.rows, matrix.cols))
-        return solve(matrix)
+    def spy():
+        consumed.append(0)
+        for pair in primes():
+            consumed[-1] += 1
+            yield pair
 
-    monkeypatch.setattr(cech, "kernel_basis", spy)
+    monkeypatch.setattr(lmatrix, "_primes_with_i", spy)
     assert h0_dim(VectorBundle(t)) == 4 + 1 + 0
-    assert max(r * c for r, c in shapes) > 2400
+    assert max(consumed) > 256
 
 
 def _dense_constraint_rows(e, cutoff, ranges):
@@ -313,3 +319,79 @@ def test_explicit_window_solves_once_and_builds_no_bundle(monkeypatch):
     ]
     assert len(solves) == 6
     assert built == []
+
+
+# -- default windows against the old blanket windows ---------------------------
+
+# Unit-determinant shear products with Q(i) denominators, and tensor
+# products of two of them: inputs the gauge scrambler never produces.
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_scalars = st.builds(GaussianRational, _fractions, _fractions).filter(bool)
+_entries = st.dictionaries(st.integers(-3, 3), _scalars, min_size=1, max_size=3).map(
+    LaurentPoly
+)
+
+
+@st.composite
+def _shear_products(draw, max_rank=3):
+    # A monomial diagonal times elementary shears with arbitrary Laurent
+    # entries: det is the diagonal's c*z^e.
+    k = draw(st.integers(1, max_rank))
+    t = LaurentMatrix.diagonal(
+        [monomial(draw(_scalars), draw(st.integers(-3, 3))) for _ in range(k)]
+    )
+    for _ in range(draw(st.integers(0, 3)) if k > 1 else 0):
+        i, j = draw(st.permutations(range(k)))[:2]
+        shear = LaurentMatrix.identity(k).with_entry(i, j, draw(_entries))
+        t = shear * t if draw(st.booleans()) else t * shear
+    return VectorBundle(t)
+
+
+_bundles = st.one_of(
+    _shear_products(),
+    st.tuples(_shear_products(2), _shear_products(2)).map(lambda ab: ab[0].tensor(ab[1])),
+)
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(_bundles)
+def test_default_windows_match_blanket_windows(e):
+    # The blanket windows D* = k*(N+1) (cutoff 0) are proven to hold every
+    # section and every overlap tail that matters, so they are the oracle.
+    blanket = e.rank * (e.max_exponent + 1)
+    assert h0_dim(e) == h0_dim(e, window=blanket)
+    assert h1_dim_oracle(e) == h1_dim_oracle(e, window=blanket)
+    d = list(grothendieck_split(e)[0])
+    lo, hi = -d[0] - 1, -d[-1]
+    assert h0_profile(e, lo, hi) == [
+        (m, sum(max(0, x + m + 1) for x in d)) for m in range(lo, hi + 1)
+    ]
+    # Riemann-Roch at both ends: no sections at lo, no H1 at hi.
+    for m, h0 in ((lo, 0), (hi, h0_dim(e.twist(hi)))):
+        twisted = e.twist(m)
+        assert h0 - h1_dim_oracle(twisted) == twisted.degree + twisted.rank
+
+
+@pytest.mark.parametrize(
+    "degrees, gauge, seed", [([3, 1, 0, -2, -4], 3, 0), ([4, 1, -1, -3, -5, 0], 2, 2)]
+)
+def test_profile_over_type_range_is_answered(degrees, gauge, seed):
+    # Both were refused (over MAX_SYSTEM_CELLS summed) at the blanket window.
+    e = random_bundle(degrees, gauge, seed)
+    d = sorted(degrees, reverse=True)
+    lo, hi = -d[0] - 1, -d[-1]
+    assert h0_profile(e, lo, hi) == [
+        (m, sum(max(0, x + m + 1) for x in d)) for m in range(lo, hi + 1)
+    ]
+
+
+def test_no_section_twists_run_no_solve(monkeypatch):
+    # Below -hi, hi the cofactor bound on the exponents of T^-1, a section
+    # has no unknowns left: nothing is solved.
+    e = random_bundle([2, 0, -1], 2, seed=23)
+    solves = []
+    solve = cech.kernel_basis
+    monkeypatch.setattr(cech, "kernel_basis", lambda m: solves.append(m) or solve(m))
+    lo = -cech._inverse_exponents(e)[1] - 1
+    assert h0_profile(e, lo - 3, lo) == [(m, 0) for m in range(lo - 3, lo + 1)]
+    assert solves == []

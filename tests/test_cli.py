@@ -195,15 +195,28 @@ def test_unstable_modular_kernel_exits_3(monkeypatch, capsys):
 
 
 def test_oversized_system_exits_4(tmp_path):
-    # An 11-byte file whose Cech window would hold about 10^6 unknowns is
-    # refused before anything is built.
+    # A 30-byte file whose sections may have degree up to 10^6 by the
+    # cofactor bound: its Cech system of 2,000,002 x 2,000,003 is refused
+    # before anything is built.
+    path = tmp_path / "gap.bundle"
+    path.write_text("z^1000000, 1 ; 0, z^-1000000\n")
+    start = time.monotonic()
+    r = run_cli("h0", str(path))
+    assert time.monotonic() - start < 2
+    assert r.returncode == 4
+    assert "Traceback" not in r.stderr
+
+
+def test_h1_of_far_line_bundle_is_answered(tmp_path):
+    # O(-10^6): the overlap window stops at 999,999, where every Cech
+    # system is empty or 1 x 1, so the answer comes without a large solve.
     path = tmp_path / "big.bundle"
     path.write_text("z^1000000\n")
     start = time.monotonic()
     r = run_cli("h1", str(path))
     assert time.monotonic() - start < 2
-    assert r.returncode == 4
-    assert "Traceback" not in r.stderr
+    assert r.returncode == 0
+    assert r.stdout.strip() == "h1: 999999"
 
 
 def test_unbounded_series_and_profile_exit_4(tmp_path):

@@ -55,24 +55,6 @@ def test_is_unit():
     assert ZERO_POLY.is_unit() is None
 
 
-def test_split_examples():
-    p = lp({-1: 2, 0: 3, 2: 5})
-    low, high = p.split(0)
-    assert low == lp({-1: 2, 0: 3}) and high == lp({2: 5})
-    assert ZERO_POLY.split(7) == (ZERO_POLY, ZERO_POLY)
-    assert z_power(3).split(3) == (z_power(3), ZERO_POLY)
-
-
-@given(small_polys, st.integers(min_value=-8, max_value=8))
-def test_split_reassembly(p, cutoff):
-    low, high = p.split(cutoff)
-    assert low + high == p
-    if not low.is_zero():
-        assert low.degree <= cutoff
-    if not high.is_zero():
-        assert high.order >= cutoff + 1
-
-
 def test_chart_membership_and_degree():
     assert chart_contains(z_power(3), Z_CHART)
     assert not chart_contains(z_power(-1), Z_CHART)
