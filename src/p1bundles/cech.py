@@ -129,19 +129,26 @@ def _tail_ranges(e: VectorBundle, cutoff: int, top: int):
 
 
 def _system_shape(e: VectorBundle, cutoff: int, col_ranges):
-    """(rows, unknowns) of the Cech system, counted without building it."""
+    """(rows, unknowns) of the Cech system, counted without building it.
+
+    The rows of component i are the exponents above the cutoff in the union
+    of the intervals [lo_j + d, hi_j + d], one per term z^d of each T_ij,
+    merged in order of their start; nothing is allocated per row.
+    """
     t = e.transition
     ncols = sum(max(0, hi - lo + 1) for lo, hi in col_ranges)
     nrows = 0
     for i in range(e.rank):
-        reach = [
-            (lo + t[i, j].order, hi + t[i, j].degree)
+        spans = sorted(
+            (lo + d, hi + d)
             for j, (lo, hi) in enumerate(col_ranges)
-            if t[i, j] and lo <= hi
-        ]
-        if reach:
-            first = max(cutoff + 1, min(a for a, _ in reach))
-            nrows += max(0, max(b for _, b in reach) - first + 1)
+            if lo <= hi
+            for d in t[i, j].support
+        )
+        reach = cutoff  # exponents <= reach are counted or not above the cutoff
+        for a, b in spans:
+            nrows += max(0, b - max(a, reach + 1) + 1)
+            reach = max(reach, b)
     return nrows, ncols
 
 

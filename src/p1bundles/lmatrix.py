@@ -21,31 +21,29 @@ Two layers live here:
 * :class:`SparseSystem` + :func:`kernel_basis` -- exact null spaces of
   coefficient-level linear systems.  A system has one input form: sparse
   rows of (col, re, im) over the Gaussian integers, each row a Q(i) row
-  cleared by the lcm of its own denominators (:func:`clear_row`).  The
-  Cech constraint systems are assembled in that form directly;
-  :class:`ScalarMatrix` is its Q(i) front end, which keeps a dense grid
-  and clears its rows once, at construction.  One certified multi-modular
-  engine row-reduces the rows modulo primes p = 1 (mod 4), where Q(i)
-  embeds in GF(p), and rebuilds the reduced echelon form by CRT and Wang's
-  rational reconstruction; *every kernel vector is verified exactly*.  A
-  verified basis of size (cols - modular rank) pins the nullity on both
-  sides, so the result is exact, never probabilistic.  Reconstruction is
-  tried at the first prime and then whenever the entry that stopped the
-  last try reconstructs to the same value at two consecutive moduli (a
-  one-entry probe per prime), as well as at the certain count and at the
-  last prime of the budget.  The prime budget comes from the Hadamard
-  bound H of the rows: reconstruction is certain once the modulus exceeds
-  2*H^4, and at most log2(H^2)/30 primes can be unlucky, so the cost grows
-  with coefficient height as well as with shape.  The basis is the
-  canonical (reduced-echelon) one.
+  cleared by the lcm of its own denominators (:func:`clear_row`).  The Cech
+  constraint systems are assembled in that form directly; ScalarMatrix is
+  its Q(i) front end, which keeps a dense grid and clears its rows once.
+  One certified multi-modular engine reduces the rows modulo primes p = 1
+  (mod 4), where Q(i) embeds in GF(p), by a sparse Gauss-Jordan on plain
+  ints with no dense grid (:func:`_rref_mod_p`), and rebuilds the reduced
+  echelon form by CRT and Wang's rational reconstruction; *every kernel
+  vector is verified exactly*.  A verified basis of size (cols - modular
+  rank) pins the nullity on both sides, so the result is exact, never
+  probabilistic.  Reconstruction is tried at the first prime and then
+  whenever the entry that stopped the last try reconstructs to the same
+  value at two consecutive moduli (a one-entry probe per prime), as well
+  as at the certain count and at the last prime of the budget.  The prime
+  budget comes from the Hadamard bound H of the rows: reconstruction is
+  certain once the modulus exceeds 2*H^4, and at most log2(H^2)/30 primes
+  can be unlucky, so the cost grows with coefficient height as well as
+  with shape.  The basis is the canonical (reduced-echelon) one.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import DimensionMismatch, InternalCheckError, SystemTooLarge
 from .exact import GaussianRational, ONE, ZERO
@@ -564,7 +562,7 @@ def kernel_basis(m: SparseSystem):
     with coefficient height as well as with shape; ArithmeticError means
     that budget ran out without a verified basis.
     """
-    return _kernel_modular(m.int_rows, m.rows, m.cols)
+    return _kernel_modular(m.int_rows, m.cols)
 
 
 # -- certified multi-modular engine ------------------------------------------
@@ -634,62 +632,65 @@ def _prime_budget(int_rows):
     return certain, certain + bits // _PRIME_BITS
 
 
-def _rref_mod_p(a: np.ndarray, p: int):
-    """In-place Gauss-Jordan mod p; returns the pivot column list."""
-    nrows, ncols = a.shape
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
-        col = a[:, c].copy()
-        col[r] = 0
-        rows = np.nonzero(col)[0]
-        if rows.size:
-            a[rows] = (a[rows] - np.outer(col[rows], a[r])) % p
-        piv_cols.append(c)
-        r += 1
-    return piv_cols
+def _sub_mul(row, f, other, p):
+    """row -= f*other (mod p), for sparse rows {col: value}; zeros dropped."""
+    for c, v in other.items():
+        if x := (row.get(c, 0) - f * v) % p:
+            row[c] = x
+        else:
+            del row[c]
 
 
-def _residues_mod_p(entries, shape, p, u):
+def _rref_mod_p(rows, p):
+    """Reduced echelon form mod p of sparse rows {col: value}, consumed;
+    returns [(pivot column, pivot row)] in column order.
+
+    Gauss-Jordan over the nonzero rows in order of their first column.  Each
+    pivot row is 1 at its pivot and 0 before it and at the other pivots, so
+    one pass over the pivots a new row meets clears it; the rest becomes a
+    pivot row at its first column, which is cleared from the pivot rows to
+    its left.  These span the row space in reduced echelon form, which is
+    unique, so the output is canonical in any row order; the order by first
+    column keeps the fill of banded systems small.
+    """
+    pivots = {}
+    for row in sorted(filter(None, rows), key=min):
+        for c in [c for c in row if c in pivots]:
+            _sub_mul(row, row[c], pivots[c], p)
+        if row:
+            c = min(row)
+            inv = pow(row[c], -1, p)
+            row = {j: x * inv % p for j, x in row.items()}
+            for other in pivots.values():
+                if c in other:
+                    _sub_mul(other, other[c], row, p)
+            pivots[c] = row
+    return sorted(pivots.items())
+
+
+def _residues_mod_p(int_rows, ncols, p, u):
     """Reduced echelon form mod p under both embeddings i -> u and i -> -u.
 
-    entries is (row indices, column indices, real parts, imaginary parts)
-    of the nonzero Z[i] entries.  Returns the structure key (-rank, pivot
-    columns) and the residues {(i, f): (re, im)} of the entry at pivot row
-    i and free column f, or (None, None) when the two embeddings disagree
-    (an unlucky prime).
+    Returns the structure key (-rank, pivot columns) and the residues
+    {(i, f): (re, im)} of the entry at pivot row i and free column f, zeros
+    included, or (None, None) when the two embeddings disagree (an unlucky
+    prime).  Entries that vanish mod p are dropped before elimination.
     """
-    rows, cols, res, ims = entries
-    x = np.array([v % p for v in res], dtype=np.int64)
-    y = np.array([v % p for v in ims], dtype=np.int64)
-    a1 = np.zeros(shape, dtype=np.int64)
-    a1[rows, cols] = (x + y * u) % p
-    a2 = np.zeros(shape, dtype=np.int64)
-    a2[rows, cols] = (x + y * (p - u)) % p
-    piv_cols = _rref_mod_p(a1, p)
-    if _rref_mod_p(a2, p) != piv_cols:
+    echelons = []
+    for v in (u, p - u):
+        rows = [{j: x for j, a, b in row if (x := (a + b * v) % p)} for row in int_rows]
+        echelons.append(_rref_mod_p(rows, p))
+    ech1, ech2 = echelons
+    piv_cols = [c for c, _ in ech1]
+    if [c for c, _ in ech2] != piv_cols:
         return None, None
-    pivset = set(piv_cols)
-    free_cols = [c for c in range(shape[1]) if c not in pivset]
-    half = pow(2, -1, p)
-    uinv2 = pow(2 * u, -1, p)
+    free_cols = sorted(set(range(ncols)).difference(piv_cols))
+    half, uinv2 = pow(2, -1, p), pow(2 * u, -1, p)
     fresh = {}
-    for i, c in enumerate(piv_cols):
-        r1 = a1[i]
-        r2 = a2[i]
+    for i, ((c, r1), (_, r2)) in enumerate(zip(ech1, ech2)):
         for f in free_cols:
             if f > c:
-                c1, c2 = int(r1[f]), int(r2[f])
+                c1, c2 = r1.get(f, 0), r2.get(f, 0)
                 fresh[(i, f)] = ((c1 + c2) * half % p, (c1 - c2) * uinv2 % p)
     return (-len(piv_cols), tuple(piv_cols)), fresh
 
@@ -709,10 +710,8 @@ def _rat_recon(c: int, m: int):
     return Fraction(r1, t1)
 
 
-def _kernel_modular(int_rows, nrows, ncols):
+def _kernel_modular(int_rows, ncols):
     certain, budget = _prime_budget(int_rows)
-    flat = [(i, j, a, b) for i, row in enumerate(int_rows) for j, a, b in row]
-    entries = [list(col) for col in zip(*flat)] or [[], [], [], []]
     best = None  # (-rank, pivot columns) of the structure being accumulated
     residues = None  # {(i, f): (re, im)} modulo `modulus`, combined by CRT
     modulus = count = 0
@@ -720,7 +719,7 @@ def _kernel_modular(int_rows, nrows, ncols):
     # what it reconstructed to at the previous prime (None if nothing).
     probe = None
     for used, (p, u) in enumerate(_primes_with_i(), 1):
-        key, fresh = _residues_mod_p(entries, (nrows, ncols), p, u)
+        key, fresh = _residues_mod_p(int_rows, ncols, p, u)
         attempt = False
         if key is not None and (best is None or key <= best):
             if key == best:

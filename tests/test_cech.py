@@ -247,6 +247,19 @@ def test_sparse_assembly_matches_dense_oracle(unit_det):
             assert (system.rows, system.cols) == (len(rows), len(unknowns))
 
 
+def test_system_shape_counts_built_rows(unit_det):
+    # The shape counted before assembly is the shape built, so the cell
+    # limit refuses no system that would fit.
+    for e in _assembly_inputs(unit_det):
+        k = e.rank
+        for cutoff in (-2, 0, 3):
+            for window in (0, 2, k * (e.max_exponent + 1)):
+                ranges = cech._tail_ranges(e, cutoff, window + 1)
+                system, _ = cech._constraint_system(e, cutoff, ranges)
+                shape = cech._system_shape(e, cutoff, ranges)
+                assert shape == (system.rows, system.cols)
+
+
 def test_riemann_roch_profile_and_dual_on_shear_products(unit_det):
     # Arbitrary Laurent shears with Q(i) denominators, and a tensor product
     # of them: inputs the gauge scrambler never produces.

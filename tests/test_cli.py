@@ -207,6 +207,25 @@ def test_oversized_system_exits_4(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_narrow_window_on_far_exponents_is_answered(tmp_path):
+    # The same 30-byte file at window 2: the z^1000000 term lands 10^6
+    # exponents above the others, but only the 7 rows it builds are counted.
+    path = tmp_path / "gap.bundle"
+    path.write_text("z^1000000, 1 ; 0, z^-1000000\n")
+    start = time.monotonic()
+    r = run_cli("h0", str(path), "--window", "2")
+    assert time.monotonic() - start < 2
+    assert r.returncode == 0
+    assert r.stdout.strip() == "h0: 1"
+
+
+def test_cli_imports_no_numpy():
+    # The library has no third-party runtime dependency.
+    code = "import sys, p1bundles.cli; assert 'numpy' not in sys.modules"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
 def test_h1_of_far_line_bundle_is_answered(tmp_path):
     # O(-10^6): the overlap window stops at 999,999, where every Cech
     # system is empty or 1 x 1, so the answer comes without a large solve.

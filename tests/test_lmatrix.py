@@ -9,6 +9,7 @@ from p1bundles import (
     InternalCheckError,
     LaurentMatrix,
     ScalarMatrix,
+    VectorBundle,
     W_CHART,
     Z_CHART,
     constant,
@@ -16,10 +17,11 @@ from p1bundles import (
     kernel_basis,
     kron,
     monomial,
+    random_bundle,
     random_unimodular,
     z_power,
 )
-from p1bundles import lmatrix
+from p1bundles import cech, lmatrix
 from p1bundles.laurent import ONE_POLY, ZERO_POLY
 
 
@@ -256,7 +258,26 @@ def _deficient_scalar_matrix(rng, rows, cols, density):
     return ScalarMatrix(grid)
 
 
-def test_kernel_matches_sympy_rref():
+def _cech_systems(unit_det):
+    # Banded Cech systems at the blanket window k*(N+1): a rank-4 tensor
+    # with gauge 2 (106 x 100 at cutoff -3) and a bundle with Q(i)
+    # denominators, each as a SparseSystem and as a dense ScalarMatrix.
+    rng = random.Random(2718)
+    tensor = random_bundle([2, -1], 2, 11).tensor(random_bundle([3, 0], 2, 12))
+    qi = VectorBundle(unit_det(rng, 3, 4))
+    for e, cutoffs in ((tensor, (-3, 0, 2)), (qi, (-1, 2, 6))):
+        top = e.rank * (e.max_exponent + 1)
+        for cutoff in cutoffs:
+            ranges = cech._tail_ranges(e, cutoff, max(0, cutoff) + top)
+            system, _ = cech._constraint_system(e, cutoff, ranges)
+            grid = [[gq(0)] * system.cols for _ in range(system.rows)]
+            for i, row in enumerate(system.int_rows):
+                for j, a, b in row:
+                    grid[i][j] = gq(a, b)
+            yield system, ScalarMatrix(grid, cols=system.cols)
+
+
+def test_kernel_matches_sympy_rref(unit_det):
     rng = random.Random(4242)
     shapes = [(rng.randint(2, 12), rng.randint(2, 12)) for _ in range(24)]
     # sparse systems above 2,400 cells, one wide and one tall
@@ -265,6 +286,27 @@ def test_kernel_matches_sympy_rref():
         density = 0.6 if rows * cols <= 144 else 0.08
         m = _deficient_scalar_matrix(rng, rows, cols, density)
         assert kernel_basis(m) == _sympy_kernel(m)
+    systems = list(_cech_systems(unit_det))
+    assert max(system.rows for system, _ in systems) >= 100
+    for system, dense in systems:
+        assert kernel_basis(system) == _sympy_kernel(dense)
+
+
+def test_unlucky_prime_is_passed_over(monkeypatch):
+    # (p0 - u0) + i vanishes mod p0 under i -> u0 but not under i -> -u0,
+    # so the two embeddings give different pivots at the first prime.
+    p0, u0 = next(lmatrix._primes_with_i())
+    a = gq(p0 - u0, 1)
+    results = []
+    residues = lmatrix._residues_mod_p
+
+    def spy(*args):
+        results.append(residues(*args))
+        return results[-1]
+
+    monkeypatch.setattr(lmatrix, "_residues_mod_p", spy)
+    assert kernel_basis(ScalarMatrix([[a, gq(1)]])) == [(-gq(1) / a, gq(1))]
+    assert results[0] == (None, None)
 
 
 def test_scalar_matrix_rejects_bad_entry():
