@@ -76,7 +76,7 @@ from .errors import WindowUnstable
 from .exact import ONE
 from .laurent import LaurentPoly, chart_contains, Chart
 from .lmatrix import MAX_SYSTEM_CELLS, SparseSystem, check_size  # noqa: F401
-from .lmatrix import clear_row, fraction_parts, kernel_basis
+from .lmatrix import clear_row, kernel_basis
 
 # Counters so test harnesses can confirm stability checks actually ran.
 STABILITY_CHECKS = 0
@@ -176,9 +176,8 @@ def _constraint_system(e: VectorBundle, cutoff: int, col_ranges):
         for j, (lo, hi) in enumerate(col_ranges):
             # Descending d puts each row's entries in increasing column order.
             for d, c in sorted(t[i, j].items(), reverse=True):
-                parts = fraction_parts(c)
                 for s in range(max(lo, cutoff + 1 - d), hi + 1):
-                    by_exp.setdefault(s + d, []).append((start + s - lo, parts))
+                    by_exp.setdefault(s + d, []).append((start + s - lo, c))
             start += max(0, hi - lo + 1)
         rows += [clear_row(by_exp[x]) for x in sorted(by_exp)]
     unknowns = [

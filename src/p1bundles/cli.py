@@ -15,13 +15,17 @@ refused before it starts: a Cech constraint system (sections that may
 reach a large degree, as in ``h0`` of ``z^1000000, 1 ; 0, z^-1000000``,
 or a large ``--window``), a ``profile`` range whose systems sum over the
 limit, or a w-adic series inverse (``split``, ``op dual``) whose term cap
-is over it.
+is over it.  141 (the code a shell reports for a process killed by
+SIGPIPE) means the reader of stdout closed it before the report was
+written, as in ``p1bundles profile ... | head -c 80``; nothing more is
+printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import cech, splitter
@@ -325,7 +329,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, so that a closed pipe is caught below rather than in
+        # the interpreter's final flush, outside any handler.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone: send what is still buffered to the null device,
+        # so the final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -21,32 +21,33 @@ Two layers live here:
 * :class:`SparseSystem` + :func:`kernel_basis` -- exact null spaces of
   coefficient-level linear systems.  A system has one input form: sparse
   rows of (col, re, im) over the Gaussian integers, each row a Q(i) row
-  cleared by the lcm of its own denominators (:func:`clear_row`).  The Cech
+  cleared by the lcm of its own denominators (:func:`clear_row`), one per
+  entry: the d of the (a + b*i)/d that a GaussianRational stores.  The Cech
   constraint systems are assembled in that form directly; ScalarMatrix is
   its Q(i) front end, which keeps a dense grid and clears its rows once.
   One certified multi-modular engine reduces the rows modulo primes p = 1
   (mod 4), where Q(i) embeds in GF(p), by a sparse Gauss-Jordan on plain
   ints with no dense grid (:func:`_rref_mod_p`), and rebuilds the reduced
-  echelon form by CRT and Wang's rational reconstruction; *every kernel
-  vector is verified exactly*.  A verified basis of size (cols - modular
-  rank) pins the nullity on both sides, so the result is exact, never
-  probabilistic.  Reconstruction is tried at the first prime and then
-  whenever the entry that stopped the last try reconstructs to the same
-  value at two consecutive moduli (a one-entry probe per prime), as well
-  as at the certain count and at the last prime of the budget.  The prime
-  budget comes from the Hadamard bound H of the rows: reconstruction is
-  certain once the modulus exceeds 2*H^4, and at most log2(H^2)/30 primes
-  can be unlucky, so the cost grows with coefficient height as well as
-  with shape.  The basis is the canonical (reduced-echelon) one.
+  echelon form by CRT and Wang's rational reconstruction, straight into
+  those integer triples; *every kernel vector is verified exactly*, in
+  Z[i] after scaling by the lcm of its denominators.  A verified basis of
+  size (cols - modular rank) pins the nullity on both sides, so the result
+  is exact, never probabilistic.  Reconstruction is tried at the first prime
+  and then whenever the entry that stopped the last try reconstructs to the
+  same value at two consecutive moduli (a one-entry probe per prime), as
+  well as at the certain count and at the last prime of the budget.  The
+  prime budget comes from the Hadamard bound H of the rows: reconstruction
+  is certain once the modulus exceeds 2*H^4, and at most log2(H^2)/30 primes
+  can be unlucky, so the cost grows with coefficient height as well as with
+  shape.  The basis is the canonical (reduced-echelon) one.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DimensionMismatch, InternalCheckError, SystemTooLarge
-from .exact import GaussianRational, ONE, ZERO
+from .exact import GaussianRational, ONE, ZERO, _canonical
 from .laurent import (
     Chart,
     LaurentPoly,
@@ -474,8 +475,9 @@ class SparseSystem:
 
     ``int_rows`` holds one list per row of (col, re, im) integer triples,
     one per nonzero entry re + im*i, in increasing column order; ``rows``
-    and ``cols`` give the shape.  Rows cleared from Q(i) come from
-    :func:`clear_row`.
+    and ``cols`` give the shape.  A row of Q(i) entries (a + b*i)/d is
+    cleared to this form by :func:`clear_row`, which reads each entry's
+    stored ints and builds no ``Fraction``.
     """
 
     __slots__ = ("rows", "cols", "int_rows")
@@ -489,25 +491,21 @@ class SparseSystem:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-def fraction_parts(c: GaussianRational):
-    """(re numerator, re denominator, im numerator, im denominator) of c."""
-    return c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator
-
-
 def clear_row(row):
     """Scale one sparse Q(i) row to Z[i] by the lcm of its denominators.
 
-    row lists (col, fraction_parts(c)) for the nonzero coefficients c;
-    returns the (col, re, im) triples of the scaled row.  Row scaling leaves
-    the kernel unchanged.
+    row lists (col, c) for the nonzero GaussianRational coefficients c, each
+    stored as (a + b*i)/d: one denominator per entry.  With L the lcm of the
+    d's, returns the (col, a*L/d, b*L/d) triples of the row scaled by L.
+    Row scaling leaves the kernel unchanged.
     """
     denom = 1
-    for _, (_, rd, _, idn) in row:
-        if rd != 1 or idn != 1:
-            denom = math.lcm(denom, rd, idn)
+    for _, c in row:
+        if c.den != 1:
+            denom = math.lcm(denom, c.den)
     if denom == 1:
-        return [(j, a, b) for j, (a, _, b, _) in row]
-    return [(j, a * (denom // rd), b * (denom // idn)) for j, (a, rd, b, idn) in row]
+        return [(j, c.num_re, c.num_im) for j, c in row]
+    return [(j, c.num_re * (m := denom // c.den), c.num_im * m) for j, c in row]
 
 
 class ScalarMatrix(SparseSystem):
@@ -529,7 +527,7 @@ class ScalarMatrix(SparseSystem):
                 raise ValueError("empty matrix needs an explicit column count")
             width = cols
         int_rows = [
-            clear_row([(j, fraction_parts(e)) for j, e in enumerate(row) if e])
+            clear_row([(j, e) for j, e in enumerate(row) if e])
             for row in grid
         ]
         super().__init__(int_rows, width)
@@ -696,7 +694,8 @@ def _residues_mod_p(int_rows, ncols, p, u):
 
 
 def _rat_recon(c: int, m: int):
-    """Wang rational reconstruction: n/d = c (mod m), |n|, d <= sqrt(m/2)."""
+    """Wang rational reconstruction: the reduced pair (n, d), d > 0, with
+    n/d = c (mod m) and |n|, d <= sqrt(m/2); None when there is none."""
     c %= m
     bound = math.isqrt(m // 2)
     r0, r1 = m, c
@@ -707,7 +706,7 @@ def _rat_recon(c: int, m: int):
         t0, t1 = t1, t0 - q * t1
     if t1 == 0 or abs(t1) > bound or math.gcd(r1, abs(t1)) != 1:
         return None
-    return Fraction(r1, t1)
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def _kernel_modular(int_rows, ncols):
@@ -774,13 +773,13 @@ def _rat_recon_pair(residue, modulus):
     fi = _rat_recon(residue[1], modulus)
     if fi is None:
         return None
-    return GaussianRational(fr, fi)
+    (p, q), (r, s) = fr, fi
+    return _canonical(p * s, r * q, q * s)
 
 
 def _height(x: GaussianRational) -> int:
     return max(
-        max(abs(f.numerator).bit_length(), f.denominator.bit_length())
-        for f in (x.re, x.im)
+        abs(x.num_re).bit_length(), abs(x.num_im).bit_length(), x.den.bit_length()
     )
 
 
@@ -815,12 +814,10 @@ def _basis_from_echelon(values, piv_cols, ncols):
 
 def _verify_kernel(int_rows, basis):
     for v in basis:
-        denom = 1
-        for e in v:
-            denom = denom * e.re.denominator // math.gcd(denom, e.re.denominator)
-            denom = denom * e.im.denominator // math.gcd(denom, e.im.denominator)
-        xs = [int(e.re * denom) for e in v]
-        ys = [int(e.im * denom) for e in v]
+        # v scaled by the lcm of its denominators, exactly, as Z[i] vectors.
+        denom = math.lcm(*(e.den for e in v))
+        xs = [e.num_re * (denom // e.den) for e in v]
+        ys = [e.num_im * (denom // e.den) for e in v]
         for row in int_rows:
             sr = 0
             si = 0

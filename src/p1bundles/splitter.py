@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .bundle import VectorBundle
 from .cech import Section, is_section
 from .errors import InternalCheckError, SectionVanishes
-from .exact import GaussianRational
+from .exact import ONE
 from .laurent import Chart, chart_contains, z_power
 from .lmatrix import (
     LaurentMatrix,
@@ -168,7 +168,7 @@ def verify_factorization(e: VectorBundle, fact: Factorization) -> bool:
                     return False
                 continue
             unit = entry.is_unit()
-            if unit is None or unit[0] != GaussianRational(1):
+            if unit is None or unit[0] != ONE:
                 return False
             exps.append(unit[1])
     degrees = [-x for x in exps]

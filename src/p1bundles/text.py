@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .bundle import VectorBundle
 from .errors import ParseError
-from .exact import GaussianRational
+from .exact import GaussianRational, ONE
 from .laurent import LaurentPoly
 from .lmatrix import LaurentMatrix
 
@@ -136,7 +136,7 @@ class _Parser:
             self.fail("expected term")
         if tok.kind == "zpow":
             self.next()
-            return GaussianRational(1), _integer(tok.value[2:], tok.line, tok.column)
+            return ONE, _integer(tok.value[2:], tok.line, tok.column)
         c = self.coeff()
         tok = self.peek()
         if tok is not None and tok.kind == "*":
@@ -281,7 +281,7 @@ def format_poly(p: LaurentPoly) -> str:
         c = p.coeff(e)
         if e == 0:
             terms.append(format_scalar(c))
-        elif c == GaussianRational(1):
+        elif c == ONE:
             terms.append(f"z^{e}")
         else:
             terms.append(f"{format_scalar(c)}*z^{e}")

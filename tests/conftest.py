@@ -3,8 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from p1bundles import GaussianRational, LaurentMatrix, LaurentPoly, monomial
+
+# Every property test draws the same examples on every run and writes no
+# example database; max_examples and deadline stay as each test sets them.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 def _qi_scalar(rng):

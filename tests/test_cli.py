@@ -270,3 +270,27 @@ def test_unwritable_output_is_usage_error(tmp_path):
         assert "cannot write" in r.stderr
         assert len(r.stderr.splitlines()) == 1
         assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["deg", "--json"],
+        ["profile", "--from", "0", "--to", "2999"],
+    ],
+)
+def test_closed_stdout_exits_141(tmp_path, args):
+    # The reader closes the pipe before anything is written: a one-line
+    # report and a 3,000-line profile both stop with exit 141, no traceback.
+    path = tmp_path / "five.bundle"
+    path.write_text("5\n")
+    p = subprocess.Popen(
+        [sys.executable, "-m", "p1bundles.cli", args[0], str(path), *args[1:]],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    p.stdout.close()
+    stderr = p.stderr.read().decode()
+    assert p.wait(timeout=60) == 141
+    assert "Traceback" not in stderr
+    assert stderr == ""

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -307,6 +308,38 @@ def test_unlucky_prime_is_passed_over(monkeypatch):
     monkeypatch.setattr(lmatrix, "_residues_mod_p", spy)
     assert kernel_basis(ScalarMatrix([[a, gq(1)]])) == [(-gq(1) / a, gq(1))]
     assert results[0] == (None, None)
+
+
+def test_rat_recon_returns_reduced_pair():
+    # Exhaustive at small primes: every residue gives the one reduced (n, d)
+    # with |n|, d <= sqrt(m/2), d > 0 and n = c*d (mod m), or None if none.
+    for m in (101, 1009, 8191):
+        bound = math.isqrt(m // 2)
+        pairs = {}
+        for d in range(1, bound + 1):
+            for n in range(-bound, bound + 1):
+                if math.gcd(n, d) == 1:
+                    pairs.setdefault(n * pow(d, -1, m) % m, []).append((n, d))
+        assert len(pairs) < m  # some residues have no reconstruction
+        for c in range(m):
+            (expected,) = pairs.get(c, [None])
+            assert lmatrix._rat_recon(c, m) == expected
+    # At the modulus of three engine primes: random values inside the Wang
+    # bound, negative numerators included, and the Q(i) pair built from two.
+    primes = lmatrix._primes_with_i()
+    m = math.prod(next(primes)[0] for _ in range(3))
+    bound = math.isqrt(m // 2)
+    rng = random.Random(3)
+    for _ in range(200):
+        n, d = rng.randint(-bound, bound), rng.randint(1, bound)
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+        c = n * pow(d, -1, m)
+        assert lmatrix._rat_recon(c, m) == (n, d)
+        assert lmatrix._rat_recon(c - m * rng.randint(1, 9), m) == (n, d)
+        value = lmatrix._rat_recon_pair((c % m, (-c) % m), m)
+        assert value == GaussianRational(Fraction(n, d), Fraction(-n, d))
+        assert math.gcd(value.num_re, value.num_im, value.den) == 1
 
 
 def test_scalar_matrix_rejects_bad_entry():
