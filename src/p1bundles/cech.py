@@ -46,7 +46,8 @@ section space is 0 and nothing is solved.  Default counts are cached per
 (bundle, cutoff); an explicit window (h0_dim, h0_profile, --window) is
 solved afresh.  h0_sections reads its basis off the same split, and a twist
 profile sums the shapes of all its systems, each twist charged at least one
-cell, and raises SystemTooLarge before the first solve.
+cell, and raises SystemTooLarge before the first solve; each twist's solve
+then reuses the window, ranges and shape that count set up.
 
 H1 is a truncated cokernel on the overlap: Laurent tails with exponents in
 [-D, D] modulo coboundaries of chart cochains, with the chart-0 cochain
@@ -152,7 +153,7 @@ def _system_shape(e: VectorBundle, cutoff: int, col_ranges):
     return nrows, ncols
 
 
-def _constraint_system(e: VectorBundle, cutoff: int, col_ranges):
+def _constraint_system(e: VectorBundle, cutoff: int, col_ranges, shape=None):
     """Rows: coefficients of (T*f)_i at exponents above the cutoff, over Z[i].
 
     Unknowns are the coefficients f_{j,s} for s in col_ranges[j], numbered
@@ -163,10 +164,13 @@ def _constraint_system(e: VectorBundle, cutoff: int, col_ranges):
     integers by the lcm of its own denominators.  Returns the system and
     the unknowns (j, s) in column order.
 
-    The shape is bounded before anything is allocated: more than
+    The shape, counted by :func:`_system_shape` unless the caller already
+    has it, is bounded before anything is allocated: more than
     MAX_SYSTEM_CELLS rows x unknowns raises SystemTooLarge.
     """
-    nrows, ncols = _system_shape(e, cutoff, col_ranges)
+    if shape is None:
+        shape = _system_shape(e, cutoff, col_ranges)
+    nrows, ncols = shape
     check_size(nrows * ncols, f"Cech system of up to {nrows} x {ncols}")
     t = e.transition
     rows = []
@@ -194,14 +198,23 @@ def _record_stability(ok: bool, what: str):
         raise WindowUnstable(what)
 
 
-def _sections_dim(e: VectorBundle, cutoff: int, window: int) -> int:
-    """dim { f : deg f_j <= window, T*f has exponents <= cutoff }, exactly:
-    the free slots s <= min(window, cutoff - M_j) plus one tail solve, which
-    is stable when no slot window+1 is free or touched by a kernel vector."""
+def _tail_plan(e: VectorBundle, cutoff: int, window: int):
+    """(window, ranges, shape) of the one tail solve at this cutoff and
+    window: the set-up a twist profile counts before its first solve and
+    hands to :func:`_sections_dim`, so no twist is set up twice."""
     if window < 0:
         raise ValueError("window must be >= 0")
-    ranges = _tail_ranges(e, cutoff, window + 1)
-    system, unknowns = _constraint_system(e, cutoff, ranges)
+    ranges = tuple(_tail_ranges(e, cutoff, window + 1))
+    return window, ranges, _system_shape(e, cutoff, ranges)
+
+
+def _sections_dim(e: VectorBundle, cutoff: int, plan) -> int:
+    """dim { f : deg f_j <= window, T*f has exponents <= cutoff }, exactly,
+    for the (window, ranges, shape) of :func:`_tail_plan`: the free slots
+    s <= min(window, cutoff - M_j) plus one tail solve, which is stable
+    when no slot window+1 is free or touched by a kernel vector."""
+    window, ranges, shape = plan
+    system, unknowns = _constraint_system(e, cutoff, ranges, shape)
     basis = kernel_basis(system)
     top = [idx for idx, (_, s) in enumerate(unknowns) if s == window + 1]
     stable = all(lo <= hi for lo, hi in ranges)
@@ -261,12 +274,20 @@ def _overlap_window(e: VectorBundle) -> int:
     return min(e.rank * (e.max_exponent + 1), max(0, -lo - 1))
 
 
-@lru_cache(maxsize=512)
-def _sections_dim_at_cutoff(e: VectorBundle, cutoff: int) -> int:
-    """dim { f polynomial : T*f has exponents <= cutoff }, solved at the
-    default window; 0 with no solve when that window is negative."""
+# Counts at the default window, cached per (bundle, cutoff): the default
+# plan is a function of the two, so it adds nothing to the key.  Counts at
+# an explicit window are solved afresh.
+_sections_dim_at_cutoff = lru_cache(maxsize=512)(_sections_dim)
+
+
+def _default_dim(e: VectorBundle, cutoff: int) -> int:
+    """dim { f polynomial : T*f has exponents <= cutoff }, solved (and
+    cached) at the default window; 0 with no solve when that window is
+    negative."""
     window = _default_window(e, cutoff)
-    return 0 if window < 0 else _sections_dim(e, cutoff, window)
+    if window < 0:
+        return 0
+    return _sections_dim_at_cutoff(e, cutoff, _tail_plan(e, cutoff, window))
 
 
 def h0_sections(e: VectorBundle, window: int):
@@ -300,8 +321,8 @@ def h0_dim(e: VectorBundle, window: int | None = None) -> int:
     polynomials.  Every solve is asserted stable against window + 1.
     """
     if window is None:
-        return _sections_dim_at_cutoff(e, 0)
-    return _sections_dim(e, 0, window)
+        return _default_dim(e, 0)
+    return _sections_dim(e, 0, _tail_plan(e, 0, window))
 
 
 def h1_dim_oracle(e: VectorBundle, window: int | None = None) -> int:
@@ -317,8 +338,8 @@ def h1_dim_oracle(e: VectorBundle, window: int | None = None) -> int:
     d = window if window is not None else _overlap_window(e)
     if d < 0:
         raise ValueError("window must be >= 0")
-    h0 = _sections_dim_at_cutoff(e, 0)
-    a, b = (k * w - _sections_dim_at_cutoff(e, w) + h0 for w in (d, d + 1))
+    h0 = _default_dim(e, 0)
+    a, b = (k * w - _default_dim(e, w) + h0 for w in (d, d + 1))
     _record_stability(a == b, f"h1 changed between window {d} and {d + 1}")
     return a
 
@@ -350,15 +371,17 @@ def h0_profile(e: VectorBundle, m_lo: int, m_hi: int, window: int | None = None)
         start = min(m_hi + 1, max(m_lo, -_inverse_exponents(e)[1]))
     cells = start - m_lo
     check_size(cells, f"profile over twists {m_lo}..{start - 1}")
+    plans = []
     for m in range(start, m_hi + 1):
-        top = (_default_window(e, m) if window is None else window) + 1
-        ranges = _tail_ranges(e, m, top)
-        rows, cols = _system_shape(e, m, ranges)
+        plan = _tail_plan(e, m, _default_window(e, m) if window is None else window)
+        _, ranges, (rows, cols) = plan
         cells += max(1, rows * cols)
         check_size(cells, f"profile systems over twists {m_lo}..{m}")
+        plans.append(plan)
         if any(lo > hi for lo, hi in ranges):
-            break  # a free top slot: the profile stops here, unstable
+            break  # a free top slot: this twist's solve raises WindowUnstable
+    planned = zip(range(start, m_hi + 1), plans)
     if window is None:
         empty = [(m, 0) for m in range(m_lo, start)]
-        return empty + [(m, _sections_dim_at_cutoff(e, m)) for m in range(start, m_hi + 1)]
-    return [(m, _sections_dim(e, m, window)) for m in range(m_lo, m_hi + 1)]
+        return empty + [(m, _sections_dim_at_cutoff(e, m, plan)) for m, plan in planned]
+    return [(m, _sections_dim(e, m, plan)) for m, plan in planned]

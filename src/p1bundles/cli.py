@@ -183,7 +183,7 @@ def _cmd_iso(args):
     b = parse_bundle(_read(args.b))
     ta = splitter.splitting_type(a)
     tb = splitter.splitting_type(b)
-    same = a.rank == b.rank and ta == tb
+    same = splitter.iso(a, b)
     result = {"iso": same, "type_a": list(ta), "type_b": list(tb)}
     lines = [
         f"iso: {_fmt_bool(same)}",
@@ -197,7 +197,7 @@ def _cmd_iso(args):
 def _cmd_selfdual(args):
     e = parse_bundle(_read(args.file))
     stype = splitter.splitting_type(e)
-    sd = list(stype) == [-d for d in reversed(stype)]
+    sd = splitter.is_self_dual(e)
     result = {"self_dual": sd, "type": list(stype)}
     lines = [f"self_dual: {_fmt_bool(sd)}", f"type: {_fmt_type(stype)}"]
     _emit(args, "selfdual", [args.file], result, lines)

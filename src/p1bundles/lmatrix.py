@@ -3,17 +3,19 @@
 Two layers live here:
 
 * :class:`LaurentMatrix` -- transition-matrix algebra: products, exact
-  determinants and chart-unimodularity tests, plus the one column
-  reduction (:func:`column_reduce`) that both the splitter and
-  :meth:`LaurentMatrix.inverse` are built on.  Column-reducing z^N*T
-  yields T = z^-N * Winv * diag(z^r_j) * V^-1 with V unimodular over
-  C[z] and, when det T is a unit, Winv unimodular over C[1/z]; Winv is
-  inverted as a w-adic series (:func:`w_adic_inverse`), so no adjugate
-  is ever formed.  Past 3x3 the determinant is a Bareiss elimination
-  that divides exactly in the Laurent ring (:func:`_lp_divexact`).  It
-  serves only three callers: the validation of a transition that arrives
-  from outside (``VectorBundle.__init__``), the public
-  :func:`is_unimodular`, and the error branch of
+  determinants and chart-unimodularity tests, plus the one Wiener-Hopf
+  factorization (:func:`wiener_hopf`) that both the splitter and
+  :meth:`LaurentMatrix.inverse` read.  Column-reducing z^N*T
+  (:func:`column_reduce`) yields T = z^-N * Winv * diag(z^r_j) * V^-1 with
+  V unimodular over C[z] and, when det T is a unit, Winv unimodular over
+  C[1/z]; Winv is inverted as a w-adic series (:func:`w_adic_inverse`), so
+  no adjugate is ever formed.  The factorization W*T*U = diag(z^-d_j) is
+  computed at most once per matrix object and kept on it, and the inverse
+  is read off it as T^-1 = U * diag(z^d_j) * W.  Past 3x3 the determinant
+  is a Bareiss elimination that divides exactly in the Laurent ring
+  (:func:`_lp_divexact`).  It serves only three callers: the validation
+  of a transition that arrives from outside (``VectorBundle.__init__``),
+  the public :func:`is_unimodular`, and the error branch of
   :meth:`LaurentMatrix.inverse`.  Derived and seeded bundles carry their
   determinant, and certificates are checked by a degree-sum argument
   (``splitter.verify_factorization``).
@@ -88,9 +90,14 @@ def _promote_entry(e):
 
 
 class LaurentMatrix:
-    """A rows x cols grid of Laurent polynomials; immutable."""
+    """A rows x cols grid of Laurent polynomials; immutable.
 
-    __slots__ = ("rows", "cols", "entries")
+    A square matrix also keeps its Wiener-Hopf factorization once
+    :func:`wiener_hopf` has computed it; equality and hashing read only
+    the entries.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_wiener_hopf")
 
     def __init__(self, entries):
         grid = tuple(tuple(_promote_entry(e) for e in row) for row in entries)
@@ -102,6 +109,7 @@ class LaurentMatrix:
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", grid)
+        object.__setattr__(self, "_wiener_hopf", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentMatrix is immutable")
@@ -183,19 +191,18 @@ class LaurentMatrix:
     def inverse(self) -> "LaurentMatrix":
         """Exact inverse; requires det to be a unit c*z^e of the Laurent ring.
 
-        With z^N*T*V = Q from :func:`column_reduce`, the w-chart factor
-        Winv = Q*diag(z^-r_j) is w-unimodular, and
-        T^-1 = z^N * V * diag(z^-r_j) * Winv^-1 with Winv^-1 from
-        :func:`w_adic_inverse`.  The result is re-multiplied: T*T^-1 = I
-        exactly proves det T a unit, so the determinant is only computed
-        when that check fails, to tell a non-unit determinant (ValueError)
-        from a failed internal check (InternalCheckError).
+        Read off the factorization W*T*U = diag(z^-d_j) of
+        :func:`wiener_hopf` as T^-1 = U * diag(z^d_j) * W, so a matrix that
+        was already factorized (a split bundle's transition) runs no
+        reduction and no series.  The result is re-multiplied on every
+        call: T*T^-1 = I exactly proves det T a unit, so the determinant is
+        only computed when that check fails, to tell a non-unit determinant
+        (ValueError) from a failed internal check (InternalCheckError).
         """
         if not self.is_square():
             raise DimensionMismatch("inverse of a non-square matrix")
-        n, degs, v, q = column_reduce(self)
-        left = shift_columns(v, [n - r for r in degs])
-        inv = left * w_adic_inverse(shift_columns(q, [-r for r in degs]))
+        degrees, w, u = wiener_hopf(self)
+        inv = shift_columns(u, degrees) * w
         if self * inv != LaurentMatrix.identity(self.rows):
             if self.det().is_unit() is None:
                 raise ValueError("matrix determinant is not a unit; no Laurent inverse")
@@ -463,6 +470,33 @@ def w_adic_inverse(a: LaurentMatrix) -> LaurentMatrix:
             for i in range(k)
         ]
     )
+
+
+def wiener_hopf(t: LaurentMatrix):
+    """(d, W, U) with W*T*U = diag(z^-d_1, ..., z^-d_k), d nonincreasing.
+
+    T must be square and nonsingular.  One column reduction
+    (:func:`column_reduce`) gives z^N*T*V = Q with column degrees r_j; the
+    w-adic series (:func:`w_adic_inverse`) inverts Winv = Q*diag(z^-r_j),
+    so Winv^-1 * T * V = diag(z^(r_j - N)) and d_j = N - r_j.  A
+    permutation Perm sorts d into nonincreasing order, giving
+    W = Perm*Winv^-1 and U = V*Perm^T (Kailath, Linear Systems, 1980,
+    sec. 6.3).  The triple is a certificate only when det T is a unit:
+    otherwise the capped series is no inverse, so every reader
+    re-multiplies.
+
+    Computed at most once per matrix object and kept on it; a call that
+    raises keeps nothing, so it raises again when called again.
+    """
+    if t._wiener_hopf is None:
+        n, degs, v, q = column_reduce(t)
+        winv_inv = w_adic_inverse(shift_columns(q, [-r for r in degs]))
+        order = sorted(range(t.rows), key=lambda j: (degs[j], j))
+        w = LaurentMatrix([winv_inv.row(j) for j in order])
+        u = LaurentMatrix([[row[j] for j in order] for row in v.entries])
+        degrees = tuple(n - degs[j] for j in order)
+        object.__setattr__(t, "_wiener_hopf", (degrees, w, u))
+    return t._wiener_hopf
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,24 @@ with W*T*U = diag(z^(-d1), ..., z^(-dk)) exactly.  Re-multiplying the
 certificate is the proof; no step of the output is trusted without it.
 
 The factorization is one column reduction (Kailath, Linear Systems,
-1980, sec. 6.3).  With N the largest |exponent| of T, the polynomial
-matrix z^N*T is column-reduced over C[z] to Q = z^N*T*V
-(:func:`lmatrix.column_reduce`): V is C[z]-unimodular, Q has column
-degrees r_j and a nonsingular leading-coefficient matrix.  Then
-Winv = Q*diag(z^(-r_j)) lies in C[1/z] with that matrix as its constant
-term, so it is w-unimodular, and
+1980, sec. 6.3), computed by :func:`lmatrix.wiener_hopf`.  With N the
+largest |exponent| of T, the polynomial matrix z^N*T is column-reduced
+over C[z] to Q = z^N*T*V (:func:`lmatrix.column_reduce`): V is
+C[z]-unimodular, Q has column degrees r_j and a nonsingular
+leading-coefficient matrix.  Then Winv = Q*diag(z^(-r_j)) lies in C[1/z]
+with that matrix as its constant term, so it is w-unimodular, and
 
     Winv^-1 * T * V = diag(z^(r_j - N)),  i.e.  d_j = N - r_j.
 
 Winv^-1 is summed as a w-adic series (:func:`lmatrix.w_adic_inverse`); a
-permutation sorts the diagonal.  The column degrees also give
-h0(E(m)) = sum_j max(0, d_j + m + 1) for every twist m at once, which the
-Cech module recomputes by brute-force linear algebra, so the two routes
-check each other.
+permutation sorts the diagonal.  The factorization is kept on the
+transition matrix, and ``LaurentMatrix.inverse`` reads T^-1 = U*D^-1*W
+off the same one, so splitting a bundle and then taking its dual, or
+testing it for isomorphism or self-duality, reduces it once.  Each
+:func:`grothendieck_split` call still verifies the certificate.  The
+column degrees also give h0(E(m)) = sum_j max(0, d_j + m + 1) for every
+twist m at once, which the Cech module recomputes by brute-force linear
+algebra, so the two routes check each other.
 """
 
 from __future__ import annotations
@@ -37,8 +41,7 @@ from .lmatrix import (
     ScalarMatrix,
     column_reduce,
     kernel_basis,
-    shift_columns,
-    w_adic_inverse,
+    wiener_hopf,
 )
 
 
@@ -68,11 +71,6 @@ class Factorization:
     w: LaurentMatrix
     u: LaurentMatrix
     d: LaurentMatrix
-
-    def splitting_type(self) -> SplittingType:
-        return SplittingType(
-            -self.d[i, i].is_unit()[1] for i in range(self.d.rows)
-        )
 
 
 def minimal_twist(e: VectorBundle) -> int:
@@ -111,18 +109,13 @@ def extract_section(e_twisted: VectorBundle) -> Section:
 def grothendieck_split(e: VectorBundle):
     """Full splitting: returns (SplittingType, Factorization).
 
-    W = Perm*Winv^-1 and U = V*Perm^T from one column reduction (see the
-    module docstring), Perm sorting d_j = N - r_j into nonincreasing
-    order.  The certificate passes :func:`verify_factorization` before it
-    is returned, degree sum included; a failed verification raises
-    InternalCheckError rather than producing an unproven answer.
+    W and U come from :func:`lmatrix.wiener_hopf` (see the module
+    docstring), computed once per transition matrix.  The certificate
+    passes :func:`verify_factorization` on every call, degree sum
+    included; a failed verification raises InternalCheckError rather than
+    producing an unproven answer.
     """
-    n, degs, v, q = column_reduce(e.transition)
-    winv_inv = w_adic_inverse(shift_columns(q, [-r for r in degs]))
-    order = sorted(range(e.rank), key=lambda j: (degs[j], j))
-    degrees = tuple(n - degs[j] for j in order)
-    w = LaurentMatrix([winv_inv.row(j) for j in order])
-    u = LaurentMatrix([[row[j] for j in order] for row in v.entries])
+    degrees, w, u = wiener_hopf(e.transition)
     d = LaurentMatrix.diagonal([z_power(-di) for di in degrees])
     fact = Factorization(w, u, d)
     if not verify_factorization(e, fact):

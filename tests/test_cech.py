@@ -408,3 +408,20 @@ def test_no_section_twists_run_no_solve(monkeypatch):
     lo = -cech._inverse_exponents(e)[1] - 1
     assert h0_profile(e, lo - 3, lo) == [(m, 0) for m in range(lo - 3, lo + 1)]
     assert solves == []
+
+
+def test_profile_sets_up_each_twist_once(monkeypatch):
+    # The count that bounds a profile before its first solve hands each
+    # twist's window, ranges and shape to that twist's solve.
+    e = random_bundle([2, 0, -1], 2, seed=1957)
+    cech._sections_dim_at_cutoff.cache_clear()
+    shapes, solves = [], []
+    shape, solve = cech._system_shape, cech.kernel_basis
+    monkeypatch.setattr(cech, "_system_shape", lambda *a: shapes.append(1) or shape(*a))
+    monkeypatch.setattr(cech, "kernel_basis", lambda m: solves.append(1) or solve(m))
+    expected = [(m, sum(max(0, d + m + 1) for d in (2, 0, -1))) for m in range(-4, 3)]
+    for window in (None, e.rank * (e.max_exponent + 1) + 2):
+        shapes.clear()
+        solves.clear()
+        assert h0_profile(e, -4, 2, window=window) == expected
+        assert solves and len(shapes) == len(solves)

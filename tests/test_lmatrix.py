@@ -10,6 +10,7 @@ from p1bundles import (
     InternalCheckError,
     LaurentMatrix,
     ScalarMatrix,
+    SystemTooLarge,
     VectorBundle,
     W_CHART,
     Z_CHART,
@@ -446,3 +447,26 @@ def test_kernel_of_tall_small_system(monkeypatch):
         a[0][0] * a[1][1] - a[0][1] * a[1][0],
     ]
     assert v == tuple(x / cross[2] for x in cross)
+
+
+def test_kept_factorization_hides_no_error(monkeypatch):
+    # A matrix keeps its factorization only when computing it succeeds, and
+    # inverse() re-multiplies on every call, so each error comes back.
+    reductions = []
+    reduce = lmatrix.column_reduce
+    monkeypatch.setattr(
+        lmatrix, "column_reduce", lambda t: reductions.append(1) or reduce(t)
+    )
+    non_unit = lm([[ONE_POLY + z_power(1), ZERO_POLY], [ZERO_POLY, ONE_POLY]])
+    singular = lm([[ONE_POLY, z_power(1)], [z_power(-1), ONE_POLY]])
+    huge = lm([[z_power(1000000), ONE_POLY], [ZERO_POLY, z_power(-1000000)]])
+    for t, error, reduced in (
+        (non_unit, ValueError, 1),  # factorized once, re-checked twice
+        (singular, ValueError, 2),  # the reduction raises, nothing is kept
+        (huge, SystemTooLarge, 2),  # the series is refused, nothing is kept
+    ):
+        reductions.clear()
+        for _ in range(2):
+            with pytest.raises(error):
+                t.inverse()
+        assert len(reductions) == reduced

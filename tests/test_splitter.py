@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,6 +8,7 @@ from p1bundles import (
     LaurentMatrix,
     SectionVanishes,
     SplittingType,
+    SystemTooLarge,
     VectorBundle,
     W_CHART,
     Z_CHART,
@@ -27,7 +29,7 @@ from p1bundles import (
     verify_factorization,
     z_power,
 )
-from p1bundles import cli, splitter
+from p1bundles import cli, lmatrix, splitter
 from p1bundles.laurent import ONE_POLY, ZERO_POLY
 from p1bundles.text import format_bundle
 
@@ -268,3 +270,46 @@ def test_split_cross_checks_on_shear_products(unit_det):
             (m, sum(max(0, x + m + 1) for x in d)) for m in range(lo, hi + 1)
         ]
         assert tuple(splitting_type(e.dual())) == tuple(-x for x in reversed(d))
+
+
+def test_one_factorization_per_transition(monkeypatch):
+    # Splitting a bundle, then taking its dual and testing it for
+    # isomorphism and self-duality reduce its transition once: the inverse
+    # is read off the kept factorization as U*D^-1*W.  Every split still
+    # verifies its certificate.
+    e = random_bundle([2, 0, -1], 2, seed=1957)
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    for name in ("column_reduce", "w_adic_inverse"):
+        fn = getattr(lmatrix, name)
+        for mod in (lmatrix, splitter):  # every module that holds the name
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted(name, fn))
+    monkeypatch.setattr(
+        splitter,
+        "verify_factorization",
+        counted("verify_factorization", splitter.verify_factorization),
+    )
+    grothendieck_split(e)
+    dual = e.dual()
+    assert iso(e, e)
+    assert not is_self_dual(e)
+    assert dual.transition.transpose() * e.transition == LaurentMatrix.identity(3)
+    assert Counter(calls) == {
+        "column_reduce": 1,
+        "w_adic_inverse": 1,
+        "verify_factorization": 4,
+    }
+
+
+def test_minimal_twist_needs_no_series():
+    # The reduction alone answers minimal_twist; the full split needs a
+    # w-adic series of about 10^6 terms and is refused, on every call.
+    e = VectorBundle(lm([[z_power(1000000), ONE_POLY], [ZERO_POLY, z_power(-1000000)]]))
+    assert minimal_twist(e) == 0
+    for _ in range(2):
+        with pytest.raises(SystemTooLarge):
+            grothendieck_split(e)
