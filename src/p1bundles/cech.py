@@ -42,12 +42,24 @@ columns but one (Kailath, Linear Systems, 1980, ch. 6).  A section with
 cutoff c is f = T^-1 h with h of exponents <= c, so deg f <= c + hi, and
 the default window is min(D*, c + hi), D* = max(0, c) + k*(N+1) the older
 blanket bound (N the largest |exponent| in T).  When c + hi < 0 the
-section space is 0 and nothing is solved.  Default counts are cached per
-(bundle, cutoff); an explicit window (h0_dim, h0_profile, --window) is
-solved afresh.  h0_sections reads its basis off the same split, and a twist
-profile sums the shapes of all its systems, each twist charged at least one
-cell, and raises SystemTooLarge before the first solve; each twist's solve
-then reuses the window, ranges and shape that count set up.
+section space is 0 and nothing is solved.  An explicit window (h0_dim,
+h0_profile, --window) is solved afresh, one solve per cutoff; h0_sections
+reads its basis off the same split.
+
+Nested cutoffs.  The section spaces S(c) = sections_with_cutoff(E, c) are
+nested, and a default-window profile over c_lo..C, or the h1 oracle's
+cutoffs 0, D and D+1, needs several of them.  One tail solve at the top
+cutoff C gives a basis of S(C); S(c) is where the coefficients of T*f at
+the exponents in (c, C] vanish, so every dim S(c) follows from the prefix
+ranks of one matrix G^T (basis vectors x those coefficients, in descending
+exponent), read off one certified kernel (_nested_dims).  This chain is
+taken when the cells it builds, bounded before any solve, are no more than
+the separate solves' (_default_dims); tiny systems with a wide band of
+free slots, such as a long profile of a line bundle, keep one solve per
+cutoff.  Single counts are cached per (bundle, cutoff), chains per
+(bundle, c_lo, C).  A twist profile sums the shapes of the separate
+systems, each twist charged at least one cell, and raises SystemTooLarge
+before the first solve, whichever path then answers it.
 
 H1 is a truncated cokernel on the overlap: Laurent tails with exponents in
 [-D, D] modulo coboundaries of chart cochains, with the chart-0 cochain
@@ -69,12 +81,13 @@ the default D is min(k*(N+1), max(0, -lo - 1)).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .bundle import VectorBundle
 from .errors import WindowUnstable
-from .exact import ONE
+from .exact import ONE, ZERO
 from .laurent import LaurentPoly, chart_contains, Chart
 from .lmatrix import MAX_SYSTEM_CELLS, SparseSystem, check_size  # noqa: F401
 from .lmatrix import clear_row, kernel_basis
@@ -201,18 +214,18 @@ def _record_stability(ok: bool, what: str):
 def _tail_plan(e: VectorBundle, cutoff: int, window: int):
     """(window, ranges, shape) of the one tail solve at this cutoff and
     window: the set-up a twist profile counts before its first solve and
-    hands to :func:`_sections_dim`, so no twist is set up twice."""
+    hands on to the solves, so no twist is set up twice."""
     if window < 0:
         raise ValueError("window must be >= 0")
     ranges = tuple(_tail_ranges(e, cutoff, window + 1))
     return window, ranges, _system_shape(e, cutoff, ranges)
 
 
-def _sections_dim(e: VectorBundle, cutoff: int, plan) -> int:
-    """dim { f : deg f_j <= window, T*f has exponents <= cutoff }, exactly,
-    for the (window, ranges, shape) of :func:`_tail_plan`: the free slots
-    s <= min(window, cutoff - M_j) plus one tail solve, which is stable
-    when no slot window+1 is free or touched by a kernel vector."""
+def _tail_solve(e: VectorBundle, cutoff: int, plan):
+    """(free slot count, kernel basis, unknowns) of the one tail solve for
+    the (window, ranges, shape) of :func:`_tail_plan`.  The free slots are
+    s <= min(window, cutoff - M_j); the solve is stable when no slot
+    window+1 is free or touched by a kernel vector."""
     window, ranges, shape = plan
     system, unknowns = _constraint_system(e, cutoff, ranges, shape)
     basis = kernel_basis(system)
@@ -220,7 +233,78 @@ def _sections_dim(e: VectorBundle, cutoff: int, plan) -> int:
     stable = all(lo <= hi for lo, hi in ranges)
     stable = stable and not any(v[idx] for v in basis for idx in top)
     _record_stability(stable, f"count changed between window {window} and {window + 1}")
-    return sum(min(lo, window + 1) for lo, _ in ranges) + len(basis)
+    return sum(min(lo, window + 1) for lo, _ in ranges), basis, unknowns
+
+
+def _sections_dim(e: VectorBundle, cutoff: int, plan) -> int:
+    """dim { f : deg f_j <= window, T*f has exponents <= cutoff }, exactly,
+    from the one tail solve of :func:`_tail_solve`."""
+    free, basis, _ = _tail_solve(e, cutoff, plan)
+    return free + len(basis)
+
+
+def _band(e: VectorBundle, c_lo: int, plan):
+    """Per column j, the range of the free slots s of the plan's cutoff that
+    are not free at c_lo (s > c_lo - M_j): the structural monomials z^s e_j
+    whose T*f reaches an exponent above c_lo."""
+    window, ranges, _ = plan
+    return [
+        range(lo_c, min(lo, window + 1))
+        for (lo, _), (lo_c, _) in zip(ranges, _tail_ranges(e, c_lo, window))
+    ]
+
+
+def _chain_cells(e: VectorBundle, c_lo: int, top: int, plan) -> int:
+    """An upper bound on the cells :func:`_nested_dims` builds, known before
+    any solve: the top system, and G^T of at most one row per band monomial
+    (:func:`_band`) plus one per top unknown, by k*(top - c_lo) columns."""
+    rows, cols = plan[2]
+    band = sum(map(len, _band(e, c_lo, plan)))
+    return max(1, rows * cols) + (band + cols) * e.rank * (top - c_lo)
+
+
+def _nested_dims(e: VectorBundle, c_lo: int, top: int, plan):
+    """[dim S(c) for c in c_lo..top], S(c) = {f : T*f has exponents <= c},
+    from one tail solve at the top cutoff (plan its default-window plan)
+    and one certified rank computation.
+
+    For c <= top, S(c) is the subspace of S(top) on which the coefficients
+    of T*f at exponents t in (c, top] vanish; the default window at top
+    bounds every S(c), as windows grow with the cutoff.  G^T has one row
+    per basis vector of S(top) whose T*f reaches that band (the free slots
+    s <= c_lo - M_j never do), one column per (component i, exponent t),
+    in descending t.  Each canonical kernel vector of G^T has 1 at its
+    free column and 0 after it, so its last nonzero entry marks a column
+    that depends exactly (the kernel is verified) on earlier ones: the
+    prefix rank is at most the pivots in the prefix.  A mod-p rank never
+    exceeds the true rank, so it is also at least that.  Hence dim S(c) =
+    dim S(top) - (k*(top - c) - free columns among the first k*(top - c)).
+    The top solve's window+1 check covers every lower cutoff: a section of
+    one that touched that slot would lie in S(top).  The caller bounds the
+    cells built through :func:`_chain_cells`.
+    """
+    free, basis, unknowns = _tail_solve(e, top, plan)
+    t, k = e.transition, e.rank
+    vectors = [{(j, s): ONE} for j, slots in enumerate(_band(e, c_lo, plan)) for s in slots]
+    vectors += [{u: c for u, c in zip(unknowns, v) if c} for v in basis]
+    rows = []
+    for vec in vectors:
+        acc = {}
+        for (j, s), c in vec.items():
+            for i in range(k):
+                for d, a in t[i, j].items():
+                    if c_lo < s + d <= top:
+                        col = (top - s - d) * k + i
+                        acc[col] = acc.get(col, ZERO) + a * c
+        if row := [(col, x) for col, x in sorted(acc.items()) if x]:
+            rows.append(clear_row(row))
+    g_t = SparseSystem(rows, k * (top - c_lo))
+    dependent = sorted(max(i for i, x in enumerate(v) if x) for v in kernel_basis(g_t))
+    dim = free + len(basis)
+    return [
+        dim - k * (top - c) + bisect_left(dependent, k * (top - c))
+        for c in range(c_lo, top + 1)
+    ]
 
 
 @lru_cache(maxsize=512)
@@ -274,20 +358,35 @@ def _overlap_window(e: VectorBundle) -> int:
     return min(e.rank * (e.max_exponent + 1), max(0, -lo - 1))
 
 
-# Counts at the default window, cached per (bundle, cutoff): the default
-# plan is a function of the two, so it adds nothing to the key.  Counts at
-# an explicit window are solved afresh.
+# Counts at the default window, cached per (bundle, cutoff), and chains
+# per (bundle, lowest cutoff, top cutoff): the default plan is a function
+# of the bundle and cutoff, so it adds nothing to the key.  Counts at an
+# explicit window are solved afresh.
 _sections_dim_at_cutoff = lru_cache(maxsize=512)(_sections_dim)
+_nested_dims_at_cutoffs = lru_cache(maxsize=512)(_nested_dims)
 
 
-def _default_dim(e: VectorBundle, cutoff: int) -> int:
-    """dim { f polynomial : T*f has exponents <= cutoff }, solved (and
-    cached) at the default window; 0 with no solve when that window is
-    negative."""
+def _default_plan(e: VectorBundle, cutoff: int):
+    """The :func:`_tail_plan` at the default window, or None when that
+    window is negative: no section, nothing to solve."""
     window = _default_window(e, cutoff)
-    if window < 0:
-        return 0
-    return _sections_dim_at_cutoff(e, cutoff, _tail_plan(e, cutoff, window))
+    return None if window < 0 else _tail_plan(e, cutoff, window)
+
+
+def _default_dims(e: VectorBundle, cutoffs, plans):
+    """[dim S(c)] for the ascending cutoffs, each with its default plan.
+
+    One chain (:func:`_nested_dims`) when, by :func:`_chain_cells`, it
+    builds no more cells than the separate solves would and fits the cell
+    limit; otherwise one cached solve per cutoff.
+    """
+    if len(cutoffs) > 1:
+        c_lo, top = cutoffs[0], cutoffs[-1]
+        separate = sum(max(1, rows * cols) for _, _, (rows, cols) in plans)
+        if _chain_cells(e, c_lo, top, plans[-1]) <= min(separate, MAX_SYSTEM_CELLS):
+            dims = _nested_dims_at_cutoffs(e, c_lo, top, plans[-1])
+            return [dims[c - c_lo] for c in cutoffs]
+    return [_sections_dim_at_cutoff(e, c, plan) for c, plan in zip(cutoffs, plans)]
 
 
 def h0_sections(e: VectorBundle, window: int):
@@ -321,7 +420,8 @@ def h0_dim(e: VectorBundle, window: int | None = None) -> int:
     polynomials.  Every solve is asserted stable against window + 1.
     """
     if window is None:
-        return _default_dim(e, 0)
+        plan = _default_plan(e, 0)
+        return 0 if plan is None else _sections_dim_at_cutoff(e, 0, plan)
     return _sections_dim(e, 0, _tail_plan(e, 0, window))
 
 
@@ -331,15 +431,20 @@ def h1_dim_oracle(e: VectorBundle, window: int | None = None) -> int:
     Computed independently of any splitting: overlap tails with exponents
     in [-D, D] are quotiented by the coboundary images of matched chart
     cochains, counted through rank-nullity of the image map (see module
-    docstring).  The default D is _overlap_window.  Stability-asserted
-    between D and D+1.
+    docstring).  The default D is _overlap_window.  The section counts at
+    cutoffs 0, D and D+1, at their default windows for any D, come from
+    one nested-cutoff chain topped at D+1 when it is the smaller job.
+    Stability-asserted between D and D+1.
     """
     k = e.rank
     d = window if window is not None else _overlap_window(e)
     if d < 0:
         raise ValueError("window must be >= 0")
-    h0 = _default_dim(e, 0)
-    a, b = (k * w - _default_dim(e, w) + h0 for w in (d, d + 1))
+    plans = {c: _default_plan(e, c) for c in sorted({0, d, d + 1})}
+    dims = dict.fromkeys(plans, 0)
+    live = [c for c, plan in plans.items() if plan is not None]
+    dims.update(zip(live, _default_dims(e, live, [plans[c] for c in live])))
+    a, b = (k * w - dims[w] + dims[0] for w in (d, d + 1))
     _record_stability(a == b, f"h1 changed between window {d} and {d + 1}")
     return a
 
@@ -360,7 +465,9 @@ def h0_profile(e: VectorBundle, m_lo: int, m_hi: int, window: int | None = None)
     every twist is charged at least one cell, its entry in the answer.  At
     the default window the twists m < -hi (hi the top exponent of T^-1)
     have no section and no system, so they are counted and answered in one
-    step.
+    step, and the rest come from one nested-cutoff chain topped at m_hi
+    when it builds no more cells than one solve per twist.  An explicit
+    window always solves each twist on its own.
     """
     if m_lo > m_hi:
         raise ValueError("empty profile range")
@@ -380,8 +487,8 @@ def h0_profile(e: VectorBundle, m_lo: int, m_hi: int, window: int | None = None)
         plans.append(plan)
         if any(lo > hi for lo, hi in ranges):
             break  # a free top slot: this twist's solve raises WindowUnstable
-    planned = zip(range(start, m_hi + 1), plans)
+    twists = range(start, start + len(plans))
     if window is None:
         empty = [(m, 0) for m in range(m_lo, start)]
-        return empty + [(m, _sections_dim_at_cutoff(e, m, plan)) for m, plan in planned]
-    return [(m, _sections_dim(e, m, plan)) for m, plan in planned]
+        return empty + list(zip(twists, _default_dims(e, twists, plans)))
+    return [(m, _sections_dim(e, m, plan)) for m, plan in zip(twists, plans)]

@@ -170,10 +170,8 @@ def test_rank_one_goes_through_generic_path():
     assert h1_dim_oracle(VectorBundle(LaurentMatrix([[constant(5)]]))) == 0
 
 
-def test_h0_of_tall_coefficient_bundle(monkeypatch):
-    # O(3) + O + O(-3) under shears whose coefficients have 350 digits: the
-    # echelon entries of its Cech system need more than 256 primes, so this
-    # pins the prime budget to the input's height.
+def _tall_coefficient_bundle():
+    # O(3) + O + O(-3) under shears whose coefficients have 350 digits.
     c = [10**350 + 7 + 13 * n for n in range(4)]
 
     def shear(i, j, coeffs):
@@ -181,7 +179,13 @@ def test_h0_of_tall_coefficient_bundle(monkeypatch):
 
     t = LaurentMatrix.diagonal([z_power(-3), ONE_POLY, z_power(3)])
     t = shear(0, 1, {0: c[0], -1: c[1]}) * shear(2, 0, {-1: c[2]}) * t
-    t = t * shear(1, 0, {0: c[3], 1: c[0]}) * shear(0, 2, {1: c[1]})
+    return VectorBundle(t * shear(1, 0, {0: c[3], 1: c[0]}) * shear(0, 2, {1: c[1]}))
+
+
+def test_h0_of_tall_coefficient_bundle(monkeypatch):
+    # The echelon entries of the tall bundle's Cech system need more than
+    # 256 primes, so this pins the prime budget to the input's height.
+    e = _tall_coefficient_bundle()
     consumed = []  # primes drawn, one count per kernel solve
     primes = lmatrix._primes_with_i
 
@@ -192,7 +196,7 @@ def test_h0_of_tall_coefficient_bundle(monkeypatch):
             yield pair
 
     monkeypatch.setattr(lmatrix, "_primes_with_i", spy)
-    assert h0_dim(VectorBundle(t)) == 4 + 1 + 0
+    assert h0_dim(e) == 4 + 1 + 0
     assert max(consumed) > 256
 
 
@@ -410,18 +414,91 @@ def test_no_section_twists_run_no_solve(monkeypatch):
     assert solves == []
 
 
-def test_profile_sets_up_each_twist_once(monkeypatch):
-    # The count that bounds a profile before its first solve hands each
-    # twist's window, ranges and shape to that twist's solve.
-    e = random_bundle([2, 0, -1], 2, seed=1957)
+def _count_solves(monkeypatch):
+    # Clear the cached counts, then record every Cech system built (by its
+    # cutoff) and every kernel solve.
     cech._sections_dim_at_cutoff.cache_clear()
-    shapes, solves = [], []
-    shape, solve = cech._system_shape, cech.kernel_basis
-    monkeypatch.setattr(cech, "_system_shape", lambda *a: shapes.append(1) or shape(*a))
+    cech._nested_dims_at_cutoffs.cache_clear()
+    systems, solves = [], []
+    build, solve = cech._constraint_system, cech.kernel_basis
+    monkeypatch.setattr(
+        cech, "_constraint_system", lambda e, c, *a: systems.append(c) or build(e, c, *a)
+    )
     monkeypatch.setattr(cech, "kernel_basis", lambda m: solves.append(1) or solve(m))
+    return systems, solves
+
+
+def test_profile_sets_up_each_twist_once(monkeypatch):
+    # The count that bounds a profile before its first solve sets up each
+    # twist once.  At the default window no twist is then built or solved
+    # on its own: one top system and one rank system answer the whole
+    # chain.  At an explicit window each twist's solve reuses its set-up.
+    e = random_bundle([2, 0, -1], 2, seed=1957)
+    systems, solves = _count_solves(monkeypatch)
+    shapes = []
+    shape = cech._system_shape
+    monkeypatch.setattr(cech, "_system_shape", lambda *a: shapes.append(1) or shape(*a))
     expected = [(m, sum(max(0, d + m + 1) for d in (2, 0, -1))) for m in range(-4, 3)]
-    for window in (None, e.rank * (e.max_exponent + 1) + 2):
-        shapes.clear()
+    assert h0_profile(e, -4, 2) == expected
+    assert systems == [2] and len(solves) == 2
+    # One shape per twist with a section window: m >= -hi.
+    assert len(shapes) == 2 + min(4, cech._inverse_exponents(e)[1]) + 1
+    shapes.clear()
+    solves.clear()
+    assert h0_profile(e, -4, 2, window=e.rank * (e.max_exponent + 1) + 2) == expected
+    assert solves and len(shapes) == len(solves)
+
+
+def test_chain_guard_picks_the_cheaper_path(monkeypatch):
+    # The chain runs only when it builds no more cells than the per-cutoff
+    # solves.  Tiny systems with a wide band of free slots stay separate:
+    # file "5" (O) has one 1-cell system per twist, and O(-10^6) has one
+    # cutoff with a section window.  A scrambled rank-3 bundle chains.
+    systems, solves = _count_solves(monkeypatch)
+    five = VectorBundle(LaurentMatrix([[constant(5)]]))
+    assert h0_profile(five, 0, 2000) == [(m, m + 1) for m in range(2001)]
+    assert len(solves) == 2001
+    solves.clear()
+    assert h1_dim_oracle(VectorBundle(LaurentMatrix([[z_power(1000000)]]))) == 999999
+    assert len(solves) == 1
+    e = random_bundle([2, 0, -3], 2, seed=4242)
+    profile = [(m, sum(max(0, d + m + 1) for d in (2, 0, -3))) for m in range(-3, 4)]
+    for call, expected in ((lambda: h0_profile(e, -3, 3), profile), (lambda: h1_dim_oracle(e), 2)):
         solves.clear()
-        assert h0_profile(e, -4, 2, window=window) == expected
-        assert solves and len(shapes) == len(solves)
+        assert call() == expected
+        assert len(solves) == 2
+
+
+def _chain_and_separate(e, cutoffs):
+    # Counts at the ascending cutoffs, each at its default window, by both
+    # paths: one chain from the top cutoff, and one solve per cutoff.  Both
+    # are the cached entry points, so a cutoff shared by two calls is
+    # solved once.
+    plans = [cech._default_plan(e, c) for c in cutoffs]
+    chain = cech._nested_dims_at_cutoffs(e, cutoffs[0], cutoffs[-1], plans[-1])
+    separate = [cech._sections_dim_at_cutoff(e, c, p) for c, p in zip(cutoffs, plans)]
+    return [chain[c - cutoffs[0]] for c in cutoffs], separate
+
+
+def test_chain_matches_separate_solves(unit_det):
+    # Inputs the seeded scrambler never produces: a wide diagonal, a direct
+    # sum with a far line bundle, a tensor of two shear products, and
+    # 350-digit coefficients.  Both paths run over each profile's twists
+    # and over the h1 oracle's cutoffs 0, D and D + 1.
+    rng = random.Random(6021)
+    shears = VectorBundle(unit_det(rng, 2, 2)).tensor(VectorBundle(unit_det(rng, 2, 1)))
+    cases = [
+        (diagonal_bundle([9, 0, -9]), [9, 0, -9], None),
+        (random_bundle([2, -1], 2, seed=7).dsum(line_bundle(-6)), [2, -1, -6], None),
+        (shears, list(grothendieck_split(shears)[0]), None),
+        (_tall_coefficient_bundle(), [3, 0, -3], (-5, 4)),
+    ]
+    for e, d, span in cases:
+        lo, hi = span or (-d[0] - 1, -d[-1])
+        d_h1 = cech._overlap_window(e)
+        for cutoffs in (range(lo, hi + 1), sorted({0, d_h1, d_h1 + 1})):
+            # Only the cutoffs with a section window have a system to solve.
+            live = [c for c in cutoffs if cech._default_plan(e, c) is not None]
+            expected = [sum(max(0, x + c + 1) for x in d) for c in live]
+            assert list(_chain_and_separate(e, live)) == [expected, expected]
+        assert h1_dim_oracle(e) == sum(max(0, -x - 1) for x in d)

@@ -71,6 +71,30 @@ def test_profile():
     ]
 
 
+@pytest.mark.parametrize("name, degrees", [("diag", (2, -1)), ("euler", (0, 0)), ("o3", (3,))])
+def test_h1_and_profile_golden_json(name, degrees):
+    # The whole --json output, byte for byte.  The values come from the
+    # known types: h0(E(m)) = sum max(0, d + m + 1), and h1 = h0 - deg -
+    # rank by Riemann-Roch.
+    path = str(DATA / f"{name}.bundle")
+
+    def h0(m):
+        return sum(max(0, d + m + 1) for d in degrees)
+
+    r = run_cli("h1", path, "--json")
+    expected = {"h1": h0(0) - sum(degrees) - len(degrees)}
+    assert r.returncode == 0
+    assert r.stdout == json.dumps(
+        {"command": "h1", "inputs": [path], "result": expected}, sort_keys=True
+    ) + "\n"
+    r = run_cli("profile", path, "--from", "-4", "--to", "4", "--json")
+    expected = {"from": -4, "profile": [[m, h0(m)] for m in range(-4, 5)], "to": 4}
+    assert r.returncode == 0
+    assert r.stdout == json.dumps(
+        {"command": "profile", "inputs": [path], "result": expected}, sort_keys=True
+    ) + "\n"
+
+
 def test_exit_code_invalid_bundle():
     r = run_cli("split", str(DATA / "invalid.bundle"))
     assert r.returncode == 1
