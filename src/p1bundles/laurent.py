@@ -7,6 +7,17 @@ polynomials in w (exponents <= 0 when written in z).  A single sparse
 exponent-to-coefficient map therefore serves both rings as well as the full
 Laurent ring on the overlap C*.
 
+Every product of Laurent polynomials is one fused multiply-accumulate,
+:func:`_dot`, which returns sum(a*b) over pairs of polynomials.  It keeps
+one int triple (re, im, den) per output exponent, adds the products of the
+operands' stored triples into it, and normalises each output coefficient
+once; a one-term operand is multiplied term by term with no accumulator.
+``LaurentPoly.__mul__`` and ``scale`` use it here, and in ``lmatrix`` the
+matrix product (one call per output entry, so ``kron``, ``twist`` and the
+certificate checks ``W*T*U = D`` and ``T*T^-1 = I``) and the column and
+frame updates of the column reduction; the w-adic series there runs the
+same accumulation on scalar matrices.
+
 The chart predicates at the bottom (chart_contains, chart_degree) read a
 polynomial's support to tell whether it lies in a chart ring and what its
 degree is there.  The module has no division: the one polynomial division
@@ -19,7 +30,7 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-from .exact import GaussianRational, ONE, ZERO
+from .exact import GaussianRational, ONE, ZERO, _canonical
 
 
 class Chart(enum.Enum):
@@ -109,14 +120,10 @@ class LaurentPoly:
                     coeffs[exp] = t
                 else:
                     del coeffs[exp]
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_coeffs", coeffs)
-        return out
+        return _poly(coeffs)
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_coeffs", {e: -c for e, c in self._coeffs.items()})
-        return out
+        return _poly({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -124,25 +131,11 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
+        if isinstance(other, LaurentPoly):
+            return _dot(((self, other),))
         if isinstance(other, (int, GaussianRational)):
             return self.scale(_promote_scalar(other))
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        coeffs = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                p = c1 * c2
-                s = coeffs.get(e)
-                if s is None:
-                    coeffs[e] = p
-                else:
-                    coeffs[e] = s + p
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(
-            out, "_coeffs", {e: c for e, c in coeffs.items() if c}
-        )
-        return out
+        return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, GaussianRational)):
@@ -152,21 +145,13 @@ class LaurentPoly:
     def scale(self, c: GaussianRational) -> "LaurentPoly":
         if not c:
             return LaurentPoly()
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(
-            out, "_coeffs", {e: c * v for e, v in self._coeffs.items()}
-        )
-        return out
+        return _poly(_monomial_times(0, c, self._coeffs))
 
     def shift(self, n: int) -> "LaurentPoly":
         """Multiply by z^n."""
         if n == 0:
             return self
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(
-            out, "_coeffs", {e + n: c for e, c in self._coeffs.items()}
-        )
-        return out
+        return _poly({e + n: c for e, c in self._coeffs.items()})
 
     # -- structure tests --------------------------------------------------
 
@@ -205,6 +190,78 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"<LaurentPoly {self}>"
+
+
+_set_coeffs = LaurentPoly._coeffs.__set__
+
+
+def _poly(coeffs) -> LaurentPoly:
+    # The LaurentPoly of an exponent -> coefficient dict with no zero value.
+    out = LaurentPoly.__new__(LaurentPoly)
+    _set_coeffs(out, coeffs)
+    return out
+
+
+def _monomial_times(e1: int, x: GaussianRational, coeffs) -> dict:
+    """The terms of x*z^e1 times the polynomial with terms ``coeffs``:
+    exponents shifted by e1, each coefficient multiplied with one
+    normalisation (x != 0, so none vanishes)."""
+    xr, xi, xd = x.num_re, x.num_im, x.den
+    return {
+        e1 + e: _canonical(
+            xr * c.num_re - xi * c.num_im, xr * c.num_im + xi * c.num_re, xd * c.den
+        )
+        for e, c in coeffs.items()
+    }
+
+
+def _dot(pairs) -> LaurentPoly:
+    """sum(a*b for a, b in pairs) for an iterable of LaurentPoly pairs: the
+    fused multiply-accumulate under every Laurent product.
+
+    Each output exponent keeps one [re, im, den] int accumulator.  The
+    products of the operands' stored triples (a + b*i)/d are added to it
+    unnormalised, over a common denominator, and each nonzero sum is
+    normalised once (``exact._canonical``), so no GaussianRational is built
+    per term product or per partial sum; sums that cancel to zero are
+    dropped.  Pairs with a zero operand are skipped, and one product with a
+    one-term operand takes the direct path of :func:`_monomial_times`.
+    """
+    pairs = [(a._coeffs, b._coeffs) for a, b in pairs if a._coeffs and b._coeffs]
+    if not pairs:
+        return ZERO_POLY
+    if len(pairs) == 1:
+        ((a, b),) = pairs
+        if len(a) == 1:
+            ((e, x),) = a.items()
+            return _poly(_monomial_times(e, x, b))
+        if len(b) == 1:
+            ((e, x),) = b.items()
+            return _poly(_monomial_times(e, x, a))
+    acc = {}
+    get = acc.get
+    for a, b in pairs:
+        b = b.items()
+        for e1, x in a.items():
+            xr, xi, xd = x.num_re, x.num_im, x.den
+            for e2, y in b:
+                e = e1 + e2
+                yr, yi = y.num_re, y.num_im
+                pr = xr * yr - xi * yi
+                pi = xr * yi + xi * yr
+                pd = xd * y.den
+                s = get(e)
+                if s is None:
+                    acc[e] = [pr, pi, pd]
+                elif s[2] == pd:
+                    s[0] += pr
+                    s[1] += pi
+                else:
+                    d = s[2]
+                    s[0] = s[0] * pd + pr * d
+                    s[1] = s[1] * pd + pi * d
+                    s[2] = d * pd
+    return _poly({e: _canonical(r, i, d) for e, (r, i, d) in acc.items() if r or i})
 
 
 ZERO_POLY = LaurentPoly()

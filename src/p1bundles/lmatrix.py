@@ -11,8 +11,13 @@ Two layers live here:
   C[1/z]; Winv is inverted as a w-adic series (:func:`w_adic_inverse`), so
   no adjugate is ever formed.  The factorization W*T*U = diag(z^-d_j) is
   computed at most once per matrix object and kept on it, and the inverse
-  is read off it as T^-1 = U * diag(z^d_j) * W.  Past 3x3 the determinant
-  is a Bareiss elimination that divides exactly in the Laurent ring
+  is read off it as T^-1 = U * diag(z^d_j) * W.  Products and sums of
+  products run on int triples and are normalised once per output
+  coefficient: each entry of a matrix product and each entry of the
+  reduction's column update sum_j u_j z^(r_j* - r_j) col_j is one call of
+  the fused ``laurent._dot``, and each term of the w-adic series is summed
+  on [re, im, den] accumulators (:func:`_mul_into`).  Past 3x3 the
+  determinant is a Bareiss elimination that divides exactly in the Laurent ring
   (:func:`_lp_divexact`).  It serves only three callers: the validation
   of a transition that arrives from outside (``VectorBundle.__init__``),
   the public :func:`is_unimodular`, and the error branch of
@@ -37,7 +42,10 @@ Two layers live here:
   is exact, never probabilistic.  Reconstruction is tried at the first prime
   and then whenever the entry that stopped the last try reconstructs to the
   same value at two consecutive moduli (a one-entry probe per prime), as
-  well as at the certain count and at the last prime of the budget.  The
+  well as at the certain count and at the last prime of the budget; a
+  value reconstructed at an earlier modulus is kept and, while it still
+  meets Wang's conditions, taken without re-running Euclid
+  (:func:`_recon_holds`).  The
   prime budget comes from the Hadamard bound H of the rows: reconstruction
   is certain once the modulus exceeds 2*H^4, and at most log2(H^2)/30 primes
   can be unlucky, so the cost grows with coefficient height as well as with
@@ -55,6 +63,8 @@ from .laurent import (
     LaurentPoly,
     ONE_POLY,
     ZERO_POLY,
+    _dot,
+    _poly,
     _promote_scalar,
     chart_contains,
 )
@@ -62,9 +72,10 @@ from .laurent import (
 # The largest job, in cells, taken on: one Cech constraint system (rows x
 # unknowns), the Cech systems of a whole twist profile together, or a w-adic
 # series (its cap of terms x k^2 entries).  A larger one raises
-# SystemTooLarge before anything is allocated.  The benchmark ladder peaks
-# at 31,320 cells for one system, 154,083 for one profile and 1,080 for one
-# series; the test suite's largest system has 24,178.
+# SystemTooLarge before anything is allocated.  The benchmark ladder's
+# largest jobs are 14,848 cells for one system and 1,080 for one series; its
+# largest profile is checked against the limit as 61,084 cells, the sum of
+# its per-twist systems, but builds 13,472.
 MAX_SYSTEM_CELLS = 300_000
 
 
@@ -94,10 +105,11 @@ class LaurentMatrix:
 
     A square matrix also keeps its Wiener-Hopf factorization once
     :func:`wiener_hopf` has computed it; equality and hashing read only
-    the entries.
+    the entries, and the hash is kept once computed, so a cache keyed on
+    the matrix (or on a bundle) hashes the grid once.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_wiener_hopf")
+    __slots__ = ("rows", "cols", "entries", "_wiener_hopf", "_hash")
 
     def __init__(self, entries):
         grid = tuple(tuple(_promote_entry(e) for e in row) for row in entries)
@@ -110,6 +122,7 @@ class LaurentMatrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "_wiener_hopf", None)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentMatrix is immutable")
@@ -158,18 +171,8 @@ class LaurentMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        bt = [other.column(j) for j in range(other.cols)]
-        out = []
-        for row in self.entries:
-            out_row = []
-            for col in bt:
-                acc = ZERO_POLY
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return LaurentMatrix(out)
+        cols = list(zip(*other.entries))
+        return LaurentMatrix([[_dot(zip(r, c)) for c in cols] for r in self.entries])
 
     def scale(self, p) -> "LaurentMatrix":
         p = _promote_entry(p)
@@ -217,7 +220,9 @@ class LaurentMatrix:
         return self.entries == other.entries
 
     def __hash__(self):
-        return hash(self.entries)
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.entries))
+        return self._hash
 
     def __str__(self):
         from .text import format_matrix
@@ -382,18 +387,12 @@ def column_reduce(t: LaurentMatrix):
         picked = max(
             (j for j in range(k) if u[j] != ZERO), key=lambda j: (degs[j], j)
         )
-        new_col = [ZERO_POLY] * k
-        new_v = [ZERO_POLY] * k
-        for j in range(k):
-            c = u[j]
-            if c == ZERO:
-                continue
-            shift = degs[picked] - degs[j]
-            for i in range(k):
-                new_col[i] = new_col[i] + cols[j][i].shift(shift).scale(c)
-                new_v[i] = new_v[i] + v[j][i].shift(shift).scale(c)
-        cols[picked] = new_col
-        v[picked] = new_v
+        # u_j * z^(r_j* - r_j), for the nonzero u_j
+        mono = [
+            (LaurentPoly({degs[picked] - degs[j]: u[j]}), j) for j in range(k) if u[j]
+        ]
+        cols[picked] = [_dot((m, cols[j][i]) for m, j in mono) for i in range(k)]
+        v[picked] = [_dot((m, v[j][i]) for m, j in mono) for i in range(k)]
     raise InternalCheckError("column reduction failed to terminate")
 
 
@@ -402,16 +401,32 @@ def _from_columns(cols) -> LaurentMatrix:
 
 
 def _sparse_rows(grid):
-    return [[(j, x) for j, x in enumerate(row) if x] for row in grid]
+    """Rows of (col, re, im, den) for the nonzero entries of a Q(i) grid."""
+    return [
+        [(j, x.num_re, x.num_im, x.den) for j, x in enumerate(row) if x] for row in grid
+    ]
 
 
 def _mul_into(acc, rows, b):
-    """acc += rows * b for Q(i) matrices, rows given by _sparse_rows."""
+    """acc += rows * b for Q(i) matrices on int triples: rows and b are
+    given by _sparse_rows (b's entries may be unnormalised), and acc is a
+    grid of [re, im, den] accumulators, added to over a common denominator
+    like laurent._dot's and normalised by the caller."""
     for out, row in zip(acc, rows):
-        for j, x in row:
-            for m, y in enumerate(b[j]):
-                if y:
-                    out[m] = out[m] + x * y
+        for j, xr, xi, xd in row:
+            for m, yr, yi, yd in b[j]:
+                s = out[m]
+                pr = xr * yr - xi * yi
+                pi = xr * yi + xi * yr
+                pd = xd * yd
+                if s[2] == pd:
+                    s[0] += pr
+                    s[1] += pi
+                else:
+                    d = s[2]
+                    s[0] = s[0] * pd + pr * d
+                    s[1] = s[1] * pd + pi * d
+                    s[2] = d * pd
 
 
 def w_adic_inverse(a: LaurentMatrix) -> LaurentMatrix:
@@ -424,9 +439,10 @@ def w_adic_inverse(a: LaurentMatrix) -> LaurentMatrix:
     end the series.  A w-unimodular input has a polynomial inverse of
     w-degree at most (k-1)*s (the adjugate bound), which caps the series;
     on any other input the capped sum is no inverse, so callers
-    re-multiply.  Each term sums only the nonzero A_j, and a cap of more
-    than MAX_SYSTEM_CELLS entries ((k-1)*s terms of k x k) raises
-    SystemTooLarge before the sum starts.
+    re-multiply.  Each term sums only the nonzero A_j, on int-triple
+    accumulators (:func:`_mul_into`), and each entry of B_n is normalised
+    once.  A cap of more than MAX_SYSTEM_CELLS entries ((k-1)*s terms of
+    k x k) raises SystemTooLarge before the sum starts.
     """
     k = a.rows
     if any(not chart_contains(p, Chart.W) for row in a.entries for p in row):
@@ -451,25 +467,30 @@ def w_adic_inverse(a: LaurentMatrix) -> LaurentMatrix:
         raise ValueError("singular constant matrix")
     a0inv = [[v[i] for v in null] for i in range(k)]
     minus_a0inv = _sparse_rows([[-x for x in row] for row in a0inv])
-    terms = [a0inv]
+    series = [[{0: x} if x else {} for x in row] for row in a0inv]  # {-n: B_n entry}
+    terms = [_sparse_rows(a0inv)]  # B_n as _sparse_rows
     zeros = 0
     while zeros < s and len(terms) <= cap:
         n = len(terms)
-        acc = [[ZERO] * k for _ in range(k)]
+        acc = [[[0, 0, 1] for _ in range(k)] for _ in range(k)]
         for j, rows in a_rows:
             if j > n:
                 break
             _mul_into(acc, rows, terms[n - j])
-        term = [[ZERO] * k for _ in range(k)]
+        term = [[[0, 0, 1] for _ in range(k)] for _ in range(k)]
+        acc = [[(m, *x) for m, x in enumerate(row) if x[0] or x[1]] for row in acc]
         _mul_into(term, minus_a0inv, acc)
-        terms.append(term)
-        zeros = 0 if any(any(row) for row in term) else zeros + 1
-    return LaurentMatrix(
-        [
-            [LaurentPoly({-e: t[i][m] for e, t in enumerate(terms)}) for m in range(k)]
-            for i in range(k)
-        ]
-    )
+        rows = []
+        for i, row in enumerate(term):
+            out = []
+            for m, (re, im, den) in enumerate(row):
+                if re or im:
+                    x = series[i][m][-n] = _canonical(re, im, den)
+                    out.append((m, x.num_re, x.num_im, x.den))
+            rows.append(out)
+        terms.append(rows)
+        zeros = 0 if any(rows) else zeros + 1
+    return LaurentMatrix([[_poly(entry) for entry in row] for row in series])
 
 
 def wiener_hopf(t: LaurentMatrix):
@@ -743,6 +764,22 @@ def _rat_recon(c: int, m: int):
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
+def _recon_holds(pair, c: int, m: int, bound: int) -> bool:
+    """Whether (n, d) is the pair _rat_recon(c, m) returns, for odd m and
+    bound = isqrt(m // 2), checked without Euclid: n = d*c (mod m), |n| and
+    d in (0, bound], gcd(n, d) = 1.  Two such pairs n/d and n'/d' would have
+    n*d' = n'*d (mod m) and |n*d' - n'*d| <= 2*bound^2 < m, so equal
+    fractions: Wang's solution is unique, and Euclid finds it when it
+    exists."""
+    n, d = pair
+    return (
+        abs(n) <= bound
+        and 0 < d <= bound
+        and (n - d * c) % m == 0
+        and math.gcd(n, d) == 1
+    )
+
+
 def _kernel_modular(int_rows, ncols):
     certain, budget = _prime_budget(int_rows)
     best = None  # (-rank, pivot columns) of the structure being accumulated
@@ -751,6 +788,9 @@ def _kernel_modular(int_rows, ncols):
     # (entry, value): the entry that stopped the last reconstruction, and
     # what it reconstructed to at the previous prime (None if nothing).
     probe = None
+    # {(i, f): value} as last reconstructed for this structure, each offered
+    # to the next attempt for reuse.
+    values = None
     for used, (p, u) in enumerate(_primes_with_i(), 1):
         key, fresh = _residues_mod_p(int_rows, ncols, p, u)
         attempt = False
@@ -770,6 +810,7 @@ def _kernel_modular(int_rows, ncols):
                 # Higher rank (or an earlier pivot pattern at equal rank)
                 # wins; start accumulation over.
                 best, residues, modulus, count, probe = key, fresh, p, 1, None
+                values = {}
             if probe is None or count == certain:
                 attempt = True
             else:
@@ -777,12 +818,12 @@ def _kernel_modular(int_rows, ncols):
                 # reconstructs to some fraction about 60% of the time, but
                 # to the same one at two consecutive moduli almost never.
                 kxy, last = probe
-                value = _rat_recon_pair(residues[kxy], modulus)
+                value = _rat_recon_pair(residues[kxy], modulus, last)
                 attempt = value is not None and value == last
                 probe = (kxy, value)
         if best is not None and (attempt or used == budget):
-            values, failed = _reconstruct(residues, modulus)
-            if values is None:
+            failed = _reconstruct(residues, modulus, values)
+            if failed is not None:
                 probe = (failed, None)
             else:
                 basis = _basis_from_echelon(values, best[1], ncols)
@@ -798,17 +839,32 @@ def _kernel_modular(int_rows, ncols):
             )
 
 
-def _rat_recon_pair(residue, modulus):
+def _rat_recon_pair(residue, modulus, last=None):
     """GaussianRational with real and imaginary parts reconstructed from
-    the residue pair, or None when either part does not reconstruct."""
-    fr = _rat_recon(residue[0], modulus)
-    if fr is None:
-        return None
-    fi = _rat_recon(residue[1], modulus)
-    if fi is None:
+    the residue pair, or None when either part does not reconstruct.
+
+    last, a value reconstructed at an earlier modulus, is offered part by
+    part: a part whose reduced fraction still holds at this modulus
+    (:func:`_recon_holds`) is what Euclid would return, so Euclid runs only
+    on the parts that do not."""
+    if last is None:
+        fr = _rat_recon(residue[0], modulus)
+        fi = fr and _rat_recon(residue[1], modulus)
+    else:
+        bound = math.isqrt(modulus // 2)
+        fr = _held_or_recon(last.num_re, last.den, residue[0], modulus, bound)
+        fi = fr and _held_or_recon(last.num_im, last.den, residue[1], modulus, bound)
+    if not fi:
         return None
     (p, q), (r, s) = fr, fi
     return _canonical(p * s, r * q, q * s)
+
+
+def _held_or_recon(n, d, c, m, bound):
+    # The reduced pair of n/d if it still holds for c mod m, else Euclid's.
+    g = math.gcd(n, d)
+    pair = (n // g, d // g)
+    return pair if _recon_holds(pair, c, m, bound) else _rat_recon(c, m)
 
 
 def _height(x: GaussianRational) -> int:
@@ -817,16 +873,17 @@ def _height(x: GaussianRational) -> int:
     )
 
 
-def _reconstruct(residues, modulus):
-    """({(i, f): value}, None) when every residue reconstructs, else
-    (None, the first (i, f) that does not)."""
-    values = {}
+def _reconstruct(residues, modulus, values):
+    """Reconstruct every residue into values, {(i, f): value}, in place;
+    an entry already there from an earlier modulus is offered to
+    :func:`_rat_recon_pair` for reuse.  Returns None when every residue
+    reconstructs, else the first (i, f) that does not."""
     for kxy, residue in residues.items():
-        value = _rat_recon_pair(residue, modulus)
+        value = _rat_recon_pair(residue, modulus, values.get(kxy))
         if value is None:
-            return None, kxy
+            return kxy
         values[kxy] = value
-    return values, None
+    return None
 
 
 def _basis_from_echelon(values, piv_cols, ncols):

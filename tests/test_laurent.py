@@ -1,5 +1,8 @@
+import math
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from p1bundles import (
     GaussianRational,
@@ -73,3 +76,69 @@ def test_poly_parse_print_roundtrip():
 @given(small_polys)
 def test_poly_roundtrip_property(p):
     assert parse_poly(str(p)) == p
+
+
+# -- the fused products against a schoolbook (Fraction, Fraction) model -------
+
+# Small and up-to-300-digit parts, each part with its own denominator.
+_ints = st.one_of(st.integers(-3, 3), st.integers(-(10**300), 10**300))
+_dens = st.one_of(st.integers(1, 6), st.integers(1, 10**300))
+wide_scalars = st.builds(
+    lambda a, b, d, e: GaussianRational(Fraction(a, d), Fraction(b, e)),
+    _ints, _ints, _dens, _dens,
+)
+wide_polys = st.dictionaries(st.integers(-3, 3), wide_scalars, max_size=4).map(
+    LaurentPoly
+)
+
+
+def model(p):
+    return {e: (c.re, c.im) for e, c in p.items()}
+
+
+def schoolbook(x, y):
+    # The product of two models, term by term, cancelled terms dropped.
+    out = {}
+    for e1, (a, b) in x.items():
+        for e2, (c, d) in y.items():
+            r, i = out.get(e1 + e2, (0, 0))
+            out[e1 + e2] = (r + a * c - b * d, i + a * d + b * c)
+    return {e: c for e, c in out.items() if c != (0, 0)}
+
+
+def check_poly(p, expected):
+    # Same terms as the model, each a nonzero canonical triple.
+    assert model(p) == expected
+    for c in p._coeffs.values():
+        assert c and c.den > 0 and math.gcd(c.num_re, c.num_im, c.den) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_polys, wide_polys)
+def test_product_matches_schoolbook(a, b):
+    check_poly(a * b, schoolbook(model(a), model(b)))
+    assert a * b == b * a
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_polys, wide_scalars, st.integers(-3, 3), st.integers(-(10**30), 10**30))
+def test_one_term_and_scalar_operands(p, c, e, n):
+    mono = monomial(c, e)
+    check_poly(mono * p, schoolbook(model(mono), model(p)))
+    check_poly(p * mono, schoolbook(model(p), model(mono)))
+    for s in (c, n):
+        scaled = schoolbook(model(constant(s)), model(p))
+        check_poly(p * s, scaled)
+        check_poly(s * p, scaled)
+
+
+def test_products_that_cancel():
+    z, one, i = z_power(1), constant(1), constant(GaussianRational(0, 1))
+    assert (z + one) * (z - one) == z_power(2) - one
+    assert ((z + one) * (z - one)).support == [0, 2]
+    assert (z + i) * (z - i) == z_power(2) + one
+    half, third = GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(1, 3))
+    p = monomial(half, 1) + constant(third)
+    q = monomial(half, 1) - constant(third)
+    check_poly(p * q, {2: (Fraction(1, 4), 0), 0: (Fraction(-1, 9), 0)})
+    assert (z - one) * ZERO_POLY == ZERO_POLY

@@ -3,12 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from p1bundles import (
     DimensionMismatch,
     GaussianRational,
     InternalCheckError,
     LaurentMatrix,
+    LaurentPoly,
     ScalarMatrix,
     SystemTooLarge,
     VectorBundle,
@@ -470,3 +472,117 @@ def test_kept_factorization_hides_no_error(monkeypatch):
             with pytest.raises(error):
                 t.inverse()
         assert len(reductions) == reduced
+
+
+def test_recon_shortcut_accepts_only_the_euclid_pair():
+    # Exhaustive at small primes: a pair in the Wang box passes the check
+    # exactly at its own residue, and only if _rat_recon returns it there.
+    for m in (101, 1009, 8191):
+        bound = math.isqrt(m // 2)
+        accepted = {}
+        for d in range(0, bound + 2):
+            for n in range(-bound - 1, bound + 2):
+                c = n * pow(d, -1, m) % m if d else 0
+                for residue in (c, (c + 1) % m):
+                    if lmatrix._recon_holds((n, d), residue, m, bound):
+                        accepted.setdefault(residue, []).append((n, d))
+        for c in range(m):
+            expected = lmatrix._rat_recon(c, m)
+            assert accepted.get(c, []) == ([] if expected is None else [expected])
+
+
+# -- the fused products against a schoolbook (Fraction, Fraction) model -------
+
+_ints = st.one_of(st.integers(-3, 3), st.integers(-(10**300), 10**300))
+_dens = st.one_of(st.integers(1, 6), st.integers(1, 10**300))
+_polys = st.dictionaries(
+    st.integers(-2, 2),
+    st.builds(lambda a, b, d: GaussianRational(Fraction(a, d), b), _ints, _ints, _dens),
+    max_size=3,
+).map(LaurentPoly)
+
+
+def _grids(rows, cols):
+    return st.lists(
+        st.lists(_polys, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+@st.composite
+def _matrix_pairs(draw):
+    r, k, c = (draw(st.integers(1, 3)) for _ in range(3))
+    return lm(draw(_grids(r, k))), lm(draw(_grids(k, c)))
+
+
+def _model_product(polys):
+    # sum of a*b over (a, b) pairs, term by term on (re, im) Fractions.
+    out = {}
+    for a, b in polys:
+        for e1, x in a.items():
+            for e2, y in b.items():
+                r, i = out.get(e1 + e2, (0, 0))
+                out[e1 + e2] = (
+                    r + x.re * y.re - x.im * y.im,
+                    i + x.re * y.im + x.im * y.re,
+                )
+    return {e: c for e, c in out.items() if c != (0, 0)}
+
+
+def _check_entry(p, expected):
+    assert {e: (c.re, c.im) for e, c in p.items()} == expected
+    for c in p._coeffs.values():
+        assert c and c.den > 0 and math.gcd(c.num_re, c.num_im, c.den) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrix_pairs())
+def test_matrix_product_matches_schoolbook(ab):
+    a, b = ab
+    prod = a * b
+    assert (prod.rows, prod.cols) == (a.rows, b.cols)
+    for i in range(a.rows):
+        for j in range(b.cols):
+            _check_entry(prod[i, j], _model_product(zip(a.row(i), b.column(j))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_pairs(), _matrix_pairs())
+def test_kron_is_entrywise_products(ab, cd):
+    a, b = ab[0], cd[1]
+    k = kron(a, b)
+    for i1 in range(a.rows):
+        for i2 in range(b.rows):
+            for j1 in range(a.cols):
+                for j2 in range(b.cols):
+                    _check_entry(
+                        k[i1 * b.rows + i2, j1 * b.cols + j2],
+                        _model_product([(a[i1, j1], b[i2, j2])]),
+                    )
+
+
+def test_product_entries_that_cancel_to_zero():
+    p = z_power(1) + constant(gq(1, 2))
+    q = monomial(gq(Fraction(1, 3)), -1) - constant(7)
+    row, col = lm([[p, p, q]]), lm([[q], [-q], [ONE_POLY]])
+    (entry,) = (row * col).row(0)
+    assert entry == q and len(entry) == 2
+    assert (lm([[p, p]]) * lm([[q], [-q]]))[0, 0].is_zero()
+    # (z + 1) * (z - 1) + 1 * 1: the z terms cancel, the constants too
+    row = lm([[z_power(1) + ONE_POLY, ONE_POLY]])
+    zz = row * lm([[z_power(1) - ONE_POLY], [ONE_POLY]])
+    assert zz[0, 0] == z_power(2)
+
+
+def test_equal_matrices_built_apart_hash_equal():
+    # The hash is kept on the matrix once computed; equal matrices built
+    # separately, by a product or by the splitter, still agree.
+    a = lm([[z_power(1), constant(2)], [ZERO_POLY, z_power(-1)]])
+    first = hash(a)
+    b = lm([[monomial(gq(1), 1), constant(gq(2, 0))], [ZERO_POLY, z_power(-1)]])
+    c = I2 * b
+    a.inverse()  # keeps the factorization on a
+    for m in (b, c, a):
+        assert m == a and hash(m) == first
+    bundles = {VectorBundle(a): "a"}
+    assert bundles[VectorBundle(c)] == "a"
+    assert hash(VectorBundle(b)) == hash(VectorBundle(a)) == first
