@@ -43,8 +43,8 @@ cutoff c is f = T^-1 h with h of exponents <= c, so deg f <= c + hi, and
 the default window is min(D*, c + hi), D* = max(0, c) + k*(N+1) the older
 blanket bound (N the largest |exponent| in T).  When c + hi < 0 the
 section space is 0 and nothing is solved.  An explicit window (h0_dim,
-h0_profile, --window) is solved afresh, one solve per cutoff; h0_sections
-reads its basis off the same split.
+h0_profile, --window) takes one solve per cutoff; h0_sections reads its
+basis off the same split.
 
 Nested cutoffs.  The section spaces S(c) = sections_with_cutoff(E, c) are
 nested, and a default-window profile over c_lo..C, or the h1 oracle's
@@ -56,10 +56,9 @@ exponent), read off one certified kernel (_nested_dims).  This chain is
 taken when the cells it builds, bounded before any solve, are no more than
 the separate solves' (_default_dims); tiny systems with a wide band of
 free slots, such as a long profile of a line bundle, keep one solve per
-cutoff.  Single counts are cached per (bundle, cutoff), chains per
-(bundle, c_lo, C).  A twist profile sums the shapes of the separate
-systems, each twist charged at least one cell, and raises SystemTooLarge
-before the first solve, whichever path then answers it.
+cutoff.  A twist profile sums the shapes of the separate systems, each
+twist charged at least one cell, and raises SystemTooLarge before the
+first solve, whichever path then answers it.
 
 H1 is a truncated cokernel on the overlap: Laurent tails with exponents in
 [-D, D] modulo coboundaries of chart cochains, with the chart-0 cochain
@@ -83,7 +82,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .bundle import VectorBundle
 from .errors import WindowUnstable
@@ -244,12 +242,13 @@ def _sections_dim(e: VectorBundle, cutoff: int, plan) -> int:
 
 
 def _band(e: VectorBundle, c_lo: int, plan):
-    """Per column j, the range of the free slots s of the plan's cutoff that
-    are not free at c_lo (s > c_lo - M_j): the structural monomials z^s e_j
-    whose T*f reaches an exponent above c_lo."""
+    """Per column j, the bounds (a, b) of the slots a <= s < b that are free
+    at the plan's cutoff but not at c_lo (s > c_lo - M_j): the structural
+    monomials z^s e_j whose T*f reaches an exponent above c_lo.  Bounds,
+    not ranges: a band can be longer than ``len`` of a range takes."""
     window, ranges, _ = plan
     return [
-        range(lo_c, min(lo, window + 1))
+        (lo_c, min(lo, window + 1))
         for (lo, _), (lo_c, _) in zip(ranges, _tail_ranges(e, c_lo, window))
     ]
 
@@ -259,7 +258,7 @@ def _chain_cells(e: VectorBundle, c_lo: int, top: int, plan) -> int:
     any solve: the top system, and G^T of at most one row per band monomial
     (:func:`_band`) plus one per top unknown, by k*(top - c_lo) columns."""
     rows, cols = plan[2]
-    band = sum(map(len, _band(e, c_lo, plan)))
+    band = sum(max(0, b - a) for a, b in _band(e, c_lo, plan))
     return max(1, rows * cols) + (band + cols) * e.rank * (top - c_lo)
 
 
@@ -285,7 +284,8 @@ def _nested_dims(e: VectorBundle, c_lo: int, top: int, plan):
     """
     free, basis, unknowns = _tail_solve(e, top, plan)
     t, k = e.transition, e.rank
-    vectors = [{(j, s): ONE} for j, slots in enumerate(_band(e, c_lo, plan)) for s in slots]
+    band = enumerate(_band(e, c_lo, plan))
+    vectors = [{(j, s): ONE} for j, (a, b) in band for s in range(a, b)]
     vectors += [{u: c for u, c in zip(unknowns, v) if c} for v in basis]
     rows = []
     for vec in vectors:
@@ -307,7 +307,6 @@ def _nested_dims(e: VectorBundle, c_lo: int, top: int, plan):
     ]
 
 
-@lru_cache(maxsize=512)
 def _inverse_exponents(e: VectorBundle):
     """(lo, hi) with every exponent of every entry of T^-1 in [lo, hi],
     read off the exponents of T alone.
@@ -332,7 +331,7 @@ def _inverse_exponents(e: VectorBundle):
     return lo, hi
 
 
-def _default_window(e: VectorBundle, cutoff: int) -> int:
+def _default_window(e: VectorBundle, cutoff: int, hi: int) -> int:
     """The degree bound min(D*, cutoff + hi) on every section with this cutoff.
 
     A section is f = T^-1 h with h = T*f of exponents <= cutoff, so every
@@ -341,10 +340,10 @@ def _default_window(e: VectorBundle, cutoff: int) -> int:
     looser bound.  A negative window means f = 0: no section exists.
     """
     dstar = max(0, cutoff) + e.rank * (e.max_exponent + 1)
-    return min(dstar, cutoff + _inverse_exponents(e)[1])
+    return min(dstar, cutoff + hi)
 
 
-def _overlap_window(e: VectorBundle) -> int:
+def _overlap_window(e: VectorBundle, lo: int) -> int:
     """The h1 oracle's default D = min(k*(N+1), max(0, -lo - 1)).
 
     With E = O(d_1) + ... + O(d_k), Riemann-Roch on E and E(D) turns the
@@ -354,22 +353,13 @@ def _overlap_window(e: VectorBundle) -> int:
     m >= lo; the first such m is d_min, so -d_min - 1 <= -lo - 1.  k*(N+1)
     is the older, looser bound.
     """
-    lo = _inverse_exponents(e)[0]
     return min(e.rank * (e.max_exponent + 1), max(0, -lo - 1))
 
 
-# Counts at the default window, cached per (bundle, cutoff), and chains
-# per (bundle, lowest cutoff, top cutoff): the default plan is a function
-# of the bundle and cutoff, so it adds nothing to the key.  Counts at an
-# explicit window are solved afresh.
-_sections_dim_at_cutoff = lru_cache(maxsize=512)(_sections_dim)
-_nested_dims_at_cutoffs = lru_cache(maxsize=512)(_nested_dims)
-
-
-def _default_plan(e: VectorBundle, cutoff: int):
+def _default_plan(e: VectorBundle, cutoff: int, hi: int):
     """The :func:`_tail_plan` at the default window, or None when that
     window is negative: no section, nothing to solve."""
-    window = _default_window(e, cutoff)
+    window = _default_window(e, cutoff, hi)
     return None if window < 0 else _tail_plan(e, cutoff, window)
 
 
@@ -378,15 +368,15 @@ def _default_dims(e: VectorBundle, cutoffs, plans):
 
     One chain (:func:`_nested_dims`) when, by :func:`_chain_cells`, it
     builds no more cells than the separate solves would and fits the cell
-    limit; otherwise one cached solve per cutoff.
+    limit; otherwise one solve per cutoff.
     """
     if len(cutoffs) > 1:
         c_lo, top = cutoffs[0], cutoffs[-1]
         separate = sum(max(1, rows * cols) for _, _, (rows, cols) in plans)
         if _chain_cells(e, c_lo, top, plans[-1]) <= min(separate, MAX_SYSTEM_CELLS):
-            dims = _nested_dims_at_cutoffs(e, c_lo, top, plans[-1])
+            dims = _nested_dims(e, c_lo, top, plans[-1])
             return [dims[c - c_lo] for c in cutoffs]
-    return [_sections_dim_at_cutoff(e, c, plan) for c, plan in zip(cutoffs, plans)]
+    return [_sections_dim(e, c, plan) for c, plan in zip(cutoffs, plans)]
 
 
 def h0_sections(e: VectorBundle, window: int):
@@ -420,8 +410,9 @@ def h0_dim(e: VectorBundle, window: int | None = None) -> int:
     polynomials.  Every solve is asserted stable against window + 1.
     """
     if window is None:
-        plan = _default_plan(e, 0)
-        return 0 if plan is None else _sections_dim_at_cutoff(e, 0, plan)
+        window = _default_window(e, 0, _inverse_exponents(e)[1])
+        if window < 0:
+            return 0
     return _sections_dim(e, 0, _tail_plan(e, 0, window))
 
 
@@ -437,10 +428,11 @@ def h1_dim_oracle(e: VectorBundle, window: int | None = None) -> int:
     Stability-asserted between D and D+1.
     """
     k = e.rank
-    d = window if window is not None else _overlap_window(e)
+    lo, hi = _inverse_exponents(e)
+    d = window if window is not None else _overlap_window(e, lo)
     if d < 0:
         raise ValueError("window must be >= 0")
-    plans = {c: _default_plan(e, c) for c in sorted({0, d, d + 1})}
+    plans = {c: _default_plan(e, c, hi) for c in sorted({0, d, d + 1})}
     dims = dict.fromkeys(plans, 0)
     live = [c for c, plan in plans.items() if plan is not None]
     dims.update(zip(live, _default_dims(e, live, [plans[c] for c in live])))
@@ -475,12 +467,13 @@ def h0_profile(e: VectorBundle, m_lo: int, m_hi: int, window: int | None = None)
         raise ValueError("window must be >= 0")
     start = m_lo
     if window is None:
-        start = min(m_hi + 1, max(m_lo, -_inverse_exponents(e)[1]))
+        hi = _inverse_exponents(e)[1]
+        start = min(m_hi + 1, max(m_lo, -hi))
     cells = start - m_lo
     check_size(cells, f"profile over twists {m_lo}..{start - 1}")
     plans = []
     for m in range(start, m_hi + 1):
-        plan = _tail_plan(e, m, _default_window(e, m) if window is None else window)
+        plan = _tail_plan(e, m, _default_window(e, m, hi) if window is None else window)
         _, ranges, (rows, cols) = plan
         cells += max(1, rows * cols)
         check_size(cells, f"profile systems over twists {m_lo}..{m}")

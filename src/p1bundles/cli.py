@@ -15,10 +15,14 @@ refused before it starts: a Cech constraint system (sections that may
 reach a large degree, as in ``h0`` of ``z^1000000, 1 ; 0, z^-1000000``,
 or a large ``--window``), a ``profile`` range whose systems sum over the
 limit, or a w-adic series inverse (``split``, ``op dual``) whose term cap
-is over it.  141 (the code a shell reports for a process killed by
-SIGPIPE) means the reader of stdout closed it before the report was
-written, as in ``p1bundles profile ... | head -c 80``; nothing more is
-printed.
+is over it; 4 also for a bundle or certificate to print with a
+coefficient or exponent over the interpreter's 4300-digit limit for
+converting an int to text (``op tensor`` of a file holding one
+2500-digit constant with itself), which the parser would refuse to read
+back, refused before anything is printed or an ``-o`` file written.
+141 (the code a shell reports for a process killed by SIGPIPE) means
+the reader of stdout closed it before the report was written, as in
+``p1bundles profile ... | head -c 80``; nothing more is printed.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: bad bundle data is exit 1, unparsable
 text is exit 2, a failed internal certificate check is exit 3, and a
-system over the size limit (SystemTooLarge) is exit 4.
+system over the size limit or a number too long to print (SystemTooLarge)
+is exit 4.
 """
 
 
@@ -32,7 +33,9 @@ class SystemTooLarge(ValueError):
     twist profile together, and to the cap of a w-adic series inverse
     (terms x k^2).  The check runs before the work starts, so a tiny input
     such as ``z^1000000`` is refused at once instead of running without
-    bound.
+    bound.  Also raised by the printers in ``text`` for a number with more
+    digits than the interpreter converts to text, which the parser could
+    not read back.
     """
 
 

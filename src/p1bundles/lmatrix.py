@@ -105,11 +105,10 @@ class LaurentMatrix:
 
     A square matrix also keeps its Wiener-Hopf factorization once
     :func:`wiener_hopf` has computed it; equality and hashing read only
-    the entries, and the hash is kept once computed, so a cache keyed on
-    the matrix (or on a bundle) hashes the grid once.
+    the entries.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_wiener_hopf", "_hash")
+    __slots__ = ("rows", "cols", "entries", "_wiener_hopf")
 
     def __init__(self, entries):
         grid = tuple(tuple(_promote_entry(e) for e in row) for row in entries)
@@ -122,7 +121,6 @@ class LaurentMatrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "_wiener_hopf", None)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentMatrix is immutable")
@@ -220,9 +218,7 @@ class LaurentMatrix:
         return self.entries == other.entries
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.entries))
-        return self._hash
+        return hash(self.entries)
 
     def __str__(self):
         from .text import format_matrix

@@ -20,10 +20,11 @@ identity.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .bundle import VectorBundle
-from .errors import ParseError
+from .errors import ParseError, SystemTooLarge
 from .exact import GaussianRational, ONE
 from .laurent import LaurentPoly
 from .lmatrix import LaurentMatrix
@@ -267,10 +268,42 @@ def parse_factorization(text: str):
 # ---------------------------------------------------------------------------
 
 
+def _digit_count(n: int) -> int:
+    """Decimal digits of n, counted without converting n to text."""
+    n = abs(n)
+    d = max(1, int((n.bit_length() - 1) * 0.30102999566398120))
+    while d > 1 and 10 ** (d - 1) > n:
+        d -= 1
+    while 10**d <= n:
+        d += 1
+    return d
+
+
+def _decimal(n: int) -> str:
+    """str(n), or SystemTooLarge when n has more digits than the interpreter
+    converts to text (``sys.get_int_max_str_digits()``, 4300 by default):
+    the parser refuses such a number, so its text could not be read back."""
+    try:
+        return str(n)
+    except ValueError:
+        digits, limit = _digit_count(n), sys.get_int_max_str_digits()
+        raise SystemTooLarge(
+            f"a {digits}-digit number is over the {limit}-digit printing limit"
+        ) from None
+
+
+def _rational(q: Fraction) -> str:
+    num = _decimal(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_decimal(q.denominator)}"
+
+
 def format_scalar(c: GaussianRational) -> str:
+    """The coefficient in the grammar above; SystemTooLarge for a part over
+    the printing limit (:func:`_decimal`), before anything is printed or
+    written."""
     if c.im == 0:
-        return str(c.re)
-    return f"({c.re}, {c.im})"
+        return _rational(c.re)
+    return f"({_rational(c.re)}, {_rational(c.im)})"
 
 
 def format_poly(p: LaurentPoly) -> str:
@@ -282,9 +315,9 @@ def format_poly(p: LaurentPoly) -> str:
         if e == 0:
             terms.append(format_scalar(c))
         elif c == ONE:
-            terms.append(f"z^{e}")
+            terms.append(f"z^{_decimal(e)}")
         else:
-            terms.append(f"{format_scalar(c)}*z^{e}")
+            terms.append(f"{format_scalar(c)}*z^{_decimal(e)}")
     return " + ".join(terms)
 
 

@@ -9,6 +9,7 @@ from p1bundles import (
     LaurentMatrix,
     LaurentPoly,
     Section,
+    SystemTooLarge,
     VectorBundle,
     WindowUnstable,
     constant,
@@ -147,7 +148,7 @@ def test_explicit_window_and_instability():
 
 
 def test_stability_counters_move():
-    # dimensions are cached per bundle, so use degrees nothing else touches
+    # every count is solved and stability-checked on the call that returns it
     before = cech.STABILITY_CHECKS
     h0_dim(line_bundle(17))
     h1_dim_oracle(line_bundle(-17))
@@ -415,10 +416,7 @@ def test_no_section_twists_run_no_solve(monkeypatch):
 
 
 def _count_solves(monkeypatch):
-    # Clear the cached counts, then record every Cech system built (by its
-    # cutoff) and every kernel solve.
-    cech._sections_dim_at_cutoff.cache_clear()
-    cech._nested_dims_at_cutoffs.cache_clear()
+    # Record every Cech system built (by its cutoff) and every kernel solve.
     systems, solves = [], []
     build, solve = cech._constraint_system, cech.kernel_basis
     monkeypatch.setattr(
@@ -469,14 +467,13 @@ def test_chain_guard_picks_the_cheaper_path(monkeypatch):
         assert len(solves) == 2
 
 
-def _chain_and_separate(e, cutoffs):
-    # Counts at the ascending cutoffs, each at its default window, by both
-    # paths: one chain from the top cutoff, and one solve per cutoff.  Both
-    # are the cached entry points, so a cutoff shared by two calls is
-    # solved once.
-    plans = [cech._default_plan(e, c) for c in cutoffs]
-    chain = cech._nested_dims_at_cutoffs(e, cutoffs[0], cutoffs[-1], plans[-1])
-    separate = [cech._sections_dim_at_cutoff(e, c, p) for c, p in zip(cutoffs, plans)]
+def _chain_and_separate(e, cutoffs, hi):
+    # Counts at the ascending cutoffs, each at its default window (hi the
+    # top exponent of T^-1), by both paths: one chain from the top cutoff,
+    # and one solve per cutoff.
+    plans = [cech._default_plan(e, c, hi) for c in cutoffs]
+    chain = cech._nested_dims(e, cutoffs[0], cutoffs[-1], plans[-1])
+    separate = [cech._sections_dim(e, c, p) for c, p in zip(cutoffs, plans)]
     return [chain[c - cutoffs[0]] for c in cutoffs], separate
 
 
@@ -495,10 +492,55 @@ def test_chain_matches_separate_solves(unit_det):
     ]
     for e, d, span in cases:
         lo, hi = span or (-d[0] - 1, -d[-1])
-        d_h1 = cech._overlap_window(e)
+        inv_lo, inv_hi = cech._inverse_exponents(e)
+        d_h1 = cech._overlap_window(e, inv_lo)
         for cutoffs in (range(lo, hi + 1), sorted({0, d_h1, d_h1 + 1})):
             # Only the cutoffs with a section window have a system to solve.
-            live = [c for c in cutoffs if cech._default_plan(e, c) is not None]
+            live = [c for c in cutoffs if cech._default_plan(e, c, inv_hi) is not None]
             expected = [sum(max(0, x + c + 1) for x in d) for c in live]
-            assert list(_chain_and_separate(e, live)) == [expected, expected]
+            assert list(_chain_and_separate(e, live, inv_hi)) == [expected, expected]
         assert h1_dim_oracle(e) == sum(max(0, -x - 1) for x in d)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        pytest.param(h0_dim, id="h0_dim"),
+        pytest.param(h1_dim_oracle, id="h1_dim_oracle"),
+        pytest.param(lambda e: h0_profile(e, -4, 3), id="h0_profile"),
+    ],
+)
+def test_repeated_query_solves_and_checks_again(monkeypatch, query):
+    # Nothing is kept between calls: a second call on an equal bundle built
+    # apart runs as many kernel solves and stability checks as the first,
+    # and each call reads the exponent bounds of T^-1 once.
+    a = random_bundle([2, 0, -1], 2, seed=77)
+    b = VectorBundle(LaurentMatrix(a.transition.entries))
+    _, solves = _count_solves(monkeypatch)
+    bounds = []
+    inverse_exponents = cech._inverse_exponents
+    monkeypatch.setattr(
+        cech, "_inverse_exponents", lambda e: bounds.append(1) or inverse_exponents(e)
+    )
+    runs = []
+    for e in (a, b):
+        solves.clear()
+        bounds.clear()
+        checks = cech.STABILITY_CHECKS
+        answer = query(e)
+        runs.append((answer, len(solves), cech.STABILITY_CHECKS - checks, len(bounds)))
+    assert b == a and runs[1] == runs[0]
+    _, solved, checked, read = runs[0]
+    assert solved > 0 and checked > 0 and read == 1
+
+
+def test_band_too_long_for_len_is_refused_or_answered():
+    # The chain guard counts the band of free slots without building its
+    # ranges, which can be longer than len() takes.  O(10^20) + O(-10^20)
+    # has an overlap window near 10^20 and is refused as too large; O at
+    # overlap width 10^19 has one 1 x 1 system per cutoff and is answered.
+    far = 10**20
+    e = VectorBundle(LaurentMatrix([[z_power(-far), ZERO_POLY], [ZERO_POLY, z_power(far)]]))
+    with pytest.raises(SystemTooLarge):
+        h1_dim_oracle(e)
+    assert h1_dim_oracle(VectorBundle(LaurentMatrix([[constant(5)]])), window=10**19) == 0

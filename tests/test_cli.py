@@ -210,7 +210,7 @@ def test_unstable_modular_kernel_exits_3(monkeypatch, capsys):
     def unstable(matrix):
         raise ArithmeticError("modular kernel failed to stabilize")
 
-    # An explicit window solves afresh, so no cached dimension hides the patch.
+    # Every count runs its kernel solve, so the patched solve is reached.
     monkeypatch.setattr(cech, "kernel_basis", unstable)
     assert cli.main(["h0", str(DATA / "o3.bundle"), "--window", "5"]) == 3
     err = capsys.readouterr().err
@@ -318,3 +318,36 @@ def test_closed_stdout_exits_141(tmp_path, args):
     assert p.wait(timeout=60) == 141
     assert "Traceback" not in stderr
     assert stderr == ""
+
+
+def test_band_too_long_for_len_exits_4_or_answers(tmp_path):
+    # A 57-byte file whose h1 band of free slots is near 10^20 long is
+    # refused as too large; file "5" at an overlap width of 10^19 answers.
+    far = tmp_path / "far.bundle"
+    far.write_text("z^-100000000000000000000, 0 ; 0, z^100000000000000000000\n")
+    r = run_cli("h1", str(far))
+    assert r.returncode == 4
+    assert r.stderr.startswith("too large:")
+    assert "Traceback" not in r.stderr
+    five = tmp_path / "five.bundle"
+    five.write_text("5\n")
+    r = run_cli("h1", str(five), "--window", str(10**19))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "h1: 0"
+
+
+def test_number_over_print_limit_exits_4(tmp_path):
+    # A 2.5 KB file holding one 2500-digit constant: its tensor square has
+    # a 5000-digit coefficient, over the 4300-digit limit of int -> str
+    # that also bounds what the parser reads.  Refused before any output,
+    # and the -o file is not written.
+    path = tmp_path / "tall.bundle"
+    path.write_text("rank: 1\n" + "7" * 2500 + "\n")
+    out = tmp_path / "out.bundle"
+    for args in (["-o", str(out)], ["--json"], []):
+        r = run_cli("op", "tensor", str(path), str(path), *args)
+        assert r.returncode == 4
+        assert r.stderr.startswith("too large:") and "5000-digit" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert r.stdout == ""
+    assert not out.exists()

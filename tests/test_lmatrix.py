@@ -574,8 +574,8 @@ def test_product_entries_that_cancel_to_zero():
 
 
 def test_equal_matrices_built_apart_hash_equal():
-    # The hash is kept on the matrix once computed; equal matrices built
-    # separately, by a product or by the splitter, still agree.
+    # Equal matrices built separately, by a product or by the splitter,
+    # compare and hash equal, also once one keeps its factorization.
     a = lm([[z_power(1), constant(2)], [ZERO_POLY, z_power(-1)]])
     first = hash(a)
     b = lm([[monomial(gq(1), 1), constant(gq(2, 0))], [ZERO_POLY, z_power(-1)]])

@@ -9,12 +9,14 @@ from p1bundles import (
     LaurentMatrix,
     LaurentPoly,
     ParseError,
+    SystemTooLarge,
     VectorBundle,
     diagonal_bundle,
     format_bundle,
     format_factorization,
     format_matrix,
     format_poly,
+    format_scalar,
     grothendieck_split,
     line_bundle,
     monomial,
@@ -119,6 +121,23 @@ def test_zero_and_one_render():
     assert format_poly(z_power(-1)) == "z^-1"
     assert format_poly(-z_power(2)) == "-1*z^2"
     assert parse_poly(format_poly(-z_power(2))) == -z_power(2)
+
+
+def test_numbers_over_the_print_limit_are_refused():
+    # Python converts ints of at most 4300 digits to text, and the parser
+    # reads no longer ones back: a longer part or exponent is refused.
+    top = GaussianRational(-(10**4299), Fraction(1, 10**4299 + 1))
+    assert parse_scalar(format_scalar(top)) == top
+    big = 10**5000
+    for c in (
+        GaussianRational(big),
+        GaussianRational(1, Fraction(-1, big)),
+        GaussianRational(Fraction(3, big + 1), 7),
+    ):
+        with pytest.raises(SystemTooLarge, match="5001-digit"):
+            format_scalar(c)
+    with pytest.raises(SystemTooLarge, match="5001-digit"):
+        format_poly(z_power(-big))
 
 
 # -- generated inputs ----------------------------------------------------------
