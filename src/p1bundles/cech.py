@@ -86,7 +86,7 @@ from dataclasses import dataclass
 from .bundle import VectorBundle
 from .errors import WindowUnstable
 from .exact import ONE, ZERO
-from .laurent import LaurentPoly, chart_contains, Chart
+from .laurent import LaurentPoly, _dot, chart_contains, Chart
 from .lmatrix import MAX_SYSTEM_CELLS, SparseSystem, check_size  # noqa: F401
 from .lmatrix import clear_row, kernel_basis
 
@@ -118,10 +118,7 @@ def is_section(e: VectorBundle, s: Section) -> bool:
             return False
     t = e.transition
     for i in range(e.rank):
-        acc = LaurentPoly()
-        for j in range(e.rank):
-            acc = acc + t[i, j] * s.components[j]
-        if not chart_contains(acc, Chart.W):
+        if not chart_contains(_dot(zip(t.row(i), s.components)), Chart.W):
             return False
     return True
 

@@ -19,7 +19,10 @@ is over it; 4 also for a bundle or certificate to print with a
 coefficient or exponent over the interpreter's 4300-digit limit for
 converting an int to text (``op tensor`` of a file holding one
 2500-digit constant with itself), which the parser would refuse to read
-back, refused before anything is printed or an ``-o`` file written.
+back, and for a report number over that limit (the 4301-digit degree of
+``z^<4300 nines>, 0 ; 0, z^<4300 nines>`` under ``deg``, ``h1``, ``chi``,
+``split`` or ``op dual``), each refused before anything is printed or an ``-o`` file
+written.
 141 (the code a shell reports for a process killed by SIGPIPE) means
 the reader of stdout closed it before the report was written, as in
 ``p1bundles profile ... | head -c 80``; nothing more is printed.
@@ -36,6 +39,7 @@ from . import cech, splitter
 from .bundle import VectorBundle, random_bundle
 from .errors import InternalCheckError, InvalidBundle, ParseError, SystemTooLarge
 from .text import (
+    _decimal,
     format_bundle,
     format_factorization,
     parse_bundle,
@@ -75,7 +79,7 @@ def _fmt_bool(b: bool) -> str:
 
 
 def _fmt_type(t) -> str:
-    return "(" + ", ".join(str(d) for d in t) + ")"
+    return "(" + ", ".join(_decimal(d) for d in t) + ")"
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -87,8 +91,6 @@ def _cmd_split(args):
     # InternalCheckError (exit 3) otherwise.
     stype, fact = splitter.grothendieck_split(e)
     fact_text = format_factorization(fact)
-    if args.output:
-        _write(args.output, fact_text)
     result = {
         "rank": e.rank,
         "type": list(stype),
@@ -98,9 +100,11 @@ def _cmd_split(args):
     lines = [
         f"rank: {e.rank}",
         f"type: {_fmt_type(stype)}",
-        f"deg: {e.degree}",
+        f"deg: {_decimal(e.degree)}",
         "verified: true",
     ]
+    if args.output:
+        _write(args.output, fact_text)
     _emit(args, "split", [args.file], result, lines, extra_text=fact_text)
     return 0
 
@@ -108,28 +112,29 @@ def _cmd_split(args):
 def _cmd_h0(args):
     e = parse_bundle(_read(args.file))
     value = cech.h0_dim(e, window=args.window)
-    _emit(args, "h0", [args.file], {"h0": value}, [f"h0: {value}"])
+    _emit(args, "h0", [args.file], {"h0": value}, [f"h0: {_decimal(value)}"])
     return 0
 
 
 def _cmd_h1(args):
     e = parse_bundle(_read(args.file))
     value = cech.h1_dim_oracle(e, window=args.window)
-    _emit(args, "h1", [args.file], {"h1": value}, [f"h1: {value}"])
+    _emit(args, "h1", [args.file], {"h1": value}, [f"h1: {_decimal(value)}"])
     return 0
 
 
 def _cmd_deg(args):
     e = parse_bundle(_read(args.file))
     result = {"deg": e.degree, "rank": e.rank}
-    _emit(args, "deg", [args.file], result, [f"deg: {e.degree}", f"rank: {e.rank}"])
+    lines = [f"deg: {_decimal(e.degree)}", f"rank: {e.rank}"]
+    _emit(args, "deg", [args.file], result, lines)
     return 0
 
 
 def _cmd_chi(args):
     e = parse_bundle(_read(args.file))
     value = cech.euler_char(e, window=args.window)
-    _emit(args, "chi", [args.file], {"chi": value}, [f"chi: {value}"])
+    _emit(args, "chi", [args.file], {"chi": value}, [f"chi: {_decimal(value)}"])
     return 0
 
 
@@ -170,7 +175,7 @@ def _cmd_twist(args):
 def _emit_bundle(args, command, inputs, out: VectorBundle):
     text = format_bundle(out)
     result = {"rank": out.rank, "deg": out.degree}
-    lines = [f"rank: {out.rank}", f"deg: {out.degree}"]
+    lines = [f"rank: {out.rank}", f"deg: {_decimal(out.degree)}"]
     if args.output:
         _write(args.output, text)
         result["path"] = args.output

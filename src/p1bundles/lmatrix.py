@@ -39,13 +39,10 @@ Two layers live here:
   those integer triples; *every kernel vector is verified exactly*, in
   Z[i] after scaling by the lcm of its denominators.  A verified basis of
   size (cols - modular rank) pins the nullity on both sides, so the result
-  is exact, never probabilistic.  Reconstruction is tried at the first prime
-  and then whenever the entry that stopped the last try reconstructs to the
-  same value at two consecutive moduli (a one-entry probe per prime), as
-  well as at the certain count and at the last prime of the budget; a
-  value reconstructed at an earlier modulus is kept and, while it still
-  meets Wang's conditions, taken without re-running Euclid
-  (:func:`_recon_holds`).  The
+  is exact, never probabilistic.  Reconstruction follows one schedule: it
+  is tried at the 1st, 2nd, 4th, 8th, ... prime accumulated for the
+  current pivot structure, at the certain count and at the last prime of
+  the budget, and only on a prime that was accumulated.  The
   prime budget comes from the Hadamard bound H of the rows: reconstruction
   is certain once the modulus exceeds 2*H^4, and at most log2(H^2)/30 primes
   can be unlucky, so the cost grows with coefficient height as well as with
@@ -609,9 +606,45 @@ def kernel_basis(m: SparseSystem):
     exactly against m before it is returned.  The number of primes it may
     use is derived from the Hadamard bound of m's rows, so the cost grows
     with coefficient height as well as with shape; ArithmeticError means
-    that budget ran out without a verified basis.
+    that budget ran out without a verified basis.  Reconstruction is tried
+    when the count of primes accumulated for the current pivot structure is
+    a power of two or the certain count, or at the last prime of the
+    budget, and only on a prime that was accumulated: an unlucky or
+    lower-rank prime changes nothing, so it would repeat the last attempt.
     """
-    return _kernel_modular(m.int_rows, m.cols)
+    int_rows, ncols = m.int_rows, m.cols
+    certain, budget = _prime_budget(int_rows)
+    best = None  # (-rank, pivot columns) of the structure being accumulated
+    residues = None  # {(i, f): (re, im)} modulo `modulus`, combined by CRT
+    modulus = count = 0
+    for used, (p, u) in enumerate(_primes_with_i(), 1):
+        key, fresh = _residues_mod_p(int_rows, ncols, p, u)
+        if key is not None and (best is None or key <= best):
+            if key == best:
+                # CRT: the residue mod modulus*p that is c mod modulus, x mod p
+                inv = pow(modulus, -1, p)
+                for kxy, (xr, xi) in fresh.items():
+                    cr, ci = residues[kxy]
+                    residues[kxy] = (
+                        cr + modulus * ((xr - cr) * inv % p),
+                        ci + modulus * ((xi - ci) * inv % p),
+                    )
+                modulus *= p
+                count += 1
+            else:
+                # Higher rank (or an earlier pivot pattern at equal rank)
+                # wins; start accumulation over.
+                best, residues, modulus, count = key, fresh, p, 1
+            if count & (count - 1) == 0 or count == certain or used == budget:
+                values = _reconstruct(residues, modulus)
+                if values is not None:
+                    basis = _basis_from_echelon(values, best[1], ncols)
+                    if _verify_kernel(int_rows, basis):
+                        return basis
+        if used == budget:
+            raise ArithmeticError(
+                f"modular kernel failed to stabilize within {budget} primes"
+            )
 
 
 # -- certified multi-modular engine ------------------------------------------
@@ -760,126 +793,27 @@ def _rat_recon(c: int, m: int):
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _recon_holds(pair, c: int, m: int, bound: int) -> bool:
-    """Whether (n, d) is the pair _rat_recon(c, m) returns, for odd m and
-    bound = isqrt(m // 2), checked without Euclid: n = d*c (mod m), |n| and
-    d in (0, bound], gcd(n, d) = 1.  Two such pairs n/d and n'/d' would have
-    n*d' = n'*d (mod m) and |n*d' - n'*d| <= 2*bound^2 < m, so equal
-    fractions: Wang's solution is unique, and Euclid finds it when it
-    exists."""
-    n, d = pair
-    return (
-        abs(n) <= bound
-        and 0 < d <= bound
-        and (n - d * c) % m == 0
-        and math.gcd(n, d) == 1
-    )
-
-
-def _kernel_modular(int_rows, ncols):
-    certain, budget = _prime_budget(int_rows)
-    best = None  # (-rank, pivot columns) of the structure being accumulated
-    residues = None  # {(i, f): (re, im)} modulo `modulus`, combined by CRT
-    modulus = count = 0
-    # (entry, value): the entry that stopped the last reconstruction, and
-    # what it reconstructed to at the previous prime (None if nothing).
-    probe = None
-    # {(i, f): value} as last reconstructed for this structure, each offered
-    # to the next attempt for reuse.
-    values = None
-    for used, (p, u) in enumerate(_primes_with_i(), 1):
-        key, fresh = _residues_mod_p(int_rows, ncols, p, u)
-        attempt = False
-        if key is not None and (best is None or key <= best):
-            if key == best:
-                # CRT: the residue mod modulus*p that is c mod modulus, x mod p
-                inv = pow(modulus, -1, p)
-                for kxy, (xr, xi) in fresh.items():
-                    cr, ci = residues[kxy]
-                    residues[kxy] = (
-                        cr + modulus * ((xr - cr) * inv % p),
-                        ci + modulus * ((xi - ci) * inv % p),
-                    )
-                modulus *= p
-                count += 1
-            else:
-                # Higher rank (or an earlier pivot pattern at equal rank)
-                # wins; start accumulation over.
-                best, residues, modulus, count, probe = key, fresh, p, 1, None
-                values = {}
-            if probe is None or count == certain:
-                attempt = True
-            else:
-                # Probe: one entry per prime.  An undetermined residue still
-                # reconstructs to some fraction about 60% of the time, but
-                # to the same one at two consecutive moduli almost never.
-                kxy, last = probe
-                value = _rat_recon_pair(residues[kxy], modulus, last)
-                attempt = value is not None and value == last
-                probe = (kxy, value)
-        if best is not None and (attempt or used == budget):
-            failed = _reconstruct(residues, modulus, values)
-            if failed is not None:
-                probe = (failed, None)
-            else:
-                basis = _basis_from_echelon(values, best[1], ncols)
-                if _verify_kernel(int_rows, basis):
-                    return basis
-                # Every entry reconstructed, some wrongly: probe the tallest.
-                probe = max(
-                    values.items(), key=lambda kv: _height(kv[1]), default=None
-                )
-        if used == budget:
-            raise ArithmeticError(
-                f"modular kernel failed to stabilize within {budget} primes"
-            )
-
-
-def _rat_recon_pair(residue, modulus, last=None):
+def _rat_recon_pair(residue, modulus):
     """GaussianRational with real and imaginary parts reconstructed from
-    the residue pair, or None when either part does not reconstruct.
-
-    last, a value reconstructed at an earlier modulus, is offered part by
-    part: a part whose reduced fraction still holds at this modulus
-    (:func:`_recon_holds`) is what Euclid would return, so Euclid runs only
-    on the parts that do not."""
-    if last is None:
-        fr = _rat_recon(residue[0], modulus)
-        fi = fr and _rat_recon(residue[1], modulus)
-    else:
-        bound = math.isqrt(modulus // 2)
-        fr = _held_or_recon(last.num_re, last.den, residue[0], modulus, bound)
-        fi = fr and _held_or_recon(last.num_im, last.den, residue[1], modulus, bound)
+    the residue pair, or None when either part does not reconstruct."""
+    fr = _rat_recon(residue[0], modulus)
+    fi = fr and _rat_recon(residue[1], modulus)
     if not fi:
         return None
     (p, q), (r, s) = fr, fi
     return _canonical(p * s, r * q, q * s)
 
 
-def _held_or_recon(n, d, c, m, bound):
-    # The reduced pair of n/d if it still holds for c mod m, else Euclid's.
-    g = math.gcd(n, d)
-    pair = (n // g, d // g)
-    return pair if _recon_holds(pair, c, m, bound) else _rat_recon(c, m)
-
-
-def _height(x: GaussianRational) -> int:
-    return max(
-        abs(x.num_re).bit_length(), abs(x.num_im).bit_length(), x.den.bit_length()
-    )
-
-
-def _reconstruct(residues, modulus, values):
-    """Reconstruct every residue into values, {(i, f): value}, in place;
-    an entry already there from an earlier modulus is offered to
-    :func:`_rat_recon_pair` for reuse.  Returns None when every residue
-    reconstructs, else the first (i, f) that does not."""
+def _reconstruct(residues, modulus):
+    """{(i, f): value} from every residue, or None as soon as one does not
+    reconstruct."""
+    values = {}
     for kxy, residue in residues.items():
-        value = _rat_recon_pair(residue, modulus, values.get(kxy))
+        value = _rat_recon_pair(residue, modulus)
         if value is None:
-            return kxy
+            return None
         values[kxy] = value
-    return None
+    return values
 
 
 def _basis_from_echelon(values, piv_cols, ncols):

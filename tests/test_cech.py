@@ -201,6 +201,21 @@ def test_h0_of_tall_coefficient_bundle(monkeypatch):
     assert max(consumed) > 256
 
 
+def test_tall_coefficient_reconstruction_work(monkeypatch):
+    # Euclid runs only at the scheduled attempts, at most twice per echelon
+    # entry at each: the tall bundle's solve makes 128 _rat_recon calls.
+    calls = []
+    recon = lmatrix._rat_recon
+
+    def spy(c, m):
+        calls.append(c)
+        return recon(c, m)
+
+    monkeypatch.setattr(lmatrix, "_rat_recon", spy)
+    assert h0_dim(_tall_coefficient_bundle()) == 4 + 1 + 0
+    assert len(calls) < 200
+
+
 def _dense_constraint_rows(e, cutoff, ranges):
     # Independent per-cell assembly: every cell is T_ij.coeff(t - s), a row
     # is kept when any cell is nonzero, and a kept row is scaled by the lcm

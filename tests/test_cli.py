@@ -351,3 +351,31 @@ def test_number_over_print_limit_exits_4(tmp_path):
         assert "Traceback" not in r.stderr
         assert r.stdout == ""
     assert not out.exists()
+
+
+def test_report_number_over_print_limit_exits_4(tmp_path):
+    # An 8.6 KB file whose degree 2*(10^4300 - 1) has 4301 digits, one over
+    # the int -> str limit, while every exponent it holds has 4300.  Each
+    # report that prints the degree, or h1 and chi, which grow with it, is
+    # refused before any output, and no -o file is written.
+    nines = "9" * 4300
+    path = tmp_path / "tall_degree.bundle"
+    path.write_text(f"z^{nines}, 0 ; 0, z^{nines}\n")
+    five = tmp_path / "five.bundle"
+    five.write_text("5\n")
+    out = tmp_path / "out.txt"
+    for command in (
+        ["deg", str(path)],
+        ["h1", str(path)],
+        ["chi", str(path)],
+        ["split", str(path)],
+        ["split", str(path), "-o", str(out)],
+        ["op", "dsum", str(path), str(five), "-o", str(out)],
+    ):
+        for args in ([], ["--json"]):
+            r = run_cli(*command, *args)
+            assert r.returncode == 4, (command, args, r.stderr)
+            assert r.stderr.startswith("too large:") and "4301-digit" in r.stderr
+            assert "Traceback" not in r.stderr
+            assert r.stdout == ""
+            assert not out.exists()
