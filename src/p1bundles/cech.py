@@ -40,25 +40,23 @@ rowmax/colmax (rowmin/colmin) the top (lowest) exponents of T's rows and
 columns, since each cofactor takes one entry from all rows but one and all
 columns but one (Kailath, Linear Systems, 1980, ch. 6).  A section with
 cutoff c is f = T^-1 h with h of exponents <= c, so deg f <= c + hi, and
-the default window is min(D*, c + hi), D* = max(0, c) + k*(N+1) the older
-blanket bound (N the largest |exponent| in T).  When c + hi < 0 the
-section space is 0 and nothing is solved.  An explicit window (h0_dim,
-h0_profile, --window) takes one solve per cutoff; h0_sections reads its
-basis off the same split.
+the default window is c + hi.  When c + hi < 0 the section space is 0 and
+nothing is solved.  An explicit window (h0_dim, h0_profile, --window) is
+the same at every cutoff; h0_sections reads its basis off the same split.
 
 Nested cutoffs.  The section spaces S(c) = sections_with_cutoff(E, c) are
-nested, and a default-window profile over c_lo..C, or the h1 oracle's
-cutoffs 0, D and D+1, needs several of them.  One tail solve at the top
-cutoff C gives a basis of S(C); S(c) is where the coefficients of T*f at
-the exponents in (c, C] vanish, so every dim S(c) follows from the prefix
-ranks of one matrix G^T (basis vectors x those coefficients, in descending
-exponent), read off one certified kernel (_nested_dims).  This chain is
-taken when the cells it builds, bounded before any solve, are no more than
-the separate solves' (_default_dims); tiny systems with a wide band of
-free slots, such as a long profile of a line bundle, keep one solve per
-cutoff.  A twist profile sums the shapes of the separate systems, each
-twist charged at least one cell, and raises SystemTooLarge before the
-first solve, whichever path then answers it.
+nested, and a profile over c_lo..C, or the h1 oracle's cutoffs 0, D and
+D+1, needs several of them.  One tail solve at the top cutoff C gives a
+basis of S(C); S(c) is where the coefficients of T*f at the exponents in
+(c, C] vanish, so every dim S(c) follows from the prefix ranks of one
+matrix G^T (basis vectors x those coefficients, in descending exponent),
+read off one certified kernel (_nested_dims).  One routine (_counts)
+answers every h0, h1 and profile count: it sets up each cutoff once, sums
+the shapes of the separate systems, each cutoff charged at least one
+cell, and raises SystemTooLarge before the first solve; it then takes the
+chain when the cells it builds, bounded before any solve, are no more
+than the separate solves'.  Tiny systems with a wide band of free slots,
+such as a long profile of a line bundle, keep one solve per cutoff.
 
 H1 is a truncated cokernel on the overlap: Laurent tails with exponents in
 [-D, D] modulo coboundaries of chart cochains, with the chart-0 cochain
@@ -208,8 +206,8 @@ def _record_stability(ok: bool, what: str):
 
 def _tail_plan(e: VectorBundle, cutoff: int, window: int):
     """(window, ranges, shape) of the one tail solve at this cutoff and
-    window: the set-up a twist profile counts before its first solve and
-    hands on to the solves, so no twist is set up twice."""
+    window: the set-up :func:`_counts` bounds before its first solve and
+    hands on to the solves, so no cutoff is set up twice."""
     if window < 0:
         raise ValueError("window must be >= 0")
     ranges = tuple(_tail_ranges(e, cutoff, window + 1))
@@ -261,18 +259,19 @@ def _chain_cells(e: VectorBundle, c_lo: int, top: int, plan) -> int:
 
 def _nested_dims(e: VectorBundle, c_lo: int, top: int, plan):
     """[dim S(c) for c in c_lo..top], S(c) = {f : T*f has exponents <= c},
-    from one tail solve at the top cutoff (plan its default-window plan)
+    from one tail solve at the top cutoff (plan its :func:`_tail_plan`)
     and one certified rank computation.
 
     For c <= top, S(c) is the subspace of S(top) on which the coefficients
-    of T*f at exponents t in (c, top] vanish; the default window at top
-    bounds every S(c), as windows grow with the cutoff.  G^T has one row
-    per basis vector of S(top) whose T*f reaches that band (the free slots
-    s <= c_lo - M_j never do), one column per (component i, exponent t),
-    in descending t.  Each canonical kernel vector of G^T has 1 at its
-    free column and 0 after it, so its last nonzero entry marks a column
-    that depends exactly (the kernel is verified) on earlier ones: the
-    prefix rank is at most the pivots in the prefix.  A mod-p rank never
+    of T*f at exponents t in (c, top] vanish; the top's window bounds every
+    S(c), whether it is the default one (windows grow with the cutoff) or
+    one explicit window for all.  G^T has one row per basis vector of
+    S(top) whose T*f reaches that band (the free slots s <= c_lo - M_j
+    never do), one column per (component i, exponent t), in descending t.
+    Each canonical kernel vector of G^T has 1 at its free column and 0
+    after it, so its last nonzero entry marks a column that depends
+    exactly (the kernel is verified) on earlier ones: the prefix rank is
+    at most the pivots in the prefix.  A mod-p rank never
     exceeds the true rank, so it is also at least that.  Hence dim S(c) =
     dim S(top) - (k*(top - c) - free columns among the first k*(top - c)).
     The top solve's window+1 check covers every lower cutoff: a section of
@@ -328,18 +327,6 @@ def _inverse_exponents(e: VectorBundle):
     return lo, hi
 
 
-def _default_window(e: VectorBundle, cutoff: int, hi: int) -> int:
-    """The degree bound min(D*, cutoff + hi) on every section with this cutoff.
-
-    A section is f = T^-1 h with h = T*f of exponents <= cutoff, so every
-    component of f has degree <= cutoff + hi, hi the top exponent of T^-1
-    (_inverse_exponents).  D* = max(0, cutoff) + k*(N+1) is the older,
-    looser bound.  A negative window means f = 0: no section exists.
-    """
-    dstar = max(0, cutoff) + e.rank * (e.max_exponent + 1)
-    return min(dstar, cutoff + hi)
-
-
 def _overlap_window(e: VectorBundle, lo: int) -> int:
     """The h1 oracle's default D = min(k*(N+1), max(0, -lo - 1)).
 
@@ -347,33 +334,53 @@ def _overlap_window(e: VectorBundle, lo: int) -> int:
     oracle at D into h1(E) - h1(E(D)), exact once D >= -d_min - 1.  A
     section f != 0 of E*(m), whose transition is T^-T, has T^-T * f of
     lowest exponent >= ord(T^-1) >= lo (_inverse_exponents) and <= m, so
-    m >= lo; the first such m is d_min, so -d_min - 1 <= -lo - 1.  k*(N+1)
-    is the older, looser bound.
+    m >= lo; the first such m is d_min, so -d_min - 1 <= -lo - 1.  The cap
+    k*(N+1) (N the largest |exponent| of T) is never below -d_min - 1: the
+    column-reduced degrees r_j of the polynomial matrix z^N*T lie in
+    [0, 2N], so each d_j lies in [-N, N], and -d_min - 1 < k*(N+1).
     """
     return min(e.rank * (e.max_exponent + 1), max(0, -lo - 1))
 
 
-def _default_plan(e: VectorBundle, cutoff: int, hi: int):
-    """The :func:`_tail_plan` at the default window, or None when that
-    window is negative: no section, nothing to solve."""
-    window = _default_window(e, cutoff, hi)
-    return None if window < 0 else _tail_plan(e, cutoff, window)
+def _counts(e: VectorBundle, cutoffs, window, hi: int):
+    """[dim S(c) for c in cutoffs], S(c) = {f : deg f_j <= window, T*f has
+    exponents <= c}, for ascending cutoffs: the one routine under every
+    h0, h1 and profile count.
 
-
-def _default_dims(e: VectorBundle, cutoffs, plans):
-    """[dim S(c)] for the ascending cutoffs, each with its default plan.
-
-    One chain (:func:`_nested_dims`) when, by :func:`_chain_cells`, it
-    builds no more cells than the separate solves would and fits the cell
-    limit; otherwise one solve per cutoff.
+    With window None each cutoff takes its default window c + hi, hi the
+    top exponent of T^-1 (_inverse_exponents): a section is f = T^-1 h with
+    h of exponents <= c, so deg f <= c + hi.  The cutoffs below -hi then
+    have no section and no system, and are answered at once.  Every other
+    cutoff is set up once (:func:`_tail_plan`), and the cells of all of
+    them, each cutoff charged at least one, are checked against
+    MAX_SYSTEM_CELLS before the first solve; the set-up stops at a cutoff
+    whose top slot is free by structure, as its solve raises
+    WindowUnstable.  One chain (:func:`_nested_dims`) answers the rest
+    when, by :func:`_chain_cells`, it builds no more cells than the
+    separate solves and fits the limit; otherwise each cutoff is solved on
+    its own.  The chain holds at an explicit window too: with one window W
+    at every cutoff, S(c) is a subspace of S(top), and the top's W + 1
+    check fails whenever a lower cutoff's would.  The caller keeps the
+    number of cutoffs within the limit, so a range of them has a len().
     """
-    if len(cutoffs) > 1:
-        c_lo, top = cutoffs[0], cutoffs[-1]
-        separate = sum(max(1, rows * cols) for _, _, (rows, cols) in plans)
-        if _chain_cells(e, c_lo, top, plans[-1]) <= min(separate, MAX_SYSTEM_CELLS):
+    skip = 0 if window is not None else bisect_left(cutoffs, -hi)
+    cells = skip
+    plans = []
+    for c in cutoffs[skip:]:
+        plan = _tail_plan(e, c, c + hi if window is None else window)
+        _, ranges, (rows, cols) = plan
+        cells += max(1, rows * cols)
+        check_size(cells, f"Cech systems at cutoffs {cutoffs[0]}..{c}")
+        plans.append(plan)
+        if any(a > b for a, b in ranges):
+            break  # a free top slot: this cutoff's solve raises WindowUnstable
+    live = cutoffs[skip : skip + len(plans)]
+    if len(live) > 1:
+        c_lo, top = live[0], live[-1]
+        if _chain_cells(e, c_lo, top, plans[-1]) <= min(cells - skip, MAX_SYSTEM_CELLS):
             dims = _nested_dims(e, c_lo, top, plans[-1])
-            return [dims[c - c_lo] for c in cutoffs]
-    return [_sections_dim(e, c, plan) for c, plan in zip(cutoffs, plans)]
+            return [0] * skip + [dims[c - c_lo] for c in live]
+    return [0] * skip + [_sections_dim(e, c, plan) for c, plan in zip(live, plans)]
 
 
 def h0_sections(e: VectorBundle, window: int):
@@ -402,15 +409,12 @@ def h0_dim(e: VectorBundle, window: int | None = None) -> int:
     """dim H0(E), exact.
 
     With the default window the tail elimination runs at the cofactor
-    degree bound min(D*, hi) (_default_window), and not at all when that is
-    negative; an explicit window counts the sections among degree-<=window
-    polynomials.  Every solve is asserted stable against window + 1.
+    degree bound hi on the sections (see :func:`_counts`), and not at all
+    when that is negative; an explicit window counts the sections among
+    degree-<=window polynomials.  Every solve is asserted stable against
+    window + 1.
     """
-    if window is None:
-        window = _default_window(e, 0, _inverse_exponents(e)[1])
-        if window < 0:
-            return 0
-    return _sections_dim(e, 0, _tail_plan(e, 0, window))
+    return _counts(e, [0], window, _inverse_exponents(e)[1])[0]
 
 
 def h1_dim_oracle(e: VectorBundle, window: int | None = None) -> int:
@@ -421,7 +425,7 @@ def h1_dim_oracle(e: VectorBundle, window: int | None = None) -> int:
     cochains, counted through rank-nullity of the image map (see module
     docstring).  The default D is _overlap_window.  The section counts at
     cutoffs 0, D and D+1, at their default windows for any D, come from
-    one nested-cutoff chain topped at D+1 when it is the smaller job.
+    one call of :func:`_counts`, so their systems are bounded together.
     Stability-asserted between D and D+1.
     """
     k = e.rank
@@ -429,10 +433,8 @@ def h1_dim_oracle(e: VectorBundle, window: int | None = None) -> int:
     d = window if window is not None else _overlap_window(e, lo)
     if d < 0:
         raise ValueError("window must be >= 0")
-    plans = {c: _default_plan(e, c, hi) for c in sorted({0, d, d + 1})}
-    dims = dict.fromkeys(plans, 0)
-    live = [c for c, plan in plans.items() if plan is not None]
-    dims.update(zip(live, _default_dims(e, live, [plans[c] for c in live])))
+    cutoffs = sorted({0, d, d + 1})
+    dims = dict(zip(cutoffs, _counts(e, cutoffs, None, hi)))
     a, b = (k * w - dims[w] + dims[0] for w in (d, d + 1))
     _record_stability(a == b, f"h1 changed between window {d} and {d + 1}")
     return a
@@ -449,36 +451,17 @@ def h0_profile(e: VectorBundle, m_lo: int, m_hi: int, window: int | None = None)
     The profile determines the splitting type: h0(E(m)) counts
     sum_i max(0, d_i + m + 1) over the splitting degrees d_i.  h0(E(m)) is
     the count of sections with cutoff m, so no twisted bundle is built.
-    The systems of all twists are counted first, and SystemTooLarge is
-    raised before the first solve when their cells sum over the limit;
-    every twist is charged at least one cell, its entry in the answer.  At
-    the default window the twists m < -hi (hi the top exponent of T^-1)
-    have no section and no system, so they are counted and answered in one
-    step, and the rest come from one nested-cutoff chain topped at m_hi
-    when it builds no more cells than one solve per twist.  An explicit
-    window always solves each twist on its own.
+    All twists are counted by one call of :func:`_counts`: SystemTooLarge
+    is raised before the first solve when their cells sum over the limit,
+    every twist charged at least one cell, its entry in the answer, and
+    the twists are answered by one nested-cutoff chain topped at m_hi when
+    it builds no more cells than one solve per twist, at the default or an
+    explicit window.
     """
     if m_lo > m_hi:
         raise ValueError("empty profile range")
     if window is not None and window < 0:
         raise ValueError("window must be >= 0")
-    start = m_lo
-    if window is None:
-        hi = _inverse_exponents(e)[1]
-        start = min(m_hi + 1, max(m_lo, -hi))
-    cells = start - m_lo
-    check_size(cells, f"profile over twists {m_lo}..{start - 1}")
-    plans = []
-    for m in range(start, m_hi + 1):
-        plan = _tail_plan(e, m, _default_window(e, m, hi) if window is None else window)
-        _, ranges, (rows, cols) = plan
-        cells += max(1, rows * cols)
-        check_size(cells, f"profile systems over twists {m_lo}..{m}")
-        plans.append(plan)
-        if any(lo > hi for lo, hi in ranges):
-            break  # a free top slot: this twist's solve raises WindowUnstable
-    twists = range(start, start + len(plans))
-    if window is None:
-        empty = [(m, 0) for m in range(m_lo, start)]
-        return empty + list(zip(twists, _default_dims(e, twists, plans)))
-    return [(m, _sections_dim(e, m, plan)) for m, plan in zip(twists, plans)]
+    check_size(m_hi - m_lo + 1, f"profile over twists {m_lo}..{m_hi}")
+    twists = range(m_lo, m_hi + 1)
+    return list(zip(twists, _counts(e, twists, window, _inverse_exponents(e)[1])))

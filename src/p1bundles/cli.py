@@ -13,11 +13,12 @@ or a kernel solve that finds no verified basis within its prime budget),
 4 a job above the fixed size limit (``lmatrix.MAX_SYSTEM_CELLS`` cells),
 refused before it starts: a Cech constraint system (sections that may
 reach a large degree, as in ``h0`` of ``z^1000000, 1 ; 0, z^-1000000``,
-or a large ``--window``), a ``profile`` range whose systems sum over the
-limit, or a w-adic series inverse (``split``, ``op dual``) whose term cap
-is over it; 4 also for a bundle or certificate to print with a
-coefficient or exponent over the interpreter's 4300-digit limit for
-converting an int to text (``op tensor`` of a file holding one
+or a large ``--window``), the Cech systems of one query together (the up
+to three of ``h1``, or all twists of a ``profile``), or a w-adic series
+inverse (``split``, ``op dual``) whose term cap is over it; 4 also for a
+bundle or certificate to print with a coefficient or exponent over the
+interpreter's 4300-digit limit for converting an int to text (``op
+tensor`` of a file holding one
 2500-digit constant with itself), which the parser would refuse to read
 back, and for a report number over that limit (the 4301-digit degree of
 ``z^<4300 nines>, 0 ; 0, z^<4300 nines>`` under ``deg``, ``h1``, ``chi``,

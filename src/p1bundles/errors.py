@@ -29,8 +29,9 @@ class SystemTooLarge(ValueError):
     """A linear-algebra job would exceed the fixed size limit.
 
     The limit is ``lmatrix.MAX_SYSTEM_CELLS`` cells, applied to one Cech
-    constraint system (rows x unknowns), to the Cech systems of a whole
-    twist profile together, and to the cap of a w-adic series inverse
+    constraint system (rows x unknowns), to the Cech systems of one query
+    together (the up to three of an h1, or all twists of a profile, each
+    charged at least one cell), and to the cap of a w-adic series inverse
     (terms x k^2).  The check runs before the work starts, so a tiny input
     such as ``z^1000000`` is refused at once instead of running without
     bound.  Also raised by the printers in ``text`` for a number with more

@@ -28,6 +28,7 @@ of the library is the Bareiss determinant's exact Laurent division
 from __future__ import annotations
 
 import enum
+from math import gcd
 from typing import Optional
 
 from .exact import GaussianRational, ONE, ZERO, _canonical
@@ -221,7 +222,7 @@ def _dot(pairs) -> LaurentPoly:
 
     Each output exponent keeps one [re, im, den] int accumulator.  The
     products of the operands' stored triples (a + b*i)/d are added to it
-    unnormalised, over a common denominator, and each nonzero sum is
+    unnormalised, over the lcm of the denominators, and each nonzero sum is
     normalised once (``exact._canonical``), so no GaussianRational is built
     per term product or per partial sum; sums that cancel to zero are
     dropped.  Pairs with a zero operand are skipped, and one product with a
@@ -258,9 +259,11 @@ def _dot(pairs) -> LaurentPoly:
                     s[1] += pi
                 else:
                     d = s[2]
-                    s[0] = s[0] * pd + pr * d
-                    s[1] = s[1] * pd + pi * d
-                    s[2] = d * pd
+                    g = gcd(d, pd)
+                    u, v = pd // g, d // g
+                    s[0] = s[0] * u + pr * v
+                    s[1] = s[1] * u + pi * v
+                    s[2] = d * u
     return _poly({e: _canonical(r, i, d) for e, (r, i, d) in acc.items() if r or i})
 
 

@@ -403,8 +403,8 @@ def _sparse_rows(grid):
 def _mul_into(acc, rows, b):
     """acc += rows * b for Q(i) matrices on int triples: rows and b are
     given by _sparse_rows (b's entries may be unnormalised), and acc is a
-    grid of [re, im, den] accumulators, added to over a common denominator
-    like laurent._dot's and normalised by the caller."""
+    grid of [re, im, den] accumulators, added to over the lcm of the
+    denominators like laurent._dot's and normalised by the caller."""
     for out, row in zip(acc, rows):
         for j, xr, xi, xd in row:
             for m, yr, yi, yd in b[j]:
@@ -417,9 +417,11 @@ def _mul_into(acc, rows, b):
                     s[1] += pi
                 else:
                     d = s[2]
-                    s[0] = s[0] * pd + pr * d
-                    s[1] = s[1] * pd + pi * d
-                    s[2] = d * pd
+                    g = math.gcd(d, pd)
+                    u, v = pd // g, d // g
+                    s[0] = s[0] * u + pr * v
+                    s[1] = s[1] * u + pi * v
+                    s[2] = d * u
 
 
 def w_adic_inverse(a: LaurentMatrix) -> LaurentMatrix:

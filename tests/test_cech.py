@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from p1bundles import (
     GaussianRational,
@@ -350,11 +350,11 @@ def test_explicit_window_solves_once_and_builds_no_bundle(monkeypatch):
     assert h0_profile(e, -3, 2, window=window) == [
         (m, sum(max(0, d + m + 1) for d in (2, 0, -1))) for m in range(-3, 3)
     ]
-    assert len(solves) == 6
+    assert len(solves) == 2
     assert built == []
 
 
-# -- default windows against the old blanket windows ---------------------------
+# -- default windows against proven blanket windows ----------------------------
 
 # Unit-determinant shear products with Q(i) denominators, and tensor
 # products of two of them: inputs the gauge scrambler never produces.
@@ -386,14 +386,25 @@ _bundles = st.one_of(
 )
 
 
+def _far_inverse(n):
+    # z^-n, z^3 ; 0, z^-n, of type (n, n): T^-1 = [[z^n, -z^(2n+3)], [0, z^n]]
+    # reaches degree 2n + 3, past k*(N+1) = 2n + 2 for n >= 3.
+    return VectorBundle(
+        LaurentMatrix([[z_power(-n), z_power(3)], [ZERO_POLY, z_power(-n)]])
+    )
+
+
 @settings(deadline=None, max_examples=40, derandomize=True)
 @given(_bundles)
+@example(_far_inverse(4))
 def test_default_windows_match_blanket_windows(e):
-    # The blanket windows D* = k*(N+1) (cutoff 0) are proven to hold every
-    # section and every overlap tail that matters, so they are the oracle.
-    blanket = e.rank * (e.max_exponent + 1)
-    assert h0_dim(e) == h0_dim(e, window=blanket)
-    assert h1_dim_oracle(e) == h1_dim_oracle(e, window=blanket)
+    # Blanket oracles, proven from N (the largest |exponent| of T) alone.
+    # Every section has degree <= hi <= (2k-1)*N: a cofactor's exponents
+    # are at most (k-1)*N, and -e <= k*N.  The overlap width k*(N+1) is
+    # past -d_min - 1, as every splitting degree lies in [-N, N].
+    k, n = e.rank, e.max_exponent
+    assert h0_dim(e) == h0_dim(e, window=(2 * k - 1) * n)
+    assert h1_dim_oracle(e) == h1_dim_oracle(e, window=k * (n + 1))
     d = list(grothendieck_split(e)[0])
     lo, hi = -d[0] - 1, -d[-1]
     assert h0_profile(e, lo, hi) == [
@@ -403,6 +414,35 @@ def test_default_windows_match_blanket_windows(e):
     for m, h0 in ((lo, 0), (hi, h0_dim(e.twist(hi)))):
         twisted = e.twist(m)
         assert h0 - h1_dim_oracle(twisted) == twisted.degree + twisted.rank
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_sections_past_the_old_blanket_window_are_counted(n):
+    # The sections of z^-n, z^3 ; 0, z^-n reach degree 2n + 3; a default
+    # window capped at k*(N+1) = 2n + 2 was refused as unstable.
+    e = _far_inverse(n)
+    assert grothendieck_split(e)[0] == (n, n)
+    assert (h0_dim(e), h1_dim_oracle(e), euler_char(e)) == (2 * n + 2, 0, 2 * n + 2)
+    assert h0_profile(e, -6, 0) == [(m, 2 * max(0, n + m + 1)) for m in range(-6, 1)]
+
+
+def test_h1_systems_are_bounded_together(monkeypatch):
+    # The oracle's systems at cutoffs 0, D and D + 1 are summed against the
+    # cell limit before any solve: each fits alone, their sum does not.
+    e = random_bundle([2, 0, -3], 2, seed=4242)
+    lo, hi = cech._inverse_exponents(e)
+    d = cech._overlap_window(e, lo)
+    cells = []
+    for c in (0, d, d + 1):
+        rows, cols = cech._tail_plan(e, c, c + hi)[2]
+        cells.append(max(1, rows * cols))
+    monkeypatch.setattr(lmatrix, "MAX_SYSTEM_CELLS", sum(cells) - 1)
+    monkeypatch.setattr(cech, "MAX_SYSTEM_CELLS", sum(cells) - 1)
+    assert max(cells) < sum(cells) - 1
+    _, solves = _count_solves(monkeypatch)
+    with pytest.raises(SystemTooLarge):
+        h1_dim_oracle(e)
+    assert solves == []
 
 
 @pytest.mark.parametrize(
@@ -445,7 +485,7 @@ def test_profile_sets_up_each_twist_once(monkeypatch):
     # The count that bounds a profile before its first solve sets up each
     # twist once.  At the default window no twist is then built or solved
     # on its own: one top system and one rank system answer the whole
-    # chain.  At an explicit window each twist's solve reuses its set-up.
+    # chain, and the same holds at one explicit window for every twist.
     e = random_bundle([2, 0, -1], 2, seed=1957)
     systems, solves = _count_solves(monkeypatch)
     shapes = []
@@ -458,8 +498,9 @@ def test_profile_sets_up_each_twist_once(monkeypatch):
     assert len(shapes) == 2 + min(4, cech._inverse_exponents(e)[1]) + 1
     shapes.clear()
     solves.clear()
+    systems.clear()
     assert h0_profile(e, -4, 2, window=e.rank * (e.max_exponent + 1) + 2) == expected
-    assert solves and len(shapes) == len(solves)
+    assert len(shapes) == 7 and systems == [2] and len(solves) == 2
 
 
 def test_chain_guard_picks_the_cheaper_path(monkeypatch):
@@ -486,7 +527,7 @@ def _chain_and_separate(e, cutoffs, hi):
     # Counts at the ascending cutoffs, each at its default window (hi the
     # top exponent of T^-1), by both paths: one chain from the top cutoff,
     # and one solve per cutoff.
-    plans = [cech._default_plan(e, c, hi) for c in cutoffs]
+    plans = [cech._tail_plan(e, c, c + hi) for c in cutoffs]
     chain = cech._nested_dims(e, cutoffs[0], cutoffs[-1], plans[-1])
     separate = [cech._sections_dim(e, c, p) for c, p in zip(cutoffs, plans)]
     return [chain[c - cutoffs[0]] for c in cutoffs], separate
@@ -511,7 +552,7 @@ def test_chain_matches_separate_solves(unit_det):
         d_h1 = cech._overlap_window(e, inv_lo)
         for cutoffs in (range(lo, hi + 1), sorted({0, d_h1, d_h1 + 1})):
             # Only the cutoffs with a section window have a system to solve.
-            live = [c for c in cutoffs if cech._default_plan(e, c, inv_hi) is not None]
+            live = [c for c in cutoffs if c + inv_hi >= 0]
             expected = [sum(max(0, x + c + 1) for x in d) for c in live]
             assert list(_chain_and_separate(e, live, inv_hi)) == [expected, expected]
         assert h1_dim_oracle(e) == sum(max(0, -x - 1) for x in d)

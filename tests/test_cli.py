@@ -281,6 +281,44 @@ def test_unbounded_series_and_profile_exit_4(tmp_path):
         assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_sections_past_the_old_blanket_window_exit_0(tmp_path, capsys, n):
+    # z^-n, z^3 ; 0, z^-n (19 bytes at n = 4) has type (n, n), and its
+    # sections reach degree 2n + 3: one past the k*(N+1) = 2n + 2 that once
+    # capped the default window, where h0, h1, chi and profile exited 3.
+    from p1bundles import cli
+
+    path = tmp_path / "far.bundle"
+    path.write_text(f"z^-{n}, z^3 ; 0, z^-{n}")
+    h0 = 2 * n + 2
+    profile = "".join(f"h0(E({m})): {2 * max(0, n + m + 1)}\n" for m in range(-6, 1))
+    for argv, out in (
+        (["h0", str(path)], f"h0: {h0}\n"),
+        (["h1", str(path)], "h1: 0\n"),
+        (["chi", str(path)], f"chi: {h0}\n"),
+        (["profile", str(path), "--from", "-6", "--to", "0"], profile),
+    ):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out
+
+
+def test_profile_over_more_twists_than_cells_exits_4(capsys):
+    # Each twist is charged at least one cell, so these are refused before
+    # any twist is set up, also past the width a Python range has a len().
+    from p1bundles import cli
+
+    o3 = str(DATA / "o3.bundle")
+    for args in (
+        ["--from", "0", "--to", str(10**20)],
+        ["--from", str(-(10**20)), "--to", "0"],
+        ["--from", str(-(10**9)), "--to", "0", "--window", "0"],
+    ):
+        start = time.monotonic()
+        assert cli.main(["profile", o3, *args]) == 4
+        assert time.monotonic() - start < 0.5
+        assert "too large" in capsys.readouterr().err
+
+
 def test_unwritable_output_is_usage_error(tmp_path):
     # A missing directory and a directory in place of a file: one line on
     # stderr and exit 2, no traceback.

@@ -25,7 +25,7 @@ from p1bundles import (
     random_unimodular,
     z_power,
 )
-from p1bundles import cech, lmatrix
+from p1bundles import cech, laurent, lmatrix, parse_bundle
 from p1bundles.laurent import ONE_POLY, ZERO_POLY
 
 
@@ -592,3 +592,49 @@ def test_equal_matrices_built_apart_hash_equal():
     bundles = {VectorBundle(a): "a"}
     assert bundles[VectorBundle(c)] == "a"
     assert hash(VectorBundle(b)) == hash(VectorBundle(a)) == first
+
+
+def test_sums_carry_the_lcm_of_their_denominators(monkeypatch):
+    # dual of a Q(i) bundle whose series and products add terms of many
+    # distinct denominators.  Each sum that _dot or _mul_into normalises
+    # has a denominator dividing the lcm of its terms' (a sum over the
+    # product of the distinct denominators grew to thousands of digits).
+    e = parse_bundle(
+        "rank: 3\n"
+        "(0,1)*z^40, (-2/1,-1)*z^3, z^-3 + -5/4*z^-2 + z^0 ;\n"
+        "0, (0,1)*z^-2, z^1 + z^-3 + 1 ;\n"
+        "0, 0, (0,1)*z^-40\n"
+    )
+    dens, seen = [], {"dot": 0, "mul_into": 0}
+    canonical, dot, mul_into = laurent._canonical, laurent._dot, lmatrix._mul_into
+
+    def spy_canonical(re, im, den):
+        dens.append(den)
+        return canonical(re, im, den)
+
+    def spy_dot(pairs):
+        pairs = list(pairs)
+        terms = [(a._coeffs.values(), b._coeffs.values()) for a, b in pairs]
+        bound = math.lcm(*(x.den * y.den for a, b in terms for x in a for y in b))
+        dens.clear()
+        out = dot(pairs)
+        assert all(bound % d == 0 for d in dens)
+        seen["dot"] += len(dens)
+        return out
+
+    def spy_mul_into(acc, rows, b):
+        bound = math.lcm(
+            *(s[2] for row in acc for s in row),
+            *(xd * y[3] for row in rows for j, *_, xd in row for y in b[j]),
+        )
+        mul_into(acc, rows, b)
+        assert all(bound % s[2] == 0 for row in acc for s in row)
+        seen["mul_into"] += 1
+
+    monkeypatch.setattr(laurent, "_canonical", spy_canonical)
+    monkeypatch.setattr(laurent, "_dot", spy_dot)
+    monkeypatch.setattr(lmatrix, "_dot", spy_dot)
+    monkeypatch.setattr(lmatrix, "_mul_into", spy_mul_into)
+    dual = e.dual()
+    assert e.transition * dual.transition.transpose() == LaurentMatrix.identity(3)
+    assert seen["dot"] > 0 and seen["mul_into"] > 0
