@@ -79,7 +79,6 @@ the default D is min(k*(N+1), max(0, -lo - 1)).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .bundle import VectorBundle
 from .errors import WindowUnstable
@@ -93,11 +92,34 @@ STABILITY_CHECKS = 0
 STABILITY_FAILURES = 0
 
 
-@dataclass(frozen=True)
 class Section:
-    """Chart-0 data of a global section: one polynomial per component."""
+    """Chart-0 data of a global section: one polynomial per component.
 
-    components: tuple
+    A read-only value, equal to and hashed like another Section with the
+    same components.
+    """
+
+    __slots__ = ("components",)
+
+    def __init__(self, components):
+        object.__setattr__(self, "components", components)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.components == other.components
+
+    def __hash__(self):
+        return hash((self.components,))
+
+    def __repr__(self):
+        return f"Section(components={self.components!r})"
 
     def __iter__(self):
         return iter(self.components)

@@ -16,6 +16,8 @@ reach a large degree, as in ``h0`` of ``z^1000000, 1 ; 0, z^-1000000``,
 or a large ``--window``), the Cech systems of one query together (the up
 to three of ``h1``, or all twists of a ``profile``), or a w-adic series
 inverse (``split``, ``op dual``) whose term cap is over it; 4 also for a
+column reduction (``split``, ``op dual``, ``iso``, ``selfdual``), which is
+charged as it runs and stopped once its work is over the limit, and for a
 bundle or certificate to print with a coefficient or exponent over the
 interpreter's 4300-digit limit for converting an int to text (``op
 tensor`` of a file holding one
@@ -34,9 +36,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
-from . import cech, splitter
 from .bundle import VectorBundle, random_bundle
 from .errors import InternalCheckError, InvalidBundle, ParseError, SystemTooLarge
 from .text import (
@@ -84,13 +86,18 @@ def _fmt_type(t) -> str:
 
 
 # -- subcommand handlers ------------------------------------------------------
+#
+# A handler imports what it runs from cech or splitter only once its input
+# is read, so a process loads no module its subcommand does not run, and a
+# file the parser refuses loads neither.
 
 
 def _cmd_split(args):
     e = parse_bundle(_read(args.file))
+    from .splitter import grothendieck_split
     # grothendieck_split returns only a verified certificate; it raises
     # InternalCheckError (exit 3) otherwise.
-    stype, fact = splitter.grothendieck_split(e)
+    stype, fact = grothendieck_split(e)
     fact_text = format_factorization(fact)
     result = {
         "rank": e.rank,
@@ -112,14 +119,16 @@ def _cmd_split(args):
 
 def _cmd_h0(args):
     e = parse_bundle(_read(args.file))
-    value = cech.h0_dim(e, window=args.window)
+    from .cech import h0_dim
+    value = h0_dim(e, window=args.window)
     _emit(args, "h0", [args.file], {"h0": value}, [f"h0: {_decimal(value)}"])
     return 0
 
 
 def _cmd_h1(args):
     e = parse_bundle(_read(args.file))
-    value = cech.h1_dim_oracle(e, window=args.window)
+    from .cech import h1_dim_oracle
+    value = h1_dim_oracle(e, window=args.window)
     _emit(args, "h1", [args.file], {"h1": value}, [f"h1: {_decimal(value)}"])
     return 0
 
@@ -134,14 +143,16 @@ def _cmd_deg(args):
 
 def _cmd_chi(args):
     e = parse_bundle(_read(args.file))
-    value = cech.euler_char(e, window=args.window)
+    from .cech import euler_char
+    value = euler_char(e, window=args.window)
     _emit(args, "chi", [args.file], {"chi": value}, [f"chi: {_decimal(value)}"])
     return 0
 
 
 def _cmd_profile(args):
     e = parse_bundle(_read(args.file))
-    profile = cech.h0_profile(e, args.m_from, args.m_to, window=args.window)
+    from .cech import h0_profile
+    profile = h0_profile(e, args.m_from, args.m_to, window=args.window)
     result = {
         "from": args.m_from,
         "to": args.m_to,
@@ -191,9 +202,10 @@ def _emit_bundle(args, command, inputs, out: VectorBundle):
 def _cmd_iso(args):
     a = parse_bundle(_read(args.a))
     b = parse_bundle(_read(args.b))
-    ta = splitter.splitting_type(a)
-    tb = splitter.splitting_type(b)
-    same = splitter.iso(a, b)
+    from .splitter import iso, splitting_type
+    ta = splitting_type(a)
+    tb = splitting_type(b)
+    same = iso(a, b)
     result = {"iso": same, "type_a": list(ta), "type_b": list(tb)}
     lines = [
         f"iso: {_fmt_bool(same)}",
@@ -206,8 +218,9 @@ def _cmd_iso(args):
 
 def _cmd_selfdual(args):
     e = parse_bundle(_read(args.file))
-    stype = splitter.splitting_type(e)
-    sd = splitter.is_self_dual(e)
+    from .splitter import is_self_dual, splitting_type
+    stype = splitting_type(e)
+    sd = is_self_dual(e)
     result = {"self_dual": sd, "type": list(stype)}
     lines = [f"self_dual: {_fmt_bool(sd)}", f"type: {_fmt_type(stype)}"]
     _emit(args, "selfdual", [args.file], result, lines)
@@ -223,7 +236,8 @@ def _cmd_random(args):
         raise ParseError("--type needs at least one degree")
     e = random_bundle(degrees, args.gauge_degree, args.seed, moves=args.moves)
     _write(args.output, format_bundle(e))
-    stype = list(splitter.SplittingType(degrees))
+    from .splitter import SplittingType
+    stype = list(SplittingType(degrees))
     result = {"path": args.output, "rank": e.rank, "type": stype, "seed": args.seed}
     lines = [
         f"wrote: {args.output}",
@@ -238,7 +252,8 @@ def _cmd_random(args):
 def _cmd_verify(args):
     e = parse_bundle(_read(args.file))
     fact = parse_factorization(_read(args.factfile))
-    ok = splitter.verify_factorization(e, fact)
+    from .splitter import verify_factorization
+    ok = verify_factorization(e, fact)
     _emit(
         args,
         "verify",
@@ -335,9 +350,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A degree list for ``random --type``, which may start with a minus sign.
+_DEGREES = re.compile(r"-?\d+(,-?\d+)*")
+
+
+def _bind_type(argv):
+    """Join ``--type`` with a following degree list, so that argparse does
+    not read a list such as ``-2,1`` as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--type" and _DEGREES.fullmatch(arg):
+            out[-1] = f"--type={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_type(sys.argv[1:] if argv is None else argv))
     try:
         code = args.func(args)
         # Flushed here, so that a closed pipe is caught below rather than in

@@ -34,9 +34,11 @@ class SystemTooLarge(ValueError):
     charged at least one cell), and to the cap of a w-adic series inverse
     (terms x k^2).  The check runs before the work starts, so a tiny input
     such as ``z^1000000`` is refused at once instead of running without
-    bound.  Also raised by the printers in ``text`` for a number with more
-    digits than the interpreter converts to text, which the parser could
-    not read back.
+    bound.  A column reduction is charged as it runs instead (its k x k
+    leading-coefficient matrix and the terms it writes, per step), and is
+    stopped once the total is over the limit.  Also raised by the printers
+    in ``text`` for a number with more digits than the interpreter converts
+    to text, which the parser could not read back.
     """
 
 

@@ -360,15 +360,36 @@ def column_reduce(t: LaurentMatrix):
     Q*diag(z^-r_j) then lies in the w-chart ring with that nonsingular
     matrix as its constant term, so it is w-unimodular whenever det T is a
     unit: z^N*T*V = Q is the Wiener-Hopf factorization of T.
+
+    The steps are at most the sum over the columns of T of their exponent
+    spans, colmax_j - colmin_j.  The column degrees of P start at
+    N + colmax_j, and those of Q sum to deg det P (the leading-coefficient
+    matrix is nonsingular), which is at least the order of det P,
+    kN + sum_j colmin_j: each term of the determinant takes one entry from
+    every column.  Every step lowers one degree by at least 1 and leaves the
+    others, so a reduction that runs past the cap proves T singular.
+
+    That cap bounds steps, not work, and can be far above the steps taken:
+    one step may lower a degree by much more than 1, so
+    ``z^1000000, 1 ; 0, z^-1000000`` takes one step under a cap of 10^6.
+    The work is therefore charged as it is done: each step counts its
+    k x k leading-coefficient matrix and the terms of the two columns it
+    writes, and SystemTooLarge is raised once the total is over
+    MAX_SYSTEM_CELLS.
     """
     k = t.rows
+    cap = 0
+    for j in range(k):
+        col = [p for p in t.column(j) if p]
+        if col:
+            cap += max(p.degree for p in col) - min(p.order for p in col)
     n = max(
         (max(p.degree, -p.order) for row in t.entries for p in row if p), default=0
     )
     cols = [[t[i, j].shift(n) for i in range(k)] for j in range(k)]
     v = [[ONE_POLY if i == j else ZERO_POLY for i in range(k)] for j in range(k)]
-    guard = sum(_column_degree(c) for c in cols) + k + 1
-    for _ in range(guard + 1):
+    cells = 0
+    for _ in range(cap + 1):
         degs = [_column_degree(c) for c in cols]
         lead = ScalarMatrix(
             [[cols[j][i].coeff(degs[j]) for j in range(k)] for i in range(k)]
@@ -386,7 +407,9 @@ def column_reduce(t: LaurentMatrix):
         ]
         cols[picked] = [_dot((m, cols[j][i]) for m, j in mono) for i in range(k)]
         v[picked] = [_dot((m, v[j][i]) for m, j in mono) for i in range(k)]
-    raise InternalCheckError("column reduction failed to terminate")
+        cells += k * k + sum(map(len, cols[picked] + v[picked]))
+        check_size(cells, "a column reduction")
+    raise ValueError("matrix is singular: its column reduction ran past the step cap")
 
 
 def _from_columns(cols) -> LaurentMatrix:

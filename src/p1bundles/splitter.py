@@ -29,10 +29,9 @@ algebra, so the two routes check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bundle import VectorBundle
-from .cech import Section, is_section
 from .errors import InternalCheckError, SectionVanishes
 from .exact import ONE
 from .laurent import Chart, chart_contains, z_power
@@ -64,13 +63,10 @@ class SplittingType(tuple):
         return f"SplittingType{tuple(self)!r}"
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "w u d")):
     """Certificate (W, U, D): W*T*U = D with D = diag(z^(-d_i)), sorted."""
 
-    w: LaurentMatrix
-    u: LaurentMatrix
-    d: LaurentMatrix
+    __slots__ = ()
 
 
 def minimal_twist(e: VectorBundle) -> int:
@@ -93,6 +89,8 @@ def extract_section(e_twisted: VectorBundle) -> Section:
     nonsingular matrix.  A violated contract raises SectionVanishes (the
     column then vanishes at infinity or is no section at all).
     """
+    from .cech import Section, is_section
+
     n, degs, v, _ = column_reduce(e_twisted.transition)
     if min(degs) != n:
         raise SectionVanishes(

@@ -417,3 +417,14 @@ def test_report_number_over_print_limit_exits_4(tmp_path):
             assert "Traceback" not in r.stderr
             assert r.stdout == ""
             assert not out.exists()
+
+
+def test_random_type_may_start_with_a_negative_degree(tmp_path):
+    # argparse reads a bare "-2,1" as an option; the CLI binds it to --type.
+    out = tmp_path / "neg.bundle"
+    r = run_cli("random", "--type", "-2,1", "--seed", "3", "-o", str(out), "--json")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["result"]["type"] == [1, -2]
+    r = run_cli("split", str(out), "--json")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["result"]["type"] == [1, -2]

@@ -1,0 +1,114 @@
+"""The lazy package namespace, the modules each CLI subcommand loads, and
+the value semantics of the two record classes."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import p1bundles
+from p1bundles import cech
+from p1bundles.cech import Section
+from p1bundles.laurent import ONE_POLY, ZERO_POLY, z_power
+from p1bundles.lmatrix import LaurentMatrix
+from p1bundles.splitter import Factorization
+
+DATA = Path(__file__).parent / "data"
+
+# Runs cli.main on the given arguments, then prints the loaded module names
+# as the last line of stderr.
+_LOADED = """
+import sys
+from p1bundles.cli import main
+code = main(sys.argv[1:])
+print(code, " ".join(sorted(sys.modules)), file=sys.stderr)
+"""
+
+
+def _loaded(*args):
+    r = subprocess.run(
+        [sys.executable, "-c", _LOADED, *args], capture_output=True, text=True
+    )
+    assert r.returncode == 0, r.stderr
+    code, names = r.stderr.splitlines()[-1].split(" ", 1)
+    return int(code), set(names.split())
+
+
+def test_each_subcommand_loads_only_what_it_runs(tmp_path):
+    diag, o3 = str(DATA / "diag.bundle"), str(DATA / "o3.bundle")
+    cert, out = str(tmp_path / "diag.fact"), str(tmp_path / "out.bundle")
+    no_cech = [
+        (["split", diag, "-o", cert], 0),
+        (["verify", diag, cert], 0),
+        (["op", "tensor", diag, o3, "-o", out], 0),
+        (["h0", str(DATA / "invalid.bundle")], 1),
+        (["split", str(DATA / "syntax_error.bundle")], 2),
+    ]
+    for args, expected in no_cech:
+        code, names = _loaded(*args)
+        assert code == expected, args
+        assert "p1bundles.cech" not in names, args
+        assert "dataclasses" not in names, args
+    for args in (["h0", o3], ["h1", o3], ["chi", o3], ["profile", o3, "--from", "-2", "--to", "1"]):
+        code, names = _loaded(*args)
+        assert code == 0, args
+        assert "p1bundles.cech" in names, args
+        assert "p1bundles.splitter" not in names, args
+        assert "dataclasses" not in names, args
+
+
+def test_cli_runs_as_a_module_without_a_warning():
+    # runpy warns when the package has already imported the module it runs.
+    argv = [sys.executable, "-W", "error", "-m", "p1bundles.cli", "deg", str(DATA / "o3.bundle")]
+    r = subprocess.run(argv, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
+
+
+def test_submodules_resolve_as_attributes():
+    for name in ("cech", "splitter", "lmatrix", "cli"):
+        assert getattr(p1bundles, name) is sys.modules[f"p1bundles.{name}"]
+    assert set(p1bundles.__all__) <= set(dir(p1bundles))
+    with pytest.raises(AttributeError):
+        p1bundles.no_such_name
+
+
+def test_public_names_are_read_off_their_home_module(monkeypatch):
+    # Nothing is copied into the package, so a function patched on its home
+    # module is what the package returns, and the original once restored.
+    assert "h0_dim" not in vars(p1bundles)
+    assert p1bundles.h0_dim is cech.h0_dim
+    original = cech.h0_dim
+    monkeypatch.setattr(cech, "h0_dim", len)
+    assert p1bundles.h0_dim is len
+    monkeypatch.undo()
+    assert p1bundles.h0_dim is original
+
+
+def test_section_is_a_read_only_value():
+    a = Section((ONE_POLY, z_power(1)))
+    b = Section((ONE_POLY, z_power(1)))
+    assert a == b and hash(a) == hash(b)
+    assert a != Section((z_power(1), ONE_POLY))
+    assert a != (ONE_POLY, z_power(1))
+    assert Section(components=a.components) == a
+    assert repr(a) == f"Section(components={a.components!r})"
+    assert list(a) == [ONE_POLY, z_power(1)] and len(a) == 2
+    with pytest.raises(AttributeError):
+        a.components = ()
+    with pytest.raises(AttributeError):
+        a.extra = 1
+
+
+def test_factorization_is_a_read_only_value():
+    one = LaurentMatrix.identity(2)
+    d = LaurentMatrix([[z_power(-1), ZERO_POLY], [ZERO_POLY, ONE_POLY]])
+    f = Factorization(one, one, d)
+    assert f == Factorization(w=one, u=one, d=d)
+    assert hash(f) == hash(Factorization(one, one, d))
+    assert f != Factorization(one, one, one)
+    assert (f.w, f.u, f.d) == (one, one, d)
+    assert repr(f) == f"Factorization(w={one!r}, u={one!r}, d={d!r})"
+    with pytest.raises(AttributeError):
+        f.d = one
