@@ -15,7 +15,8 @@ refused before it starts: a Cech constraint system (sections that may
 reach a large degree, as in ``h0`` of ``z^1000000, 1 ; 0, z^-1000000``,
 or a large ``--window``), the Cech systems of one query together (the up
 to three of ``h1``, or all twists of a ``profile``), or a w-adic series
-inverse (``split``, ``op dual``) whose term cap is over it; 4 also for a
+inverse (``split``, ``op dual``, ``iso``, ``selfdual``) whose term cap is
+over it, even a cap with more digits than can be printed; 4 also for a
 column reduction (``split``, ``op dual``, ``iso``, ``selfdual``), which is
 charged as it runs and stopped once its work is over the limit, and for a
 bundle or certificate to print with a coefficient or exponent over the

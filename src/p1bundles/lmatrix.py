@@ -36,7 +36,9 @@ Two layers live here:
   (mod 4), where Q(i) embeds in GF(p), by a sparse Gauss-Jordan on plain
   ints with no dense grid (:func:`_rref_mod_p`), and rebuilds the reduced
   echelon form by CRT and Wang's rational reconstruction, straight into
-  those integer triples; *every kernel vector is verified exactly*, in
+  those integer triples.  Only the echelon entries that are nonzero modulo
+  some prime are carried through CRT and reconstruction; a missing entry
+  is 0.  *Every kernel vector is verified exactly*, in
   Z[i] after scaling by the lcm of its denominators.  A verified basis of
   size (cols - modular rank) pins the nullity on both sides, so the result
   is exact, never probabilistic.  Reconstruction follows one schedule: it
@@ -467,7 +469,9 @@ def w_adic_inverse(a: LaurentMatrix) -> LaurentMatrix:
         raise ValueError("matrix is not holomorphic on the w-chart")
     s = max((-p.order for row in a.entries for p in row if p), default=0)
     cap = (k - 1) * s
-    check_size(cap * k * k, f"w-adic series of up to {cap} terms of {k}x{k}")
+    # The message names no count: cap may have more digits than an int can
+    # be printed with.
+    check_size(cap * k * k, f"a w-adic series of {k}x{k} terms")
     coeffs = {}  # j -> A_j, for the nonzero A_j only
     for i, row in enumerate(a.entries):
         for m, p in enumerate(row):
@@ -631,25 +635,31 @@ def kernel_basis(m: SparseSystem):
     exactly against m before it is returned.  The number of primes it may
     use is derived from the Hadamard bound of m's rows, so the cost grows
     with coefficient height as well as with shape; ArithmeticError means
-    that budget ran out without a verified basis.  Reconstruction is tried
-    when the count of primes accumulated for the current pivot structure is
-    a power of two or the certain count, or at the last prime of the
-    budget, and only on a prime that was accumulated: an unlucky or
-    lower-rank prime changes nothing, so it would repeat the last attempt.
+    that budget ran out without a verified basis.  The residues of the
+    reduced echelon form are kept only where they are nonzero: CRT runs over
+    the entries kept at either the accumulated modulus or the new prime, a
+    missing one being 0 there, and reconstruction reads only those.
+    Reconstruction is tried when the count of primes accumulated for the
+    current pivot structure is a power of two or the certain count, or at
+    the last prime of the budget, and only on a prime that was accumulated:
+    an unlucky or lower-rank prime changes nothing, so it would repeat the
+    last attempt.
     """
     int_rows, ncols = m.int_rows, m.cols
     certain, budget = _prime_budget(int_rows)
     best = None  # (-rank, pivot columns) of the structure being accumulated
-    residues = None  # {(i, f): (re, im)} modulo `modulus`, combined by CRT
+    residues = None  # nonzero {(i, f): (re, im)} modulo `modulus`, by CRT
     modulus = count = 0
     for used, (p, u) in enumerate(_primes_with_i(), 1):
-        key, fresh = _residues_mod_p(int_rows, ncols, p, u)
+        key, fresh = _residues_mod_p(int_rows, p, u)
         if key is not None and (best is None or key <= best):
             if key == best:
-                # CRT: the residue mod modulus*p that is c mod modulus, x mod p
+                # CRT: the residue mod modulus*p that is c mod modulus, x mod
+                # p, over the keys of either side; a missing key is 0.
                 inv = pow(modulus, -1, p)
-                for kxy, (xr, xi) in fresh.items():
-                    cr, ci = residues[kxy]
+                for kxy in residues.keys() | fresh.keys():
+                    cr, ci = residues.get(kxy, (0, 0))
+                    xr, xi = fresh.get(kxy, (0, 0))
                     residues[kxy] = (
                         cr + modulus * ((xr - cr) * inv % p),
                         ci + modulus * ((xi - ci) * inv % p),
@@ -752,16 +762,19 @@ def _rref_mod_p(rows, p):
     """Reduced echelon form mod p of sparse rows {col: value}, consumed;
     returns [(pivot column, pivot row)] in column order.
 
-    Gauss-Jordan over the nonzero rows in order of their first column.  Each
+    Gauss-Jordan over the nonzero rows in order of their last column.  Each
     pivot row is 1 at its pivot and 0 before it and at the other pivots, so
     one pass over the pivots a new row meets clears it; the rest becomes a
     pivot row at its first column, which is cleared from the pivot rows to
     its left.  These span the row space in reduced echelon form, which is
-    unique, so the output is canonical in any row order; the order by first
-    column keeps the fill of banded systems small.
+    unique, so the output is canonical in any row order.  The order by last
+    column keeps the fill down: every row seen so far, and so every pivot
+    row, lies within the columns up to the new row's last, so neither
+    clearing the new row nor clearing its pivot from the others writes to
+    the right of it.
     """
     pivots = {}
-    for row in sorted(filter(None, rows), key=min):
+    for row in sorted(filter(None, rows), key=max):
         for c in [c for c in row if c in pivots]:
             _sub_mul(row, row[c], pivots[c], p)
         if row:
@@ -775,13 +788,14 @@ def _rref_mod_p(rows, p):
     return sorted(pivots.items())
 
 
-def _residues_mod_p(int_rows, ncols, p, u):
+def _residues_mod_p(int_rows, p, u):
     """Reduced echelon form mod p under both embeddings i -> u and i -> -u.
 
     Returns the structure key (-rank, pivot columns) and the residues
-    {(i, f): (re, im)} of the entry at pivot row i and free column f, zeros
-    included, or (None, None) when the two embeddings disagree (an unlucky
-    prime).  Entries that vanish mod p are dropped before elimination.
+    {(i, f): (re, im)} of the nonzero entries at pivot row i and free column
+    f, or (None, None) when the two embeddings disagree (an unlucky prime).
+    An entry that vanishes under both embeddings gets no key: a missing key
+    is 0.  Entries that vanish mod p are dropped before elimination.
     """
     echelons = []
     for v in (u, p - u):
@@ -791,12 +805,12 @@ def _residues_mod_p(int_rows, ncols, p, u):
     piv_cols = [c for c, _ in ech1]
     if [c for c, _ in ech2] != piv_cols:
         return None, None
-    free_cols = sorted(set(range(ncols)).difference(piv_cols))
     half, uinv2 = pow(2, -1, p), pow(2 * u, -1, p)
     fresh = {}
+    # A pivot row is 0 at the other pivots, so its other keys are free columns.
     for i, ((c, r1), (_, r2)) in enumerate(zip(ech1, ech2)):
-        for f in free_cols:
-            if f > c:
+        for f in r1.keys() | r2.keys():
+            if f != c:
                 c1, c2 = r1.get(f, 0), r2.get(f, 0)
                 fresh[(i, f)] = ((c1 + c2) * half % p, (c1 - c2) * uinv2 % p)
     return (-len(piv_cols), tuple(piv_cols)), fresh
@@ -830,8 +844,8 @@ def _rat_recon_pair(residue, modulus):
 
 
 def _reconstruct(residues, modulus):
-    """{(i, f): value} from every residue, or None as soon as one does not
-    reconstruct."""
+    """{(i, f): value} from every kept residue, or None as soon as one does
+    not reconstruct."""
     values = {}
     for kxy, residue in residues.items():
         value = _rat_recon_pair(residue, modulus)
@@ -842,20 +856,15 @@ def _reconstruct(residues, modulus):
 
 
 def _basis_from_echelon(values, piv_cols, ncols):
-    """Canonical kernel basis from the reduced-echelon entries
-    {(pivot row i, free column f): value}."""
+    """Canonical kernel basis from the nonzero reduced-echelon entries
+    {(pivot row i, free column f): value}; a missing entry is 0."""
     pivset = set(piv_cols)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [ZERO] * ncols
+    vectors = {f: [ZERO] * ncols for f in range(ncols) if f not in pivset}
+    for f, v in vectors.items():
         v[f] = ONE
-        for i, c in enumerate(piv_cols):
-            if c < f:
-                v[c] = -values[(i, f)]
-        basis.append(tuple(v))
-    return basis
+    for (i, f), value in values.items():
+        vectors[f][piv_cols[i]] = -value
+    return [tuple(v) for v in vectors.values()]
 
 
 def _verify_kernel(int_rows, basis):

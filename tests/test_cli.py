@@ -1,6 +1,7 @@
 """Subprocess-level CLI contract tests: golden outputs and exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 import time
@@ -417,6 +418,23 @@ def test_report_number_over_print_limit_exits_4(tmp_path):
             assert "Traceback" not in r.stderr
             assert r.stdout == ""
             assert not out.exists()
+
+
+def test_series_cap_over_print_limit_exits_4(tmp_path):
+    # An 8.7 KB rank-3 file whose w-adic series cap, 2*(10^4300 - 1), has
+    # more digits than an int can be printed with.  Every command that
+    # inverts the series refuses it as too large, and no number in the
+    # message is over the limit.
+    nines = "9" * 4300
+    path = tmp_path / "tall_series.bundle"
+    path.write_text(f"z^{nines}, 1, 0 ; 0, z^-{nines}, 1 ; 0, 0, 1\n")
+    for command in (["split"], ["op", "dual"], ["selfdual"], ["iso", str(path)]):
+        r = run_cli(*command, str(path))
+        assert r.returncode == 4, (command, r.stderr)
+        assert r.stderr.startswith("too large:")
+        assert max(map(len, re.findall(r"\d+", r.stderr))) <= 4300
+        assert "Traceback" not in r.stderr
+        assert r.stdout == ""
 
 
 def test_random_type_may_start_with_a_negative_degree(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -334,6 +335,98 @@ def test_unlucky_prime_is_passed_over(monkeypatch):
     monkeypatch.setattr(lmatrix, "_residues_mod_p", spy)
     assert kernel_basis(ScalarMatrix([[a, gq(1)]])) == [(-gq(1) / a, gq(1))]
     assert results[0] == (None, None)
+
+
+def _dense_rref_mod_p(rows, ncols, p):
+    # Independent textbook Gauss-Jordan mod p on dense rows, in row order.
+    grid = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    out, r = [], 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(grid)) if grid[i][c]), None)
+        if piv is None:
+            continue
+        grid[r], grid[piv] = grid[piv], grid[r]
+        inv = pow(grid[r][c], -1, p)
+        grid[r] = [x * inv % p for x in grid[r]]
+        for i in range(len(grid)):
+            if i != r and grid[i][c]:
+                f = grid[i][c]
+                grid[i] = [(x - f * y) % p for x, y in zip(grid[i], grid[r])]
+        out.append(c)
+        r += 1
+    return [(c, {j: x for j, x in enumerate(grid[i]) if x}) for i, c in enumerate(out)]
+
+
+_P0 = next(lmatrix._primes_with_i())[0]
+_sparse_rows_mod_p0 = st.lists(
+    st.dictionaries(
+        st.integers(0, 7),
+        st.one_of(st.integers(1, 3), st.just(_P0 - 1), st.integers(1, _P0 - 1)),
+        max_size=5,
+    ),
+    max_size=9,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_rows_mod_p0, st.data())
+def test_rref_mod_p_is_the_same_in_any_row_order(rows, data):
+    # The reduced echelon form is unique, so the elimination's row order
+    # (by last column) changes no pivot and no pivot row.
+    shuffled = data.draw(st.permutations(rows))
+    expected = _dense_rref_mod_p(rows, 8, _P0)
+    assert lmatrix._rref_mod_p([dict(r) for r in rows], _P0) == expected
+    assert lmatrix._rref_mod_p([dict(r) for r in shuffled], _P0) == expected
+
+
+def test_echelon_entry_that_vanishes_mod_one_prime():
+    (p0, u0), (p1, _) = itertools.islice(lmatrix._primes_with_i(), 2)
+    # -p0 vanishes under both embeddings: no residue at the first prime, so
+    # CRT at the second must read the missing key as 0.  -p1 has a residue
+    # at the first prime and none at the second.
+    for p in (p0, p1):
+        assert kernel_basis(ScalarMatrix([[gq(1), gq(-p)]])) == [(gq(p), gq(1))]
+    # u0 - i vanishes under i -> u0 only.
+    assert kernel_basis(ScalarMatrix([[gq(1), gq(u0, -1)]])) == [(gq(-u0, 1), gq(1))]
+
+
+def test_tensor_cech_system_work(monkeypatch):
+    # The h0_dim solve of a seeded rank-4 tensor (28 x 28, nullity 6): the
+    # elimination makes 3,842 entry updates (5,658 in first-column row
+    # order), and each reconstruction attempt rebuilds only the nonzero
+    # echelon entries (8 here, of 80 off-pivot slots).
+    e = random_bundle((1, 0), 2, 3).tensor(random_bundle((1, -1), 2, 3))
+    updates, pairs, attempts, bases = [0], [0], [0], []
+    sub_mul, recon_pair = lmatrix._sub_mul, lmatrix._rat_recon_pair
+    reconstruct, kernel = lmatrix._reconstruct, cech.kernel_basis
+
+    def sub_mul_spy(row, f, other, p):
+        updates[0] += len(other)
+        return sub_mul(row, f, other, p)
+
+    def recon_pair_spy(residue, modulus):
+        pairs[0] += 1
+        return recon_pair(residue, modulus)
+
+    def reconstruct_spy(residues, modulus):
+        attempts[0] += 1
+        return reconstruct(residues, modulus)
+
+    def kernel_spy(m):
+        bases.append(kernel(m))
+        return bases[-1]
+
+    monkeypatch.setattr(lmatrix, "_sub_mul", sub_mul_spy)
+    monkeypatch.setattr(lmatrix, "_rat_recon_pair", recon_pair_spy)
+    monkeypatch.setattr(lmatrix, "_reconstruct", reconstruct_spy)
+    monkeypatch.setattr(cech, "kernel_basis", kernel_spy)
+    assert cech.h0_dim(e) == 6
+    (basis,) = bases
+    assert len(basis) == 6
+    assert updates[0] <= 4_200
+    nonzero = sum(sum(1 for x in v if x) - 1 for v in basis)
+    assert nonzero == 8
+    assert 1 <= pairs[0] <= attempts[0] * nonzero
 
 
 def test_rat_recon_returns_reduced_pair():
