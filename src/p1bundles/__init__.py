@@ -22,7 +22,10 @@ _HOMES = {
         "DimensionMismatch",
         "InternalCheckError",
         "InvalidBundle",
+        "KernelBudgetExceeded",
+        "P1BundlesError",
         "ParseError",
+        "RefusedArgument",
         "SectionVanishes",
         "SystemTooLarge",
         "WindowUnstable",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 
-from .errors import InvalidBundle
+from .errors import InvalidBundle, RefusedArgument
 from .exact import ONE, GaussianRational
 from .laurent import Chart, LaurentPoly, ONE_POLY, ZERO_POLY, constant, z_power
 from .lmatrix import LaurentMatrix, block_diag, kron
@@ -238,9 +238,9 @@ def random_unimodular(
     draw order.
     """
     if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
+        raise RefusedArgument("max_degree must be >= 0")
     if moves < 0:
-        raise ValueError("moves must be >= 0")
+        raise RefusedArgument("moves must be >= 0")
     acc = LaurentMatrix.identity(k)
     for _ in range(1 if k == 1 else moves):  # rank 1: one unit scaling
         acc = acc * _random_move(k, chart, max_degree, rng)[0]
@@ -262,9 +262,9 @@ def random_bundle(
     """
     degrees = [int(d) for d in degrees]
     if gauge_degree < 0:
-        raise ValueError("gauge_degree must be >= 0")
+        raise RefusedArgument("gauge_degree must be >= 0")
     if moves is not None and moves < 0:
-        raise ValueError("moves must be >= 0")
+        raise RefusedArgument("moves must be >= 0")
     k = len(degrees)
     rng = random.Random(seed)
     if moves is None:

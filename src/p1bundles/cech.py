@@ -81,7 +81,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .bundle import VectorBundle
-from .errors import WindowUnstable
+from .errors import RefusedArgument, WindowUnstable
 from .exact import ONE, ZERO
 from .laurent import LaurentPoly, _dot, chart_contains, Chart
 from .lmatrix import MAX_SYSTEM_CELLS, SparseSystem, check_size  # noqa: F401
@@ -231,7 +231,7 @@ def _tail_plan(e: VectorBundle, cutoff: int, window: int):
     window: the set-up :func:`_counts` bounds before its first solve and
     hands on to the solves, so no cutoff is set up twice."""
     if window < 0:
-        raise ValueError("window must be >= 0")
+        raise RefusedArgument("window must be >= 0")
     ranges = tuple(_tail_ranges(e, cutoff, window + 1))
     return window, ranges, _system_shape(e, cutoff, ranges)
 
@@ -412,7 +412,7 @@ def h0_sections(e: VectorBundle, window: int):
     the canonical kernel basis of the constrained tail, each as a Section.
     """
     if window < 0:
-        raise ValueError("window must be >= 0")
+        raise RefusedArgument("window must be >= 0")
     ranges = _tail_ranges(e, 0, window)
     system, unknowns = _constraint_system(e, 0, ranges)
     free = [(j, s) for j, (lo, hi) in enumerate(ranges) for s in range(min(lo, hi + 1))]
@@ -454,7 +454,7 @@ def h1_dim_oracle(e: VectorBundle, window: int | None = None) -> int:
     lo, hi = _inverse_exponents(e)
     d = window if window is not None else _overlap_window(e, lo)
     if d < 0:
-        raise ValueError("window must be >= 0")
+        raise RefusedArgument("window must be >= 0")
     cutoffs = sorted({0, d, d + 1})
     dims = dict(zip(cutoffs, _counts(e, cutoffs, None, hi)))
     a, b = (k * w - dims[w] + dims[0] for w in (d, d + 1))
@@ -481,9 +481,9 @@ def h0_profile(e: VectorBundle, m_lo: int, m_hi: int, window: int | None = None)
     explicit window.
     """
     if m_lo > m_hi:
-        raise ValueError("empty profile range")
+        raise RefusedArgument("empty profile range")
     if window is not None and window < 0:
-        raise ValueError("window must be >= 0")
+        raise RefusedArgument("window must be >= 0")
     check_size(m_hi - m_lo + 1, f"profile over twists {m_lo}..{m_hi}")
     twists = range(m_lo, m_hi + 1)
     return list(zip(twists, _counts(e, twists, window, _inverse_exponents(e)[1])))

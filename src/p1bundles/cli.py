@@ -5,31 +5,11 @@ Subcommands cover the whole library: `split`, `h0`, `h1`, `deg`, `chi`,
 are printed as stable `key: value` lines, or as one deterministic JSON
 object (sorted keys, no timestamps) under `--json`.
 
-Exit codes: 0 success, 1 invalid bundle, 2 parse/usage error (including
-an argument the library refuses, such as a negative window, and a file
-that cannot be read or an output path that cannot be written), 3 failed
-internal certificate (window instability, a broken splitting invariant,
-or a kernel solve that finds no verified basis within its prime budget),
-4 a job above the fixed size limit (``lmatrix.MAX_SYSTEM_CELLS`` cells),
-refused before it starts: a Cech constraint system (sections that may
-reach a large degree, as in ``h0`` of ``z^1000000, 1 ; 0, z^-1000000``,
-or a large ``--window``), the Cech systems of one query together (the up
-to three of ``h1``, or all twists of a ``profile``), or a w-adic series
-inverse (``split``, ``op dual``, ``iso``, ``selfdual``) whose term cap is
-over it, even a cap with more digits than can be printed; 4 also for a
-column reduction (``split``, ``op dual``, ``iso``, ``selfdual``), which is
-charged as it runs and stopped once its work is over the limit, and for a
-bundle or certificate to print with a coefficient or exponent over the
-interpreter's 4300-digit limit for converting an int to text (``op
-tensor`` of a file holding one
-2500-digit constant with itself), which the parser would refuse to read
-back, and for a report number over that limit (the 4301-digit degree of
-``z^<4300 nines>, 0 ; 0, z^<4300 nines>`` under ``deg``, ``h1``, ``chi``,
-``split`` or ``op dual``), each refused before anything is printed or an ``-o`` file
-written.
-141 (the code a shell reports for a process killed by SIGPIPE) means
-the reader of stdout closed it before the report was written, as in
-``p1bundles profile ... | head -c 80``; nothing more is printed.
+Exit codes come from the error types: a library error exits with the
+code and prints the label that its class in ``errors`` carries, and the
+module docstring of ``errors`` is the table of them.  141 (the code a
+shell reports for a process killed by SIGPIPE) means the reader of stdout
+closed it before the report was written.
 """
 
 from __future__ import annotations
@@ -41,7 +21,7 @@ import re
 import sys
 
 from .bundle import VectorBundle, random_bundle
-from .errors import InternalCheckError, InvalidBundle, ParseError, SystemTooLarge
+from .errors import P1BundlesError, ParseError
 from .text import (
     _decimal,
     format_bundle,
@@ -118,19 +98,13 @@ def _cmd_split(args):
     return 0
 
 
-def _cmd_h0(args):
+def _cmd_count(args):
     e = parse_bundle(_read(args.file))
-    from .cech import h0_dim
-    value = h0_dim(e, window=args.window)
-    _emit(args, "h0", [args.file], {"h0": value}, [f"h0: {_decimal(value)}"])
-    return 0
-
-
-def _cmd_h1(args):
-    e = parse_bundle(_read(args.file))
-    from .cech import h1_dim_oracle
-    value = h1_dim_oracle(e, window=args.window)
-    _emit(args, "h1", [args.file], {"h1": value}, [f"h1: {_decimal(value)}"])
+    from . import cech
+    count = {"h0": cech.h0_dim, "h1": cech.h1_dim_oracle, "chi": cech.euler_char}
+    key = args.command
+    value = count[key](e, window=args.window)
+    _emit(args, key, [args.file], {key: value}, [f"{key}: {_decimal(value)}"])
     return 0
 
 
@@ -139,14 +113,6 @@ def _cmd_deg(args):
     result = {"deg": e.degree, "rank": e.rank}
     lines = [f"deg: {_decimal(e.degree)}", f"rank: {e.rank}"]
     _emit(args, "deg", [args.file], result, lines)
-    return 0
-
-
-def _cmd_chi(args):
-    e = parse_bundle(_read(args.file))
-    from .cech import euler_char
-    value = euler_char(e, window=args.window)
-    _emit(args, "chi", [args.file], {"chi": value}, [f"chi: {_decimal(value)}"])
     return 0
 
 
@@ -291,21 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None, help="write the certificate here")
     p.set_defaults(func=_cmd_split)
 
-    p = sub.add_parser("h0", parents=[common, windowed], help="dim H0")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_h0)
-
-    p = sub.add_parser("h1", parents=[common, windowed], help="dim H1 (oracle)")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_h1)
-
-    p = sub.add_parser("deg", parents=[common], help="bundle degree")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_deg)
-
-    p = sub.add_parser("chi", parents=[common, windowed], help="Euler characteristic h0 - h1")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_chi)
+    # The one-file reports in --help order; h0, h1 and chi share one handler.
+    counted = [common, windowed]
+    for name, parents, func, text in (
+        ("h0", counted, _cmd_count, "dim H0"),
+        ("h1", counted, _cmd_count, "dim H1 (oracle)"),
+        ("deg", [common], _cmd_deg, "bundle degree"),
+        ("chi", counted, _cmd_count, "Euler characteristic h0 - h1"),
+    ):
+        p = sub.add_parser(name, parents=parents, help=text)
+        p.add_argument("file")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("profile", parents=[common, windowed], help="h0 of twists over a range")
     p.add_argument("file")
@@ -381,21 +343,9 @@ def main(argv=None) -> int:
         # so the final flush cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidBundle as exc:
-        print(f"invalid bundle: {exc}", file=sys.stderr)
-        return 1
-    except SystemTooLarge as exc:
-        print(f"too large: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:  # an argument the library refuses
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (InternalCheckError, ArithmeticError) as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return 3
+    except P1BundlesError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,14 +1,47 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the CLI's exit codes.
 
-The CLI maps these onto exit codes: bad bundle data is exit 1, unparsable
-text is exit 2, a failed internal certificate check is exit 3, and a
-system over the size limit or a number too long to print (SystemTooLarge)
-is exit 4.
+Every error the library raises on purpose is a :class:`P1BundlesError`,
+which carries the exit code and the stderr label the CLI reports it with.
+This is the one table of that contract (code, class, stderr label); a
+subclass exits as its base does:
+
+* 0: success, including ``iso: false`` and ``verified: false`` answers.
+* 1, InvalidBundle, "invalid bundle": det T is not c*z^e.
+* 2, ParseError, "parse error": unparsable text, a file that cannot be
+  read, or an output path that cannot be written.
+* 2, RefusedArgument, "usage error": an argument out of range, such as a
+  negative window, gauge degree or move count, an empty profile range, or
+  matrix shapes that do not fit the operation (DimensionMismatch).
+* 3, InternalCheckError, "internal check failed": a failed certificate,
+  that is window instability (WindowUnstable), a broken splitting
+  invariant (SectionVanishes), or a kernel solve with no verified basis
+  within its prime budget (KernelBudgetExceeded).
+* 4, SystemTooLarge, "too large": a job over the fixed size limit, or a
+  number too long to print; nothing is printed and no ``-o`` file written.
+* 141 (a BrokenPipeError): the reader closed stdout before the report
+  was written, as in ``p1bundles profile ... | head -c 80``; nothing more
+  is printed.
+
+Each class keeps its builtin base (ValueError, AssertionError or
+ArithmeticError), so library callers that catch those still work.  The
+CLI catches only P1BundlesError: a builtin exception that escapes it is a
+library bug, and shows as a traceback.
 """
 
 
-class ParseError(ValueError):
+class P1BundlesError(Exception):
+    """Base class of every error the library raises on purpose; each
+    concrete subclass sets its CLI exit code and stderr label."""
+
+    exit_code: int
+    label: str
+
+
+class ParseError(P1BundlesError, ValueError):
     """Input text does not match the bundle/matrix grammar."""
+
+    exit_code = 2
+    label = "parse error"
 
     def __init__(self, message, line=None, column=None):
         self.line = line
@@ -18,14 +51,24 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-class InvalidBundle(ValueError):
+class RefusedArgument(P1BundlesError, ValueError):
+    """An argument out of its documented range, such as a negative window."""
+
+    exit_code = 2
+    label = "usage error"
+
+
+class InvalidBundle(P1BundlesError, ValueError):
     """Transition matrix is not invertible away from 0 and infinity.
 
     Raised when the determinant is not of the form c*z^e with c != 0.
     """
 
+    exit_code = 1
+    label = "invalid bundle"
 
-class SystemTooLarge(ValueError):
+
+class SystemTooLarge(P1BundlesError, ValueError):
     """A linear-algebra job would exceed the fixed size limit.
 
     The limit is ``lmatrix.MAX_SYSTEM_CELLS`` cells, applied to one Cech
@@ -35,23 +78,30 @@ class SystemTooLarge(ValueError):
     (terms x k^2).  The check runs before the work starts, so a tiny input
     such as ``z^1000000`` is refused at once instead of running without
     bound.  A column reduction is charged as it runs instead (its k x k
-    leading-coefficient matrix and the terms it writes, per step), and is
-    stopped once the total is over the limit.  Also raised by the printers
-    in ``text`` for a number with more digits than the interpreter converts
-    to text, which the parser could not read back.
+    leading-coefficient matrix and each coefficient it writes, by its size
+    in 64-bit words, per step), and is stopped once the total is over the
+    limit.  Also raised by the printers in ``text`` for a number with more
+    digits than the interpreter converts to text, which the parser could
+    not read back.
     """
 
+    exit_code = 4
+    label = "too large"
 
-class DimensionMismatch(ValueError):
+
+class DimensionMismatch(RefusedArgument):
     """Matrix shapes are incompatible for the requested operation."""
 
 
-class InternalCheckError(AssertionError):
+class InternalCheckError(P1BundlesError, AssertionError):
     """Base class for failed runtime certificates.
 
     These indicate an implementation bug or an undersized truncation
     window, never bad user input.
     """
+
+    exit_code = 3
+    label = "internal check failed"
 
 
 class WindowUnstable(InternalCheckError):
@@ -60,3 +110,8 @@ class WindowUnstable(InternalCheckError):
 
 class SectionVanishes(InternalCheckError):
     """A section expected to vanish nowhere has a common zero."""
+
+
+class KernelBudgetExceeded(InternalCheckError, ArithmeticError):
+    """The modular kernel engine found no verified basis within its prime
+    budget."""

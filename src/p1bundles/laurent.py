@@ -21,8 +21,8 @@ same accumulation on scalar matrices.
 The chart predicates at the bottom (chart_contains, chart_degree) read a
 polynomial's support to tell whether it lies in a chart ring and what its
 degree is there.  The module has no division: the one polynomial division
-of the library is the Bareiss determinant's exact Laurent division
-(lmatrix._lp_divexact).
+of the library is the exact Laurent division (lmatrix._lp_divexact) of the
+determinant, a Bareiss elimination at every size.
 """
 
 from __future__ import annotations

@@ -16,14 +16,14 @@ Two layers live here:
   coefficient: each entry of a matrix product and each entry of the
   reduction's column update sum_j u_j z^(r_j* - r_j) col_j is one call of
   the fused ``laurent._dot``, and each term of the w-adic series is summed
-  on [re, im, den] accumulators (:func:`_mul_into`).  Past 3x3 the
-  determinant is a Bareiss elimination that divides exactly in the Laurent ring
-  (:func:`_lp_divexact`).  It serves only three callers: the validation
-  of a transition that arrives from outside (``VectorBundle.__init__``),
-  the public :func:`is_unimodular`, and the error branch of
-  :meth:`LaurentMatrix.inverse`.  Derived and seeded bundles carry their
-  determinant, and certificates are checked by a degree-sum argument
-  (``splitter.verify_factorization``).
+  on [re, im, den] accumulators (:func:`_mul_into`).  The determinant is
+  one Bareiss elimination at every size, which divides exactly in the
+  Laurent ring (:func:`_lp_divexact`).  It serves only three callers: the
+  validation of a transition that arrives from outside
+  (``VectorBundle.__init__``), the public :func:`is_unimodular`, and the
+  error branch of :meth:`LaurentMatrix.inverse`.  Derived and seeded
+  bundles carry their determinant, and certificates are checked by a
+  degree-sum argument (``splitter.verify_factorization``).
 
 * :class:`SparseSystem` + :func:`kernel_basis` -- exact null spaces of
   coefficient-level linear systems.  A system has one input form: sparse
@@ -55,7 +55,12 @@ from __future__ import annotations
 
 import math
 
-from .errors import DimensionMismatch, InternalCheckError, SystemTooLarge
+from .errors import (
+    DimensionMismatch,
+    InternalCheckError,
+    KernelBudgetExceeded,
+    SystemTooLarge,
+)
 from .exact import GaussianRational, ONE, ZERO, _canonical
 from .laurent import (
     Chart,
@@ -181,12 +186,11 @@ class LaurentMatrix:
         )
 
     def det(self) -> LaurentPoly:
-        """Exact determinant: cofactor expansion up to 3x3, fraction-free
-        (Bareiss) elimination beyond, whose divisions are exact in the
-        Laurent ring (:func:`_lp_divexact`)."""
+        """Exact determinant by fraction-free (Bareiss) elimination, whose
+        divisions are exact in the Laurent ring (:func:`_lp_divexact`)."""
         if not self.is_square():
             raise DimensionMismatch("determinant of a non-square matrix")
-        return _det(self.entries)
+        return _det_bareiss(self.entries)
 
     def inverse(self) -> "LaurentMatrix":
         """Exact inverse; requires det to be a unit c*z^e of the Laurent ring.
@@ -226,20 +230,6 @@ class LaurentMatrix:
 
     def __repr__(self):
         return f"<LaurentMatrix {self.rows}x{self.cols} {self}>"
-
-
-def _det(grid) -> LaurentPoly:
-    n = len(grid)
-    if n == 1:
-        return grid[0][0]
-    if n == 2:
-        return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
-    if n == 3:
-        a, b, c = grid[0]
-        d, e, f = grid[1]
-        g, h, i = grid[2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return _det_bareiss(grid)
 
 
 def _lp_divexact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -375,9 +365,13 @@ def column_reduce(t: LaurentMatrix):
     one step may lower a degree by much more than 1, so
     ``z^1000000, 1 ; 0, z^-1000000`` takes one step under a cap of 10^6.
     The work is therefore charged as it is done: each step counts its
-    k x k leading-coefficient matrix and the terms of the two columns it
-    writes, and SystemTooLarge is raised once the total is over
-    MAX_SYSTEM_CELLS.
+    k x k leading-coefficient matrix and the coefficients of the two
+    columns it writes, each by its size in 64-bit words and at least 1, and
+    SystemTooLarge is raised once the total is over MAX_SYSTEM_CELLS.
+    Charging by size, not by term count, bounds a reduction whose few terms
+    grow by some 30 digits a step, as those of
+    ``(1/5,-2/3)*z^(10^20), -z^3 + 4/3*z^2 + c*z^-1 ; 0, c'*z^-1000000``
+    with 30-digit c and c' do.
     """
     k = t.rows
     cap = 0
@@ -409,7 +403,13 @@ def column_reduce(t: LaurentMatrix):
         ]
         cols[picked] = [_dot((m, cols[j][i]) for m, j in mono) for i in range(k)]
         v[picked] = [_dot((m, v[j][i]) for m, j in mono) for i in range(k)]
-        cells += k * k + sum(map(len, cols[picked] + v[picked]))
+        # Each written coefficient is charged its size in 64-bit words, the
+        # bits of its (re, im, den) ints rounded up, so at least 1.
+        cells += k * k + sum(
+            (c.num_re.bit_length() + c.num_im.bit_length() + c.den.bit_length() + 63) // 64
+            for p in cols[picked] + v[picked]
+            for _, c in p.items()
+        )
         check_size(cells, "a column reduction")
     raise ValueError("matrix is singular: its column reduction ran past the step cap")
 
@@ -634,8 +634,8 @@ def kernel_basis(m: SparseSystem):
     The basis comes from the certified multi-modular engine and is verified
     exactly against m before it is returned.  The number of primes it may
     use is derived from the Hadamard bound of m's rows, so the cost grows
-    with coefficient height as well as with shape; ArithmeticError means
-    that budget ran out without a verified basis.  The residues of the
+    with coefficient height as well as with shape; KernelBudgetExceeded
+    (an InternalCheckError and an ArithmeticError) means that budget ran out without a verified basis.  The residues of the
     reduced echelon form are kept only where they are nonzero: CRT runs over
     the entries kept at either the accumulated modulus or the new prime, a
     missing one being 0 there, and reconstruction reads only those.
@@ -677,7 +677,7 @@ def kernel_basis(m: SparseSystem):
                     if _verify_kernel(int_rows, basis):
                         return basis
         if used == budget:
-            raise ArithmeticError(
+            raise KernelBudgetExceeded(
                 f"modular kernel failed to stabilize within {budget} primes"
             )
 

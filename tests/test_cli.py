@@ -207,9 +207,10 @@ def test_negative_moves_is_usage_error(tmp_path):
 
 def test_unstable_modular_kernel_exits_3(monkeypatch, capsys):
     from p1bundles import cech, cli
+    from p1bundles.errors import KernelBudgetExceeded
 
     def unstable(matrix):
-        raise ArithmeticError("modular kernel failed to stabilize")
+        raise KernelBudgetExceeded("modular kernel failed to stabilize")
 
     # Every count runs its kernel solve, so the patched solve is reached.
     monkeypatch.setattr(cech, "kernel_basis", unstable)
@@ -217,6 +218,54 @@ def test_unstable_modular_kernel_exits_3(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "internal check failed" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("builtin", [ValueError, ArithmeticError])
+def test_builtin_error_in_a_subcommand_propagates(monkeypatch, builtin):
+    # A builtin exception is a library bug, never a usage error (exit 2) or
+    # a failed certificate (exit 3): cli.main lets it through.
+    from p1bundles import cech, cli
+
+    def broken(e, window=None):
+        raise builtin("a library bug")
+
+    monkeypatch.setattr(cech, "h0_dim", broken)
+    with pytest.raises(builtin, match="a library bug"):
+        cli.main(["h0", str(DATA / "o3.bundle")])
+
+
+# The exit code of each error class, as the errors docstring tables it.
+EXIT_CODES = {
+    "InvalidBundle": 1,
+    "ParseError": 2,
+    "RefusedArgument": 2,
+    "DimensionMismatch": 2,
+    "InternalCheckError": 3,
+    "WindowUnstable": 3,
+    "SectionVanishes": 3,
+    "KernelBudgetExceeded": 3,
+    "SystemTooLarge": 4,
+}
+
+
+def test_every_error_class_carries_its_documented_exit_code():
+    import p1bundles
+    from p1bundles import errors
+
+    exported = {
+        name: cls
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, BaseException)
+    }
+    assert set(exported) == set(EXIT_CODES) | {"P1BundlesError"}
+    assert set(exported) <= set(p1bundles.__all__)
+    for name, code in EXIT_CODES.items():
+        assert issubclass(exported[name], errors.P1BundlesError), name
+        assert exported[name].exit_code == code, name
+    rows = re.findall(r'^\* (\d), (\w+), "([^"]+)"', errors.__doc__, re.MULTILINE)
+    assert len(rows) == 5
+    for code, name, label in rows:
+        assert (exported[name].exit_code, exported[name].label) == (int(code), label)
 
 
 def test_oversized_system_exits_4(tmp_path):

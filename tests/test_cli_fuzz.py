@@ -113,15 +113,24 @@ def test_cli_exit_codes_stay_in_contract(tmp_path, capsys):
 
 
 def test_split_of_mixed_far_exponents_is_bounded(tmp_path):
-    # A valid 3 x 3 file with 10^20 and 10^6 beside small exponents in its
-    # columns: each reduction step lowers a column degree by a few units,
-    # of about 10^20 to go.  The step cap refuses it before the first step.
-    path = tmp_path / "far.bundle"
-    path.write_text(
+    # Two valid files whose column reduction is stopped by its work charge
+    # within the timeout.  The 3 x 3 one has 10^20 and 10^6 beside small
+    # exponents in its columns: each reduction step lowers a column degree
+    # by a few units, of about 10^20 to go.  The 2 x 2 one has 30-digit
+    # coefficients that grow by about 30 digits a step, with few terms: the
+    # work is charged by coefficient size, not by term count.
+    texts = (
         "z^100000000000000000000, z^1000000 + z^2, z^-1 + z^6 ;\n"
         "0, z^-100000000000000000000, 2 + z^-3 ;\n"
-        "0, 0, z^-1\n"
+        "0, 0, z^-1\n",
+        "rank: 2\n"
+        "(1/5,-2/3)*z^100000000000000000000, -1*z^3 + 4/3*z^2"
+        " + 136671194719350485701899033903*z^-1 ;\n"
+        "0, 662599182648589914439142533982*z^-1000000\n",
     )
-    argv = [sys.executable, "-m", "p1bundles.cli", "split", str(path)]
-    r = subprocess.run(argv, capture_output=True, text=True, timeout=2)
-    assert r.returncode in (0, 4)
+    path = tmp_path / "far.bundle"
+    for text in texts:
+        path.write_text(text)
+        argv = [sys.executable, "-m", "p1bundles.cli", "split", str(path)]
+        r = subprocess.run(argv, capture_output=True, text=True, timeout=2)
+        assert r.returncode in (0, 4)

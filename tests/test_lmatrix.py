@@ -114,6 +114,30 @@ def test_det_bareiss_path_4x4_agrees_with_cofactor(unit_det):
         assert _det_bareiss(a.entries) == expected
 
 
+def test_det_up_to_3x3_matches_the_cofactor_formulas():
+    # The elimination serves every size; the explicit formulas are the
+    # oracle here, on dense matrices and on ones whose zero entries force
+    # a row swap or a zero pivot column.
+    rng = random.Random(13)
+    z, w = z_power(1), z_power(-1)
+    cases = [_random_laurent_matrix(rng, k, den) for k in (1, 2, 3) for den in (1, 3)]
+    cases += [
+        lm([[ZERO_POLY, z], [w + ONE_POLY, z + w]]),
+        lm([[ZERO_POLY, z, ONE_POLY], [w, ONE_POLY, z], [z + w, ZERO_POLY, w]]),
+        lm([[ZERO_POLY, z, ONE_POLY], [ZERO_POLY, ONE_POLY, z], [ZERO_POLY, w, w]]),
+    ]
+    for a in cases:
+        g = a.entries
+        if a.rows == 1:
+            expected = g[0][0]
+        elif a.rows == 2:
+            expected = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+        else:
+            (p, q, r), (s, t, u), (x, y, v) = g
+            expected = p * (t * v - u * y) - q * (s * v - u * x) + r * (s * y - t * x)
+        assert a.det() == expected
+
+
 def test_lp_divexact_is_exact_or_raises():
     from p1bundles.lmatrix import _lp_divexact
 
