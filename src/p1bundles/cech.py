@@ -1,4 +1,4 @@
-"""Two-chart Cech cohomology: exact H0, an H1 cokernel oracle, Euler
+"""Two-chart Cech cohomology: exact H0, H1 by Serre duality, Euler
 characteristic, and twist profiles.
 
 A global section of E is a pair of chart-holomorphic vectors agreeing on
@@ -30,50 +30,47 @@ equals the count at W+1 exactly when no slot W+1 is free by structure and
 no kernel vector touches one; otherwise WindowUnstable is raised, so an
 undersized window is a loud error, never a wrong answer.
 
-The default windows are degree bounds read off T alone.  With det T =
-c*z^e, every entry of T^-1 = adj(T) / (c*z^e) has exponents in [lo, hi]:
+The windows are capped by a degree bound read off T alone.  With det T =
+c*z^e, every entry of T^-1 = adj(T) / (c*z^e) has exponents at most
 
     hi = min(sum(rowmax) - min(rowmax), sum(colmax) - min(colmax)) - e,
-    lo = max(sum(rowmin) - max(rowmin), sum(colmin) - max(colmin)) - e,
 
-rowmax/colmax (rowmin/colmin) the top (lowest) exponents of T's rows and
-columns, since each cofactor takes one entry from all rows but one and all
-columns but one (Kailath, Linear Systems, 1980, ch. 6).  A section with
-cutoff c is f = T^-1 h with h of exponents <= c, so deg f <= c + hi, and
-the default window is c + hi.  When c + hi < 0 the section space is 0 and
-nothing is solved.  An explicit window (h0_dim, h0_profile, --window) is
-the same at every cutoff; h0_sections reads its basis off the same split.
+rowmax/colmax the top exponents of T's rows and columns, since each
+cofactor takes one entry from all rows but one and all columns but one
+(Kailath, Linear Systems, 1980, ch. 6).  A section with cutoff c is
+f = T^-1 h with h of exponents <= c, so deg f <= c + hi.  The default
+window is c + hi, and an explicit window W (h0_dim, h0_profile,
+--window) counts at min(W, c + hi), which gives the count at W.  When
+c + hi < 0 the section space is 0 and nothing is solved, at any window.
+h0_sections reads its basis off the same split at its window.
 
 Nested cutoffs.  The section spaces S(c) = sections_with_cutoff(E, c) are
-nested, and a profile over c_lo..C, or the h1 oracle's cutoffs 0, D and
-D+1, needs several of them.  One tail solve at the top cutoff C gives a
-basis of S(C); S(c) is where the coefficients of T*f at the exponents in
-(c, C] vanish, so every dim S(c) follows from the prefix ranks of one
-matrix G^T (basis vectors x those coefficients, in descending exponent),
-read off one certified kernel (_nested_dims).  One routine (_counts)
-answers every h0, h1 and profile count: it sets up each cutoff once, sums
-the shapes of the separate systems, each cutoff charged at least one
-cell, and raises SystemTooLarge before the first solve; it then takes the
-chain when the cells it builds, bounded before any solve, are no more
-than the separate solves'.  Tiny systems with a wide band of free slots,
-such as a long profile of a line bundle, keep one solve per cutoff.
+nested, and a profile over c_lo..C needs several of them.  One tail solve
+at the top cutoff C gives a basis of S(C); S(c) is where the coefficients
+of T*f at the exponents in (c, C] vanish, so every dim S(c) follows from
+the prefix ranks of one matrix G^T (basis vectors x those coefficients, in
+descending exponent), read off one certified kernel (_nested_dims).  One
+routine (_counts) answers every h0, h1 and profile count: it sets up each
+cutoff once, sums the shapes of the separate systems, each cutoff charged
+at least one cell, and raises SystemTooLarge before the first solve; it
+then takes the chain when the cells it builds, bounded before any solve,
+are no more than the separate solves'.  Tiny systems with a wide band of
+free slots, such as a long profile of a line bundle, keep one solve per
+cutoff.
 
-H1 is a truncated cokernel on the overlap: Laurent tails with exponents in
-[-D, D] modulo coboundaries of chart cochains, with the chart-0 cochain
-window matched to the target so every image lies inside it.  Chart-1
-cochains span all nonpositive exponents of the window, so the quotient
-reduces to (k*D positive-exponent slots) modulo the positive parts of
-T*f over the matched chart-0 cochains f; counting by rank-nullity of that
-image map gives
+H1 is an H0.  On P^1 the canonical bundle is O(-2), so h1(E) =
+h0(E*(-2)) (Serre, Ann. of Math. 61, 1955), and E*(-2) has transition
+S = z^2 T^-T.  A section f of E*(-2) maps to h = S*f in C[w]^k, with
+f = z^-2 T^T h in C[z]^k.  Swapping the charts, g(z) = h(1/z) is a
+polynomial vector with P*g = f(1/z) holomorphic at infinity, for the
+Serre partner
 
-    h1 at window D  =  k*D - dim sections_with_cutoff(E, D) + h0(E),
+    P(z) = z^2 * T(1/z)^T,
 
-each term exact and window-stability-asserted.  For E = O(d_1) + ... +
-O(d_k), Riemann-Roch on E and E(D) makes this h1(E) - h1(E(D)), exact once
-D >= -d_min - 1.  A section f != 0 of the dual twist E*(m) (transition
-T^-T) has T^-T * f of lowest exponent >= lo and <= m, so m >= lo; the first
-such m is d_min, as E* = O(-d_1) + ... + O(-d_k).  So -d_min <= -lo, and
-the default D is min(k*(N+1), max(0, -lo - 1)).
+and every section g of P comes back from one f.  So h1(E) = h0(P): one
+count at cutoff 0 on a transition read off T by negating and shifting
+its exponents, with det P = c*z^(2k - e), and no inverse.  On O(d),
+P = z^(d+2) is O(-d-2), and h0 = max(0, -d-1).
 """
 
 from __future__ import annotations
@@ -83,9 +80,9 @@ from bisect import bisect_left
 from .bundle import VectorBundle
 from .errors import RefusedArgument, WindowUnstable
 from .exact import ONE, ZERO
-from .laurent import LaurentPoly, _dot, chart_contains, Chart
+from .laurent import LaurentPoly, _dot, _poly, chart_contains, Chart
 from .lmatrix import MAX_SYSTEM_CELLS, SparseSystem, check_size  # noqa: F401
-from .lmatrix import clear_row, kernel_basis
+from .lmatrix import LaurentMatrix, clear_row, kernel_basis
 
 # Counters so test harnesses can confirm stability checks actually ran.
 STABILITY_CHECKS = 0
@@ -228,10 +225,8 @@ def _record_stability(ok: bool, what: str):
 
 def _tail_plan(e: VectorBundle, cutoff: int, window: int):
     """(window, ranges, shape) of the one tail solve at this cutoff and
-    window: the set-up :func:`_counts` bounds before its first solve and
-    hands on to the solves, so no cutoff is set up twice."""
-    if window < 0:
-        raise RefusedArgument("window must be >= 0")
+    window (>= 0): the set-up :func:`_counts` bounds before its first solve
+    and hands on to the solves, so no cutoff is set up twice."""
     ranges = tuple(_tail_ranges(e, cutoff, window + 1))
     return window, ranges, _system_shape(e, cutoff, ranges)
 
@@ -286,10 +281,10 @@ def _nested_dims(e: VectorBundle, c_lo: int, top: int, plan):
 
     For c <= top, S(c) is the subspace of S(top) on which the coefficients
     of T*f at exponents t in (c, top] vanish; the top's window bounds every
-    S(c), whether it is the default one (windows grow with the cutoff) or
-    one explicit window for all.  G^T has one row per basis vector of
-    S(top) whose T*f reaches that band (the free slots s <= c_lo - M_j
-    never do), one column per (component i, exponent t), in descending t.
+    S(c), as the windows of :func:`_counts` do not fall as c grows.  G^T
+    has one row per basis vector of S(top) whose T*f reaches that band
+    (the free slots s <= c_lo - M_j never do), one column per (component
+    i, exponent t), in descending t.
     Each canonical kernel vector of G^T has 1 at its free column and 0
     after it, so its last nonzero entry marks a column that depends
     exactly (the kernel is verified) on earlier ones: the prefix rank is
@@ -325,9 +320,9 @@ def _nested_dims(e: VectorBundle, c_lo: int, top: int, plan):
     ]
 
 
-def _inverse_exponents(e: VectorBundle):
-    """(lo, hi) with every exponent of every entry of T^-1 in [lo, hi],
-    read off the exponents of T alone.
+def _inverse_top(e: VectorBundle) -> int:
+    """hi, an upper bound on every exponent of every entry of T^-1, read
+    off the exponents of T alone.
 
     (T^-1)_ij = C_ji / (c*z^e) for det T = c*z^e, C_ji the (j, i)
     cofactor: a (k-1)-minor, one entry from each row but one and from each
@@ -335,73 +330,58 @@ def _inverse_exponents(e: VectorBundle):
     the row maxima less the dropped row's, so at most
     sum(rowmax) - min(rowmax), and by columns at most sum(colmax) -
     min(colmax); hence hi = min of the two, minus e (Kailath, Linear
-    Systems, 1980, ch. 6).  Likewise each term's lowest exponent is at least
-    sum(rowmin) - max(rowmin) and at least sum(colmin) - max(colmin); both
-    hold, so lo = the larger of the two, minus e.
+    Systems, 1980, ch. 6).
     """
-    rows = [[p for p in row if p] for row in e.transition.entries]
-    cols = [[p for p in col if p] for col in zip(*e.transition.entries)]
-    det_exp = e.det_unit[1]
-    tops = [[max(p.degree for p in line) for line in lines] for lines in (rows, cols)]
-    lows = [[min(p.order for p in line) for line in lines] for lines in (rows, cols)]
-    hi = min(sum(x) - min(x) for x in tops) - det_exp
-    lo = max(sum(x) - max(x) for x in lows) - det_exp
-    return lo, hi
+    rows = e.transition.entries
+    tops = [
+        [max(p.degree for p in line if p) for line in lines]
+        for lines in (rows, zip(*rows))
+    ]
+    return min(sum(x) - min(x) for x in tops) - e.det_unit[1]
 
 
-def _overlap_window(e: VectorBundle, lo: int) -> int:
-    """The h1 oracle's default D = min(k*(N+1), max(0, -lo - 1)).
+def _counts(e: VectorBundle, c_lo: int, c_hi: int, window):
+    """[dim S(c) for c in c_lo..c_hi], S(c) = {f : deg f_j <= window, T*f
+    has exponents <= c}: the one routine under every h0, h1 and profile
+    count.
 
-    With E = O(d_1) + ... + O(d_k), Riemann-Roch on E and E(D) turns the
-    oracle at D into h1(E) - h1(E(D)), exact once D >= -d_min - 1.  A
-    section f != 0 of E*(m), whose transition is T^-T, has T^-T * f of
-    lowest exponent >= ord(T^-1) >= lo (_inverse_exponents) and <= m, so
-    m >= lo; the first such m is d_min, so -d_min - 1 <= -lo - 1.  The cap
-    k*(N+1) (N the largest |exponent| of T) is never below -d_min - 1: the
-    column-reduced degrees r_j of the polynomial matrix z^N*T lie in
-    [0, 2N], so each d_j lies in [-N, N], and -d_min - 1 < k*(N+1).
+    A section with cutoff c is f = T^-1 h with h of exponents <= c, so
+    deg f <= c + hi, hi the top exponent of T^-1 (:func:`_inverse_top`).
+    Each cutoff is therefore counted at the window c + hi, or at
+    min(window, c + hi) for an explicit window, which gives the same
+    count; the cutoffs below -hi have no section and no system, and are
+    answered at once.  Every other cutoff is set up once
+    (:func:`_tail_plan`), and the cells of all of them, each cutoff
+    charged at least one, are checked against MAX_SYSTEM_CELLS before the
+    first solve; the set-up stops at a cutoff whose top slot is free by
+    structure, as its solve raises WindowUnstable.  One chain
+    (:func:`_nested_dims`) answers the rest when, by :func:`_chain_cells`,
+    it builds no more cells than the separate solves and fits the limit;
+    otherwise each cutoff is solved on its own.  The chain holds at an
+    explicit window too: the windows do not fall as c grows, so S(c) is a
+    subspace of S(top), and the top's check at its window + 1 fails
+    whenever a lower cutoff's would.  The caller keeps the number of
+    cutoffs within the limit.
     """
-    return min(e.rank * (e.max_exponent + 1), max(0, -lo - 1))
-
-
-def _counts(e: VectorBundle, cutoffs, window, hi: int):
-    """[dim S(c) for c in cutoffs], S(c) = {f : deg f_j <= window, T*f has
-    exponents <= c}, for ascending cutoffs: the one routine under every
-    h0, h1 and profile count.
-
-    With window None each cutoff takes its default window c + hi, hi the
-    top exponent of T^-1 (_inverse_exponents): a section is f = T^-1 h with
-    h of exponents <= c, so deg f <= c + hi.  The cutoffs below -hi then
-    have no section and no system, and are answered at once.  Every other
-    cutoff is set up once (:func:`_tail_plan`), and the cells of all of
-    them, each cutoff charged at least one, are checked against
-    MAX_SYSTEM_CELLS before the first solve; the set-up stops at a cutoff
-    whose top slot is free by structure, as its solve raises
-    WindowUnstable.  One chain (:func:`_nested_dims`) answers the rest
-    when, by :func:`_chain_cells`, it builds no more cells than the
-    separate solves and fits the limit; otherwise each cutoff is solved on
-    its own.  The chain holds at an explicit window too: with one window W
-    at every cutoff, S(c) is a subspace of S(top), and the top's W + 1
-    check fails whenever a lower cutoff's would.  The caller keeps the
-    number of cutoffs within the limit, so a range of them has a len().
-    """
-    skip = 0 if window is not None else bisect_left(cutoffs, -hi)
+    if window is not None and window < 0:
+        raise RefusedArgument("window must be >= 0")
+    hi = _inverse_top(e)
+    skip = min(c_hi - c_lo + 1, max(0, -hi - c_lo))
     cells = skip
     plans = []
-    for c in cutoffs[skip:]:
-        plan = _tail_plan(e, c, c + hi if window is None else window)
+    for c in range(c_lo + skip, c_hi + 1):
+        plan = _tail_plan(e, c, c + hi if window is None else min(window, c + hi))
         _, ranges, (rows, cols) = plan
         cells += max(1, rows * cols)
-        check_size(cells, f"Cech systems at cutoffs {cutoffs[0]}..{c}")
+        check_size(cells, f"Cech systems at cutoffs {c_lo}..{c}")
         plans.append(plan)
         if any(a > b for a, b in ranges):
             break  # a free top slot: this cutoff's solve raises WindowUnstable
-    live = cutoffs[skip : skip + len(plans)]
+    live = range(c_lo + skip, c_lo + skip + len(plans))
     if len(live) > 1:
-        c_lo, top = live[0], live[-1]
-        if _chain_cells(e, c_lo, top, plans[-1]) <= min(cells - skip, MAX_SYSTEM_CELLS):
-            dims = _nested_dims(e, c_lo, top, plans[-1])
-            return [0] * skip + [dims[c - c_lo] for c in live]
+        bottom, top = live[0], live[-1]
+        if _chain_cells(e, bottom, top, plans[-1]) <= min(cells - skip, MAX_SYSTEM_CELLS):
+            return [0] * skip + _nested_dims(e, bottom, top, plans[-1])
     return [0] * skip + [_sections_dim(e, c, plan) for c, plan in zip(live, plans)]
 
 
@@ -436,30 +416,30 @@ def h0_dim(e: VectorBundle, window: int | None = None) -> int:
     degree-<=window polynomials.  Every solve is asserted stable against
     window + 1.
     """
-    return _counts(e, [0], window, _inverse_exponents(e)[1])[0]
+    return _counts(e, 0, 0, window)[0]
+
+
+def _serre_partner(e: VectorBundle) -> VectorBundle:
+    """P = z^2 * T(1/z)^T, whose sections count H1(E) (module docstring):
+    each term c*z^d of T_ji becomes c*z^(2 - d) of P_ij, with no
+    arithmetic, and det P = c*z^(2k - e) for det T = c*z^e."""
+    t, k = e.transition, e.rank
+    c, x = e.det_unit
+    grid = [
+        [_poly({2 - d: a for d, a in t[j, i].items()}) for j in range(k)]
+        for i in range(k)
+    ]
+    return VectorBundle._with_det(LaurentMatrix(grid), (c, 2 * k - x))
 
 
 def h1_dim_oracle(e: VectorBundle, window: int | None = None) -> int:
-    """dim H1(E) via the truncated-cokernel oracle, exact.
-
-    Computed independently of any splitting: overlap tails with exponents
-    in [-D, D] are quotiented by the coboundary images of matched chart
-    cochains, counted through rank-nullity of the image map (see module
-    docstring).  The default D is _overlap_window.  The section counts at
-    cutoffs 0, D and D+1, at their default windows for any D, come from
-    one call of :func:`_counts`, so their systems are bounded together.
-    Stability-asserted between D and D+1.
+    """dim H1(E) by Serre duality, exact: h0 of the Serre partner
+    P = z^2 * T(1/z)^T (see module docstring), one count at P's default
+    window, and no solve when that window is negative.  An explicit window
+    bounds the degree of P's sections, and is asserted stable against
+    window + 1 like every count.
     """
-    k = e.rank
-    lo, hi = _inverse_exponents(e)
-    d = window if window is not None else _overlap_window(e, lo)
-    if d < 0:
-        raise RefusedArgument("window must be >= 0")
-    cutoffs = sorted({0, d, d + 1})
-    dims = dict(zip(cutoffs, _counts(e, cutoffs, None, hi)))
-    a, b = (k * w - dims[w] + dims[0] for w in (d, d + 1))
-    _record_stability(a == b, f"h1 changed between window {d} and {d + 1}")
-    return a
+    return h0_dim(_serre_partner(e), window)
 
 
 def euler_char(e: VectorBundle, window: int | None = None) -> int:
@@ -482,8 +462,5 @@ def h0_profile(e: VectorBundle, m_lo: int, m_hi: int, window: int | None = None)
     """
     if m_lo > m_hi:
         raise RefusedArgument("empty profile range")
-    if window is not None and window < 0:
-        raise RefusedArgument("window must be >= 0")
     check_size(m_hi - m_lo + 1, f"profile over twists {m_lo}..{m_hi}")
-    twists = range(m_lo, m_hi + 1)
-    return list(zip(twists, _counts(e, twists, window, _inverse_exponents(e)[1])))
+    return list(zip(range(m_lo, m_hi + 1), _counts(e, m_lo, m_hi, window)))

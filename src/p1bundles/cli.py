@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     counted = [common, windowed]
     for name, parents, func, text in (
         ("h0", counted, _cmd_count, "dim H0"),
-        ("h1", counted, _cmd_count, "dim H1 (oracle)"),
+        ("h1", counted, _cmd_count, "dim H1 by Serre duality"),
         ("deg", [common], _cmd_deg, "bundle degree"),
         ("chi", counted, _cmd_count, "Euler characteristic h0 - h1"),
     ):

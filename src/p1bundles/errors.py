@@ -73,8 +73,8 @@ class SystemTooLarge(P1BundlesError, ValueError):
 
     The limit is ``lmatrix.MAX_SYSTEM_CELLS`` cells, applied to one Cech
     constraint system (rows x unknowns), to the Cech systems of one query
-    together (the up to three of an h1, or all twists of a profile, each
-    charged at least one cell), and to the cap of a w-adic series inverse
+    together (all twists of a profile, each charged at least one cell),
+    and to the cap of a w-adic series inverse
     (terms x k^2).  The check runs before the work starts, so a tiny input
     such as ``z^1000000`` is refused at once instead of running without
     bound.  A column reduction is charged as it runs instead (its k x k

@@ -8,6 +8,7 @@ from p1bundles import (
     GaussianRational,
     LaurentMatrix,
     LaurentPoly,
+    P1BundlesError,
     Section,
     SystemTooLarge,
     VectorBundle,
@@ -24,6 +25,7 @@ from p1bundles import (
     kron,
     line_bundle,
     monomial,
+    parse_bundle,
     random_bundle,
     z_power,
 )
@@ -145,6 +147,16 @@ def test_explicit_window_and_instability():
     assert h0_dim(line_bundle(3), window=5) == 4
     with pytest.raises(WindowUnstable):
         h0_dim(line_bundle(3), window=1)
+
+
+def test_explicit_window_past_the_bound_counts_at_the_bound():
+    # Sections with cutoff c have degree <= c + hi, so a window past that
+    # is counted at c + hi: O(3) at window 10^19 sets up no 10^19-slot
+    # system, and the twists below -hi are answered with none at all.
+    o3 = line_bundle(3)
+    assert h0_dim(o3, window=10**19) == 4
+    assert h0_profile(o3, -6, 1, window=10**19) == [(m, max(0, 4 + m)) for m in range(-6, 2)]
+    assert h1_dim_oracle(line_bundle(-5), window=10**19) == 4
 
 
 def test_stability_counters_move():
@@ -426,19 +438,15 @@ def test_sections_past_the_old_blanket_window_are_counted(n):
     assert h0_profile(e, -6, 0) == [(m, 2 * max(0, n + m + 1)) for m in range(-6, 1)]
 
 
-def test_h1_systems_are_bounded_together(monkeypatch):
-    # The oracle's systems at cutoffs 0, D and D + 1 are summed against the
-    # cell limit before any solve: each fits alone, their sum does not.
+def test_h1_system_is_bounded_before_its_solve(monkeypatch):
+    # h1 is one system on the Serre partner, at its default window; one
+    # cell over the limit is refused before anything is solved.
     e = random_bundle([2, 0, -3], 2, seed=4242)
-    lo, hi = cech._inverse_exponents(e)
-    d = cech._overlap_window(e, lo)
-    cells = []
-    for c in (0, d, d + 1):
-        rows, cols = cech._tail_plan(e, c, c + hi)[2]
-        cells.append(max(1, rows * cols))
-    monkeypatch.setattr(lmatrix, "MAX_SYSTEM_CELLS", sum(cells) - 1)
-    monkeypatch.setattr(cech, "MAX_SYSTEM_CELLS", sum(cells) - 1)
-    assert max(cells) < sum(cells) - 1
+    partner = cech._serre_partner(e)
+    rows, cols = cech._tail_plan(partner, 0, cech._inverse_top(partner))[2]
+    assert rows * cols > 1
+    monkeypatch.setattr(lmatrix, "MAX_SYSTEM_CELLS", rows * cols - 1)
+    monkeypatch.setattr(cech, "MAX_SYSTEM_CELLS", rows * cols - 1)
     _, solves = _count_solves(monkeypatch)
     with pytest.raises(SystemTooLarge):
         h1_dim_oracle(e)
@@ -465,7 +473,7 @@ def test_no_section_twists_run_no_solve(monkeypatch):
     solves = []
     solve = cech.kernel_basis
     monkeypatch.setattr(cech, "kernel_basis", lambda m: solves.append(m) or solve(m))
-    lo = -cech._inverse_exponents(e)[1] - 1
+    lo = -cech._inverse_top(e) - 1
     assert h0_profile(e, lo - 3, lo) == [(m, 0) for m in range(lo - 3, lo + 1)]
     assert solves == []
 
@@ -485,8 +493,9 @@ def test_profile_sets_up_each_twist_once(monkeypatch):
     # The count that bounds a profile before its first solve sets up each
     # twist once.  At the default window no twist is then built or solved
     # on its own: one top system and one rank system answer the whole
-    # chain, and the same holds at one explicit window for every twist.
-    e = random_bundle([2, 0, -1], 2, seed=1957)
+    # chain, and the same holds at one explicit window for every twist,
+    # below the cofactor bound of the top twists.
+    e = random_bundle([2, 0, -1], 2, seed=5)
     systems, solves = _count_solves(monkeypatch)
     shapes = []
     shape = cech._system_shape
@@ -495,11 +504,13 @@ def test_profile_sets_up_each_twist_once(monkeypatch):
     assert h0_profile(e, -4, 2) == expected
     assert systems == [2] and len(solves) == 2
     # One shape per twist with a section window: m >= -hi.
-    assert len(shapes) == 2 + min(4, cech._inverse_exponents(e)[1]) + 1
+    hi = cech._inverse_top(e)
+    assert len(shapes) == 2 + min(4, hi) + 1
     shapes.clear()
     solves.clear()
     systems.clear()
-    assert h0_profile(e, -4, 2, window=e.rank * (e.max_exponent + 1) + 2) == expected
+    assert 6 < 2 + hi
+    assert h0_profile(e, -4, 2, window=6) == expected
     assert len(shapes) == 7 and systems == [2] and len(solves) == 2
 
 
@@ -507,7 +518,8 @@ def test_chain_guard_picks_the_cheaper_path(monkeypatch):
     # The chain runs only when it builds no more cells than the per-cutoff
     # solves.  Tiny systems with a wide band of free slots stay separate:
     # file "5" (O) has one 1-cell system per twist, and O(-10^6) has one
-    # cutoff with a section window.  A scrambled rank-3 bundle chains.
+    # cutoff with a section window.  A scrambled rank-3 bundle chains its
+    # profile, and its h1 is one solve.
     systems, solves = _count_solves(monkeypatch)
     five = VectorBundle(LaurentMatrix([[constant(5)]]))
     assert h0_profile(five, 0, 2000) == [(m, m + 1) for m in range(2001)]
@@ -517,10 +529,13 @@ def test_chain_guard_picks_the_cheaper_path(monkeypatch):
     assert len(solves) == 1
     e = random_bundle([2, 0, -3], 2, seed=4242)
     profile = [(m, sum(max(0, d + m + 1) for d in (2, 0, -3))) for m in range(-3, 4)]
-    for call, expected in ((lambda: h0_profile(e, -3, 3), profile), (lambda: h1_dim_oracle(e), 2)):
+    for call, expected, solved in (
+        (lambda: h0_profile(e, -3, 3), profile, 2),
+        (lambda: h1_dim_oracle(e), 2, 1),
+    ):
         solves.clear()
         assert call() == expected
-        assert len(solves) == 2
+        assert len(solves) == solved
 
 
 def _chain_and_separate(e, cutoffs, hi):
@@ -536,8 +551,7 @@ def _chain_and_separate(e, cutoffs, hi):
 def test_chain_matches_separate_solves(unit_det):
     # Inputs the seeded scrambler never produces: a wide diagonal, a direct
     # sum with a far line bundle, a tensor of two shear products, and
-    # 350-digit coefficients.  Both paths run over each profile's twists
-    # and over the h1 oracle's cutoffs 0, D and D + 1.
+    # 350-digit coefficients.  Both paths run over each profile's twists.
     rng = random.Random(6021)
     shears = VectorBundle(unit_det(rng, 2, 2)).tensor(VectorBundle(unit_det(rng, 2, 1)))
     cases = [
@@ -548,13 +562,11 @@ def test_chain_matches_separate_solves(unit_det):
     ]
     for e, d, span in cases:
         lo, hi = span or (-d[0] - 1, -d[-1])
-        inv_lo, inv_hi = cech._inverse_exponents(e)
-        d_h1 = cech._overlap_window(e, inv_lo)
-        for cutoffs in (range(lo, hi + 1), sorted({0, d_h1, d_h1 + 1})):
-            # Only the cutoffs with a section window have a system to solve.
-            live = [c for c in cutoffs if c + inv_hi >= 0]
-            expected = [sum(max(0, x + c + 1) for x in d) for c in live]
-            assert list(_chain_and_separate(e, live, inv_hi)) == [expected, expected]
+        inv_hi = cech._inverse_top(e)
+        # Only the cutoffs with a section window have a system to solve.
+        live = [c for c in range(lo, hi + 1) if c + inv_hi >= 0]
+        expected = [sum(max(0, x + c + 1) for x in d) for c in live]
+        assert list(_chain_and_separate(e, live, inv_hi)) == [expected, expected]
         assert h1_dim_oracle(e) == sum(max(0, -x - 1) for x in d)
 
 
@@ -574,10 +586,8 @@ def test_repeated_query_solves_and_checks_again(monkeypatch, query):
     b = VectorBundle(LaurentMatrix(a.transition.entries))
     _, solves = _count_solves(monkeypatch)
     bounds = []
-    inverse_exponents = cech._inverse_exponents
-    monkeypatch.setattr(
-        cech, "_inverse_exponents", lambda e: bounds.append(1) or inverse_exponents(e)
-    )
+    inverse_top = cech._inverse_top
+    monkeypatch.setattr(cech, "_inverse_top", lambda e: bounds.append(1) or inverse_top(e))
     runs = []
     for e in (a, b):
         solves.clear()
@@ -591,12 +601,81 @@ def test_repeated_query_solves_and_checks_again(monkeypatch, query):
 
 
 def test_band_too_long_for_len_is_refused_or_answered():
-    # The chain guard counts the band of free slots without building its
-    # ranges, which can be longer than len() takes.  O(10^20) + O(-10^20)
-    # has an overlap window near 10^20 and is refused as too large; O at
-    # overlap width 10^19 has one 1 x 1 system per cutoff and is answered.
+    # Windows near 10^20, longer than len() takes.  The Serre partner of
+    # O(10^20) + O(-10^20) has a section window near 10^20 and is refused
+    # as too large; that of O is O(-2), answered with no system at any
+    # window, 10^19 included.
     far = 10**20
     e = VectorBundle(LaurentMatrix([[z_power(-far), ZERO_POLY], [ZERO_POLY, z_power(far)]]))
     with pytest.raises(SystemTooLarge):
         h1_dim_oracle(e)
     assert h1_dim_oracle(VectorBundle(LaurentMatrix([[constant(5)]])), window=10**19) == 0
+
+
+def _cokernel_h1(e):
+    # The truncated-cokernel count, written over the public API and
+    # independent of the Serre partner: overlap tails with exponents in
+    # [-D, D] modulo coboundaries number k*D - h0(E(D)) + h0(E), which is
+    # h1(E) - h1(E(D)) by Riemann-Roch on E and E(D).  At D = k*(N+1), N
+    # the largest |exponent| of T, h1(E(D)) = 0: every splitting degree
+    # lies in [-N, N].  The count must not move between D and D + 1.
+    k = e.rank
+    d = k * (e.max_exponent + 1)
+    at_d, past_d = (k * w - h0_dim(e.twist(w)) + h0_dim(e) for w in (d, d + 1))
+    assert at_d == past_d
+    return at_d
+
+
+def _answer(call):
+    try:
+        return call()
+    except P1BundlesError:
+        return None
+
+
+def _fuzz_bundles(seeds, per_seed):
+    # Valid bundles among the grammar fuzz's generated files.
+    from test_cli_fuzz import _bundle_text
+
+    for seed in seeds:
+        rng = random.Random(seed)
+        for _ in range(per_seed):
+            bundle = _answer(lambda: parse_bundle(_bundle_text(rng)))
+            if bundle is not None:
+                yield bundle
+
+
+def test_serre_partner_agrees_with_cokernel_and_type(unit_det):
+    # Three routes to h1: h0 of the Serre partner, the cokernel count on
+    # E and E(D), and sum max(0, -d - 1) over the column-reduction type.
+    # They must agree wherever they answer, on fuzz files (exponents up to
+    # 10^20, 30-digit and Q(i) coefficients) and on inputs the seeded
+    # scrambler never produces.
+    rng = random.Random(2121)
+    inputs = list(_fuzz_bundles(range(1, 11), 20))
+    inputs += [VectorBundle(unit_det(rng, k, rng.randint(2, 4))) for k in (2, 3, 3, 4)]
+    inputs.append(VectorBundle(unit_det(rng, 2, 2)).tensor(VectorBundle(unit_det(rng, 2, 1))))
+    inputs.append(random_bundle([2, -1], 2, seed=7).dsum(line_bundle(-6)))
+    compared = 0
+    for e in inputs:
+        partner = _answer(lambda: h1_dim_oracle(e))
+        cokernel = _answer(lambda: _cokernel_h1(e))
+        split = _answer(lambda: sum(max(0, -d - 1) for d in grothendieck_split(e)[0]))
+        answers = {x for x in (partner, cokernel, split) if x is not None}
+        assert len(answers) <= 1, (e, partner, cokernel, split)
+        compared += partner is not None and cokernel is not None
+    assert compared >= 0.6 * len(inputs)
+
+
+def test_h1_runs_no_factorization(monkeypatch):
+    # The partner is read off T's exponents: no column reduction, w-adic
+    # series or inverse runs for h1, on a transition never factorized.
+    def refuse(*args):
+        raise AssertionError("h1 ran a factorization")
+
+    for name in ("wiener_hopf", "column_reduce", "w_adic_inverse"):
+        monkeypatch.setattr(lmatrix, name, refuse)
+    monkeypatch.setattr(LaurentMatrix, "inverse", refuse)
+    for degrees, gauge, seed in (([2, 0, -3], 2, 4242), ([-1, -4], 3, 9), ([1], 0, 1)):
+        e = random_bundle(degrees, gauge, seed)
+        assert h1_dim_oracle(e) == sum(max(0, -d - 1) for d in degrees)

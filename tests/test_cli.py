@@ -301,8 +301,8 @@ def test_cli_imports_no_numpy():
 
 
 def test_h1_of_far_line_bundle_is_answered(tmp_path):
-    # O(-10^6): the overlap window stops at 999,999, where every Cech
-    # system is empty or 1 x 1, so the answer comes without a large solve.
+    # O(-10^6): its Serre partner O(10^6 - 2) has 999,999 sections, all
+    # free by structure, and one 1 x 1 system, so no large solve runs.
     path = tmp_path / "big.bundle"
     path.write_text("z^1000000\n")
     start = time.monotonic()
@@ -409,8 +409,9 @@ def test_closed_stdout_exits_141(tmp_path, args):
 
 
 def test_band_too_long_for_len_exits_4_or_answers(tmp_path):
-    # A 57-byte file whose h1 band of free slots is near 10^20 long is
-    # refused as too large; file "5" at an overlap width of 10^19 answers.
+    # A 57-byte file whose h1 sections have degrees near 10^20 is refused
+    # as too large; file "5" at --window 10^19 answers, as its Serre
+    # partner O(-2) has no section window and nothing is solved.
     far = tmp_path / "far.bundle"
     far.write_text("z^-100000000000000000000, 0 ; 0, z^100000000000000000000\n")
     r = run_cli("h1", str(far))
@@ -422,6 +423,27 @@ def test_band_too_long_for_len_exits_4_or_answers(tmp_path):
     r = run_cli("h1", str(five), "--window", str(10**19))
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "h1: 0"
+
+
+def test_h1_of_far_triangular_file_exits_4_where_h0_answers(tmp_path):
+    # The Serre partner of this valid file has an entry of degree
+    # 10^20 + 2, so its one h1 system is refused at once as too large;
+    # h0 reads only T and answers.
+    path = tmp_path / "tri.bundle"
+    path.write_text(
+        "rank: 2\n"
+        "5/4*z^-20, 2*z^-20 + -1/5*z^-100000000000000000000 ;\n"
+        "0, (1/2,1/1)*z^1\n"
+    )
+    start = time.monotonic()
+    r = run_cli("h1", str(path))
+    assert time.monotonic() - start < 2
+    assert r.returncode == 4
+    assert r.stderr.startswith("too large:")
+    assert "Traceback" not in r.stderr
+    r = run_cli("h0", str(path))
+    assert r.returncode == 0
+    assert r.stdout == "h0: 21\n"
 
 
 def test_number_over_print_limit_exits_4(tmp_path):
