@@ -26,7 +26,6 @@ _HOMES = {
         "P1BundlesError",
         "ParseError",
         "RefusedArgument",
-        "SectionVanishes",
         "SystemTooLarge",
         "WindowUnstable",
     ),
@@ -37,7 +36,6 @@ _HOMES = {
         "W_CHART",
         "Z_CHART",
         "chart_contains",
-        "chart_degree",
         "constant",
         "monomial",
         "z_power",
@@ -46,7 +44,6 @@ _HOMES = {
         "LaurentMatrix",
         "ScalarMatrix",
         "block_diag",
-        "is_unimodular",
         "kernel_basis",
         "kron",
     ),
@@ -57,7 +54,6 @@ _HOMES = {
         "random_bundle",
         "random_unimodular",
         "trivial_bundle",
-        "validate",
     ),
     "cech": (
         "Section",
@@ -71,11 +67,9 @@ _HOMES = {
     "splitter": (
         "Factorization",
         "SplittingType",
-        "extract_section",
         "grothendieck_split",
         "is_self_dual",
         "iso",
-        "minimal_twist",
         "splitting_type",
         "verify_factorization",
     ),

@@ -145,11 +145,6 @@ class VectorBundle:
         return f"<VectorBundle rank {self.rank} deg {self.degree}>"
 
 
-def validate(transition: LaurentMatrix) -> VectorBundle:
-    """Check invertibility on C* and wrap; raises InvalidBundle otherwise."""
-    return VectorBundle(transition)
-
-
 def line_bundle(d: int) -> VectorBundle:
     """O(d), the degree-d line bundle."""
     return VectorBundle(LaurentMatrix([[z_power(-d)]]))

@@ -13,9 +13,8 @@ subclass exits as its base does:
   negative window, gauge degree or move count, an empty profile range, or
   matrix shapes that do not fit the operation (DimensionMismatch).
 * 3, InternalCheckError, "internal check failed": a failed certificate,
-  that is window instability (WindowUnstable), a broken splitting
-  invariant (SectionVanishes), or a kernel solve with no verified basis
-  within its prime budget (KernelBudgetExceeded).
+  that is window instability (WindowUnstable), or a kernel solve with no
+  verified basis within its prime budget (KernelBudgetExceeded).
 * 4, SystemTooLarge, "too large": a job over the fixed size limit, or a
   number too long to print; nothing is printed and no ``-o`` file written.
 * 141 (a BrokenPipeError): the reader closed stdout before the report
@@ -106,10 +105,6 @@ class InternalCheckError(P1BundlesError, AssertionError):
 
 class WindowUnstable(InternalCheckError):
     """Cohomology dimension changed when the truncation window grew."""
-
-
-class SectionVanishes(InternalCheckError):
-    """A section expected to vanish nowhere has a common zero."""
 
 
 class KernelBudgetExceeded(InternalCheckError, ArithmeticError):

@@ -18,11 +18,11 @@ certificate checks ``W*T*U = D`` and ``T*T^-1 = I``) and the column and
 frame updates of the column reduction; the w-adic series there runs the
 same accumulation on scalar matrices.
 
-The chart predicates at the bottom (chart_contains, chart_degree) read a
-polynomial's support to tell whether it lies in a chart ring and what its
-degree is there.  The module has no division: the one polynomial division
-of the library is the exact Laurent division (lmatrix._lp_divexact) of the
-determinant, a Bareiss elimination at every size.
+The chart predicate at the bottom (chart_contains) reads a polynomial's
+support to tell whether it lies in a chart ring.  The module has no
+division: the one polynomial division of the library is the exact Laurent
+division (lmatrix._lp_divexact) of the determinant, a Bareiss elimination
+at every size.
 """
 
 from __future__ import annotations
@@ -295,10 +295,3 @@ def chart_contains(p: LaurentPoly, chart: Chart) -> bool:
     if chart is Chart.Z:
         return p.order >= 0
     return p.degree <= 0
-
-
-def chart_degree(p: LaurentPoly, chart: Chart) -> int:
-    """Degree of p in the chart's own variable (z on Z, w = 1/z on W)."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has no degree")
-    return p.degree if chart is Chart.Z else -p.order

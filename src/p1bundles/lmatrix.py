@@ -2,9 +2,9 @@
 
 Two layers live here:
 
-* :class:`LaurentMatrix` -- transition-matrix algebra: products, exact
-  determinants and chart-unimodularity tests, plus the one Wiener-Hopf
-  factorization (:func:`wiener_hopf`) that both the splitter and
+* :class:`LaurentMatrix` -- transition-matrix algebra: products and exact
+  determinants, plus the one Wiener-Hopf factorization
+  (:func:`wiener_hopf`) that both the splitter and
   :meth:`LaurentMatrix.inverse` read.  Column-reducing z^N*T
   (:func:`column_reduce`) yields T = z^-N * Winv * diag(z^r_j) * V^-1 with
   V unimodular over C[z] and, when det T is a unit, Winv unimodular over
@@ -18,12 +18,12 @@ Two layers live here:
   the fused ``laurent._dot``, and each term of the w-adic series is summed
   on [re, im, den] accumulators (:func:`_mul_into`).  The determinant is
   one Bareiss elimination at every size, which divides exactly in the
-  Laurent ring (:func:`_lp_divexact`).  It serves only three callers: the
+  Laurent ring (:func:`_lp_divexact`).  It serves only two callers: the
   validation of a transition that arrives from outside
-  (``VectorBundle.__init__``), the public :func:`is_unimodular`, and the
-  error branch of :meth:`LaurentMatrix.inverse`.  Derived and seeded
-  bundles carry their determinant, and certificates are checked by a
-  degree-sum argument (``splitter.verify_factorization``).
+  (``VectorBundle.__init__``) and the error branch of
+  :meth:`LaurentMatrix.inverse`.  Derived and seeded bundles carry their
+  determinant, and certificates are checked by a degree-sum argument
+  (``splitter.verify_factorization``).
 
 * :class:`SparseSystem` + :func:`kernel_basis` -- exact null spaces of
   coefficient-level linear systems.  A system has one input form: sparse
@@ -301,22 +301,6 @@ def block_diag(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     for i in range(b.rows):
         out.append([ZERO_POLY] * a.cols + list(b.entries[i]))
     return LaurentMatrix(out)
-
-
-def is_unimodular(a: LaurentMatrix, chart: Chart) -> bool:
-    """Entries holomorphic on the chart and det a nonzero constant.
-
-    Such matrices are invertible within the chart ring, hence are exactly
-    the changes of holomorphic frame over that chart.
-    """
-    if not a.is_square():
-        return False
-    for row in a.entries:
-        for e in row:
-            if not chart_contains(e, chart):
-                return False
-    unit = a.det().is_unit()
-    return unit is not None and unit[1] == 0
 
 
 def shift_columns(m: LaurentMatrix, shifts) -> LaurentMatrix:

@@ -24,7 +24,11 @@ testing it for isomorphism or self-duality, reduces it once.  Each
 :func:`grothendieck_split` call still verifies the certificate.  The
 column degrees also give h0(E(m)) = sum_j max(0, d_j + m + 1) for every
 twist m at once, which the Cech module recomputes by brute-force linear
-algebra, so the two routes check each other.
+algebra, so the two routes check each other.  The certificate also holds
+the classical splitting-off step: the first twist with a section is
+m = -d1, and the first column u_1 of U is a section of E(-d1) that
+vanishes nowhere (u_1(0) is a column of the nonsingular U(0), and
+z^(d1)*T*u_1 = W^-1*e_1 is a column of a w-unimodular matrix).
 """
 
 from __future__ import annotations
@@ -32,16 +36,10 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .bundle import VectorBundle
-from .errors import InternalCheckError, SectionVanishes
+from .errors import InternalCheckError
 from .exact import ONE
 from .laurent import Chart, chart_contains, z_power
-from .lmatrix import (
-    LaurentMatrix,
-    ScalarMatrix,
-    column_reduce,
-    kernel_basis,
-    wiener_hopf,
-)
+from .lmatrix import LaurentMatrix, ScalarMatrix, kernel_basis, wiener_hopf
 
 
 class SplittingType(tuple):
@@ -55,10 +53,6 @@ class SplittingType(tuple):
     def __new__(cls, degrees):
         return super().__new__(cls, sorted((int(d) for d in degrees), reverse=True))
 
-    @property
-    def degrees(self):
-        return tuple(self)
-
     def __repr__(self):
         return f"SplittingType{tuple(self)!r}"
 
@@ -67,41 +61,6 @@ class Factorization(namedtuple("Factorization", "w u d")):
     """Certificate (W, U, D): W*T*U = D with D = diag(z^(-d_i)), sorted."""
 
     __slots__ = ()
-
-
-def minimal_twist(e: VectorBundle) -> int:
-    """The unique m with h0(E(m)) > 0 and h0(E(m-1)) = 0; equals -d1.
-
-    Twisting shifts every column degree of the reduced z^N*T uniformly, so
-    the first twist with a section is min_j r_j - N.
-    """
-    n, degs, _, _ = column_reduce(e.transition)
-    return min(degs) - n
-
-
-def extract_section(e_twisted: VectorBundle) -> Section:
-    """A nowhere-vanishing section of a minimally twisted bundle.
-
-    Caller contract: h0(E) > 0 and h0(E(-1)) = 0, i.e. min_j r_j = N.  The
-    section is the first minimal-degree column v of V: it is a column of a
-    C[z]-unimodular matrix, so it has no zero on chart 0, and T*v is the
-    matching column of Winv, whose value at infinity is a column of a
-    nonsingular matrix.  A violated contract raises SectionVanishes (the
-    column then vanishes at infinity or is no section at all).
-    """
-    from .cech import Section, is_section
-
-    n, degs, v, _ = column_reduce(e_twisted.transition)
-    if min(degs) != n:
-        raise SectionVanishes(
-            f"bundle is not minimally twisted (its minimal twist is "
-            f"{min(degs) - n}); its minimal-degree column vanishes at infinity "
-            "or is no section"
-        )
-    s = Section(v.column(degs.index(n)))
-    if not is_section(e_twisted, s):
-        raise InternalCheckError("reducing column is not a section")
-    return s
 
 
 def grothendieck_split(e: VectorBundle):

@@ -242,7 +242,6 @@ EXIT_CODES = {
     "DimensionMismatch": 2,
     "InternalCheckError": 3,
     "WindowUnstable": 3,
-    "SectionVanishes": 3,
     "KernelBudgetExceeded": 3,
     "SystemTooLarge": 4,
 }

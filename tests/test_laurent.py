@@ -10,7 +10,6 @@ from p1bundles import (
     W_CHART,
     Z_CHART,
     chart_contains,
-    chart_degree,
     constant,
     monomial,
     parse_poly,
@@ -62,8 +61,6 @@ def test_chart_membership_and_degree():
     assert chart_contains(z_power(3), Z_CHART)
     assert not chart_contains(z_power(-1), Z_CHART)
     assert chart_contains(z_power(-3), W_CHART)
-    assert chart_degree(lp({-4: 1, 0: 2}), W_CHART) == 4
-    assert chart_degree(lp({0: 2, 5: 1}), Z_CHART) == 5
 
 
 def test_poly_parse_print_roundtrip():

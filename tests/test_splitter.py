@@ -1,20 +1,16 @@
 import random
 from collections import Counter
 
-import pytest
-
 from p1bundles import (
     Factorization,
     LaurentMatrix,
-    SectionVanishes,
+    Section,
     SplittingType,
-    SystemTooLarge,
     VectorBundle,
     W_CHART,
     Z_CHART,
     constant,
     diagonal_bundle,
-    extract_section,
     grothendieck_split,
     h0_dim,
     h0_profile,
@@ -22,7 +18,6 @@ from p1bundles import (
     is_self_dual,
     iso,
     line_bundle,
-    minimal_twist,
     random_bundle,
     random_unimodular,
     splitting_type,
@@ -51,39 +46,33 @@ def test_splitting_type_sorts():
     assert tuple(SplittingType([0, 2, -1])) == (2, 0, -1)
 
 
-def test_minimal_twist_examples():
-    assert minimal_twist(line_bundle(3)) == -3
-    assert minimal_twist(diagonal_bundle([2, -1])) == -2
-    for seed in range(5):
-        assert minimal_twist(random_bundle([2, -1], 3, seed)) == -2
-
-
 def test_minimal_twist_matches_cohomology_definition():
+    # The first twist with a section is m = -d1, which the Cech count
+    # confirms from its definition: h0(E(m)) > 0 and h0(E(m-1)) = 0.
     rng = random.Random(88)
     for _ in range(8):
         degrees = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
         e = random_bundle(degrees, rng.randint(0, 2), rng.randint(0, 10**6))
-        m = minimal_twist(e)
+        m = -splitting_type(e)[0]
         assert h0_dim(e.twist(m)) > 0
         assert h0_dim(e.twist(m - 1)) == 0
 
 
-def test_extract_section_trivial():
-    s = extract_section(line_bundle(0))
-    assert list(s) == [ONE_POLY]
-
-
-def test_extract_section_twisted_extension():
-    base = VectorBundle(lm([[z_power(-2), ONE_POLY], [ZERO_POLY, z_power(1)]]))
-    e = base.twist(minimal_twist(base))
-    s = extract_section(e)
-    assert is_section(e, s)
-
-
-def test_extract_section_loud_on_nonminimal_input():
-    # violated caller contract degenerates at infinity and is caught
-    with pytest.raises(SectionVanishes):
-        extract_section(diagonal_bundle([1, 0]))
+def test_certificate_carries_a_nowhere_vanishing_section():
+    # With W*T*U = D, the first column u_1 of U is a section of E(-d1) that
+    # vanishes nowhere: u_1(0) is a column of the nonsingular U(0), and
+    # z^(d1)*T*u_1 = W^-1 e_1 is nonzero at infinity.
+    rng = random.Random(4096)
+    for _ in range(12):
+        degrees = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
+        e = random_bundle(degrees, rng.randint(0, 2), rng.randint(0, 10**6))
+        st, fact = grothendieck_split(e)
+        top = e.twist(-st[0])
+        u1 = fact.u.column(0)
+        assert is_section(top, Section(tuple(u1)))
+        assert any(p.coeff(0) for p in u1)
+        at_infinity = top.transition * lm([[p] for p in u1])
+        assert any(row[0].coeff(0) for row in at_infinity.entries)
 
 
 def test_split_diagonal_is_identity_gauges():
@@ -303,13 +292,3 @@ def test_one_factorization_per_transition(monkeypatch):
         "w_adic_inverse": 1,
         "verify_factorization": 4,
     }
-
-
-def test_minimal_twist_needs_no_series():
-    # The reduction alone answers minimal_twist; the full split needs a
-    # w-adic series of about 10^6 terms and is refused, on every call.
-    e = VectorBundle(lm([[z_power(1000000), ONE_POLY], [ZERO_POLY, z_power(-1000000)]]))
-    assert minimal_twist(e) == 0
-    for _ in range(2):
-        with pytest.raises(SystemTooLarge):
-            grothendieck_split(e)
