@@ -58,6 +58,19 @@ def test_minimal_twist_matches_cohomology_definition():
         assert h0_dim(e.twist(m - 1)) == 0
 
 
+def test_extract_section_trivial():
+    # The section of O is the first column of U in the certificate of O.
+    _, fact = grothendieck_split(line_bundle(0))
+    assert list(fact.u.column(0)) == [ONE_POLY]
+
+
+def test_extract_section_twisted_extension():
+    base = VectorBundle(lm([[z_power(-2), ONE_POLY], [ZERO_POLY, z_power(1)]]))
+    e = base.twist(-splitting_type(base)[0])
+    _, fact = grothendieck_split(e)
+    assert is_section(e, Section(tuple(fact.u.column(0))))
+
+
 def test_certificate_carries_a_nowhere_vanishing_section():
     # With W*T*U = D, the first column u_1 of U is a section of E(-d1) that
     # vanishes nowhere: u_1(0) is a column of the nonsingular U(0), and
