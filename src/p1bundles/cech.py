@@ -25,24 +25,23 @@ Truncation windows.  Every dimension is one primitive, _sections_dim(E, c,
 W): the sections with cutoff c and components of degree <= W.  Slot s of
 column j is unconstrained exactly when s <= c - M_j (M_j the top degree of
 that transition column), so those slots are counted structurally and only
-the tail s in [max(0, c - M_j + 1), W + 1] is solved, once.  The count at W
-equals the count at W+1 exactly when no slot W+1 is free by structure and
-no kernel vector touches one; otherwise WindowUnstable is raised, so an
-undersized window is a loud error, never a wrong answer.
+the tail s in [max(0, c - M_j + 1), W + 1] is solved, once.
 
-The windows are capped by a degree bound read off T alone.  With det T =
-c*z^e, every entry of T^-1 = adj(T) / (c*z^e) has exponents at most
+The window is a degree bound read off T alone.  With det T = c*z^e, every
+entry of T^-1 = adj(T) / (c*z^e) has exponents at most
 
     hi = min(sum(rowmax) - min(rowmax), sum(colmax) - min(colmax)) - e,
 
 rowmax/colmax the top exponents of T's rows and columns, since each
 cofactor takes one entry from all rows but one and all columns but one
 (Kailath, Linear Systems, 1980, ch. 6).  A section with cutoff c is
-f = T^-1 h with h of exponents <= c, so deg f <= c + hi.  The default
-window is c + hi, and an explicit window W (h0_dim, h0_profile,
---window) counts at min(W, c + hi), which gives the count at W.  When
-c + hi < 0 the section space is 0 and nothing is solved, at any window.
-h0_sections reads its basis off the same split at its window.
+f = T^-1 h with h of exponents <= c, so deg f <= c + hi, and every count
+runs at the window W = c + hi; no caller chooses a window.  When c + hi < 0
+the section space is 0 and nothing is solved.  Each solve still asserts
+that the count would not change at W + 1 (no slot W + 1 free by structure
+and no kernel vector touching one), so a wrong bound raises WindowUnstable
+instead of giving a wrong count.  h0_sections reads its basis off the same
+solve at cutoff 0.
 
 Nested cutoffs.  The section spaces S(c) = sections_with_cutoff(E, c) are
 nested, and a profile over c_lo..C needs several of them.  One tail solve
@@ -234,8 +233,8 @@ def _tail_plan(e: VectorBundle, cutoff: int, window: int):
 def _tail_solve(e: VectorBundle, cutoff: int, plan):
     """(free slot count, kernel basis, unknowns) of the one tail solve for
     the (window, ranges, shape) of :func:`_tail_plan`.  The free slots are
-    s <= min(window, cutoff - M_j); the solve is stable when no slot
-    window+1 is free or touched by a kernel vector."""
+    s <= cutoff - M_j; the solve is stable when no slot window+1 is free or
+    touched by a kernel vector, and raises WindowUnstable otherwise."""
     window, ranges, shape = plan
     system, unknowns = _constraint_system(e, cutoff, ranges, shape)
     basis = kernel_basis(system)
@@ -243,7 +242,7 @@ def _tail_solve(e: VectorBundle, cutoff: int, plan):
     stable = all(lo <= hi for lo, hi in ranges)
     stable = stable and not any(v[idx] for v in basis for idx in top)
     _record_stability(stable, f"count changed between window {window} and {window + 1}")
-    return sum(min(lo, window + 1) for lo, _ in ranges), basis, unknowns
+    return sum(lo for lo, _ in ranges), basis, unknowns
 
 
 def _sections_dim(e: VectorBundle, cutoff: int, plan) -> int:
@@ -259,10 +258,8 @@ def _band(e: VectorBundle, c_lo: int, plan):
     monomials z^s e_j whose T*f reaches an exponent above c_lo.  Bounds,
     not ranges: a band can be longer than ``len`` of a range takes."""
     window, ranges, _ = plan
-    return [
-        (lo_c, min(lo, window + 1))
-        for (lo, _), (lo_c, _) in zip(ranges, _tail_ranges(e, c_lo, window))
-    ]
+    lows = _tail_ranges(e, c_lo, window)
+    return [(lo_c, lo) for (lo, _), (lo_c, _) in zip(ranges, lows)]
 
 
 def _chain_cells(e: VectorBundle, c_lo: int, top: int, plan) -> int:
@@ -340,64 +337,58 @@ def _inverse_top(e: VectorBundle) -> int:
     return min(sum(x) - min(x) for x in tops) - e.det_unit[1]
 
 
-def _counts(e: VectorBundle, c_lo: int, c_hi: int, window):
-    """[dim S(c) for c in c_lo..c_hi], S(c) = {f : deg f_j <= window, T*f
-    has exponents <= c}: the one routine under every h0, h1 and profile
-    count.
+def _counts(e: VectorBundle, c_lo: int, c_hi: int):
+    """[dim S(c) for c in c_lo..c_hi], S(c) = {f : T*f has exponents <= c}:
+    the one routine under every h0, h1 and profile count.
 
     A section with cutoff c is f = T^-1 h with h of exponents <= c, so
-    deg f <= c + hi, hi the top exponent of T^-1 (:func:`_inverse_top`).
-    Each cutoff is therefore counted at the window c + hi, or at
-    min(window, c + hi) for an explicit window, which gives the same
-    count; the cutoffs below -hi have no section and no system, and are
-    answered at once.  Every other cutoff is set up once
-    (:func:`_tail_plan`), and the cells of all of them, each cutoff
-    charged at least one, are checked against MAX_SYSTEM_CELLS before the
-    first solve; the set-up stops at a cutoff whose top slot is free by
-    structure, as its solve raises WindowUnstable.  One chain
-    (:func:`_nested_dims`) answers the rest when, by :func:`_chain_cells`,
-    it builds no more cells than the separate solves and fits the limit;
-    otherwise each cutoff is solved on its own.  The chain holds at an
-    explicit window too: the windows do not fall as c grows, so S(c) is a
-    subspace of S(top), and the top's check at its window + 1 fails
-    whenever a lower cutoff's would.  The caller keeps the number of
-    cutoffs within the limit.
+    deg f <= c + hi, hi the top exponent of T^-1 (:func:`_inverse_top`),
+    and each cutoff is counted at the window c + hi.  The cutoffs below
+    -hi have no section and no system, and are answered at once.  Every
+    other cutoff is set up once (:func:`_tail_plan`), and the cells of all
+    of them, each cutoff charged at least one, are checked against
+    MAX_SYSTEM_CELLS before the first solve.  One chain
+    (:func:`_nested_dims`) answers them when, by :func:`_chain_cells`, it
+    builds no more cells than the separate solves and fits the limit;
+    otherwise each cutoff is solved on its own.  The caller keeps the
+    number of cutoffs within the limit.
+
+    No top slot c + hi + 1 is free by structure: the diagonal entry of
+    T^-1 * T = I at column j needs a pair of exponents a <= hi and
+    b <= M_j with a + b = 0, so M_j >= -hi and c - M_j <= c + hi.
     """
-    if window is not None and window < 0:
-        raise RefusedArgument("window must be >= 0")
     hi = _inverse_top(e)
     skip = min(c_hi - c_lo + 1, max(0, -hi - c_lo))
     cells = skip
+    live = range(c_lo + skip, c_hi + 1)
     plans = []
-    for c in range(c_lo + skip, c_hi + 1):
-        plan = _tail_plan(e, c, c + hi if window is None else min(window, c + hi))
-        _, ranges, (rows, cols) = plan
+    for c in live:
+        plan = _tail_plan(e, c, c + hi)
+        rows, cols = plan[2]
         cells += max(1, rows * cols)
         check_size(cells, f"Cech systems at cutoffs {c_lo}..{c}")
         plans.append(plan)
-        if any(a > b for a, b in ranges):
-            break  # a free top slot: this cutoff's solve raises WindowUnstable
-    live = range(c_lo + skip, c_lo + skip + len(plans))
-    if len(live) > 1:
+    if len(plans) > 1:
         bottom, top = live[0], live[-1]
         if _chain_cells(e, bottom, top, plans[-1]) <= min(cells - skip, MAX_SYSTEM_CELLS):
             return [0] * skip + _nested_dims(e, bottom, top, plans[-1])
     return [0] * skip + [_sections_dim(e, c, plan) for c, plan in zip(live, plans)]
 
 
-def h0_sections(e: VectorBundle, window: int):
-    """Exact basis of the sections with components of degree <= window.
+def h0_sections(e: VectorBundle):
+    """Exact basis of H0(E), each as a Section.
 
-    The free monomials z^s e_j (s <= min(window, -M_j)) come first, then
-    the canonical kernel basis of the constrained tail, each as a Section.
+    One tail solve at cutoff 0 and its window hi (see :func:`_counts`),
+    with its window + 1 check: the free monomials z^s e_j (s <= -M_j) come
+    first, then the canonical kernel basis of the constrained tail.
     """
-    if window < 0:
-        raise RefusedArgument("window must be >= 0")
-    ranges = _tail_ranges(e, 0, window)
-    system, unknowns = _constraint_system(e, 0, ranges)
-    free = [(j, s) for j, (lo, hi) in enumerate(ranges) for s in range(min(lo, hi + 1))]
-    vectors = [{u: ONE} for u in free]
-    vectors += [{u: c for u, c in zip(unknowns, v) if c} for v in kernel_basis(system)]
+    hi = _inverse_top(e)
+    if hi < 0:
+        return []
+    plan = _tail_plan(e, 0, hi)
+    _, basis, unknowns = _tail_solve(e, 0, plan)
+    vectors = [{(j, s): ONE} for j, (lo, _) in enumerate(plan[1]) for s in range(lo)]
+    vectors += [{u: c for u, c in zip(unknowns, v) if c} for v in basis]
     sections = []
     for vec in vectors:
         comps = [{} for _ in range(e.rank)]
@@ -407,16 +398,14 @@ def h0_sections(e: VectorBundle, window: int):
     return sections
 
 
-def h0_dim(e: VectorBundle, window: int | None = None) -> int:
+def h0_dim(e: VectorBundle) -> int:
     """dim H0(E), exact.
 
-    With the default window the tail elimination runs at the cofactor
-    degree bound hi on the sections (see :func:`_counts`), and not at all
-    when that is negative; an explicit window counts the sections among
-    degree-<=window polynomials.  Every solve is asserted stable against
-    window + 1.
+    The tail elimination runs at the cofactor degree bound hi on the
+    sections (see :func:`_counts`), and not at all when that is negative;
+    the solve is asserted stable against hi + 1.
     """
-    return _counts(e, 0, 0, window)[0]
+    return _counts(e, 0, 0)[0]
 
 
 def _serre_partner(e: VectorBundle) -> VectorBundle:
@@ -432,22 +421,20 @@ def _serre_partner(e: VectorBundle) -> VectorBundle:
     return VectorBundle._with_det(LaurentMatrix(grid), (c, 2 * k - x))
 
 
-def h1_dim_oracle(e: VectorBundle, window: int | None = None) -> int:
+def h1_dim_oracle(e: VectorBundle) -> int:
     """dim H1(E) by Serre duality, exact: h0 of the Serre partner
-    P = z^2 * T(1/z)^T (see module docstring), one count at P's default
-    window, and no solve when that window is negative.  An explicit window
-    bounds the degree of P's sections, and is asserted stable against
-    window + 1 like every count.
+    P = z^2 * T(1/z)^T (see module docstring), one count at P's own
+    window, and no solve when that window is negative.
     """
-    return h0_dim(_serre_partner(e), window)
+    return h0_dim(_serre_partner(e))
 
 
-def euler_char(e: VectorBundle, window: int | None = None) -> int:
+def euler_char(e: VectorBundle) -> int:
     """h0 - h1; equals deg E + rank E on every bundle (genus-0 index count)."""
-    return h0_dim(e, window=window) - h1_dim_oracle(e, window=window)
+    return h0_dim(e) - h1_dim_oracle(e)
 
 
-def h0_profile(e: VectorBundle, m_lo: int, m_hi: int, window: int | None = None):
+def h0_profile(e: VectorBundle, m_lo: int, m_hi: int):
     """[(m, h0(E tensor O(m)))] for m in [m_lo, m_hi]; nondecreasing in m.
 
     The profile determines the splitting type: h0(E(m)) counts
@@ -457,10 +444,9 @@ def h0_profile(e: VectorBundle, m_lo: int, m_hi: int, window: int | None = None)
     is raised before the first solve when their cells sum over the limit,
     every twist charged at least one cell, its entry in the answer, and
     the twists are answered by one nested-cutoff chain topped at m_hi when
-    it builds no more cells than one solve per twist, at the default or an
-    explicit window.
+    it builds no more cells than one solve per twist.
     """
     if m_lo > m_hi:
         raise RefusedArgument("empty profile range")
     check_size(m_hi - m_lo + 1, f"profile over twists {m_lo}..{m_hi}")
-    return list(zip(range(m_lo, m_hi + 1), _counts(e, m_lo, m_hi, window)))
+    return list(zip(range(m_lo, m_hi + 1), _counts(e, m_lo, m_hi)))

@@ -103,7 +103,7 @@ def _cmd_count(args):
     from . import cech
     count = {"h0": cech.h0_dim, "h1": cech.h1_dim_oracle, "chi": cech.euler_char}
     key = args.command
-    value = count[key](e, window=args.window)
+    value = count[key](e)
     _emit(args, key, [args.file], {key: value}, [f"{key}: {_decimal(value)}"])
     return 0
 
@@ -119,7 +119,7 @@ def _cmd_deg(args):
 def _cmd_profile(args):
     e = parse_bundle(_read(args.file))
     from .cech import h0_profile
-    profile = h0_profile(e, args.m_from, args.m_to, window=args.window)
+    profile = h0_profile(e, args.m_from, args.m_to)
     result = {
         "from": args.m_from,
         "to": args.m_to,
@@ -169,10 +169,11 @@ def _emit_bundle(args, command, inputs, out: VectorBundle):
 def _cmd_iso(args):
     a = parse_bundle(_read(args.a))
     b = parse_bundle(_read(args.b))
-    from .splitter import iso, splitting_type
+    from .splitter import splitting_type
     ta = splitting_type(a)
     tb = splitting_type(b)
-    same = iso(a, b)
+    # The type is a complete invariant, and unequal ranks give unequal types.
+    same = ta == tb
     result = {"iso": same, "type_a": list(ta), "type_b": list(tb)}
     lines = [
         f"iso: {_fmt_bool(same)}",
@@ -185,9 +186,9 @@ def _cmd_iso(args):
 
 def _cmd_selfdual(args):
     e = parse_bundle(_read(args.file))
-    from .splitter import is_self_dual, splitting_type
+    from .splitter import splitting_type
     stype = splitting_type(e)
-    sd = is_self_dual(e)
+    sd = list(stype) == [-d for d in reversed(stype)]
     result = {"self_dual": sd, "type": list(stype)}
     lines = [f"self_dual: {_fmt_bool(sd)}", f"type: {_fmt_type(stype)}"]
     _emit(args, "selfdual", [args.file], result, lines)
@@ -237,13 +238,6 @@ def _cmd_verify(args):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable report")
-    windowed = argparse.ArgumentParser(add_help=False)
-    windowed.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        help="override the truncation window (stability is still asserted)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="p1bundles",
@@ -258,18 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_split)
 
     # The one-file reports in --help order; h0, h1 and chi share one handler.
-    counted = [common, windowed]
-    for name, parents, func, text in (
-        ("h0", counted, _cmd_count, "dim H0"),
-        ("h1", counted, _cmd_count, "dim H1 by Serre duality"),
-        ("deg", [common], _cmd_deg, "bundle degree"),
-        ("chi", counted, _cmd_count, "Euler characteristic h0 - h1"),
+    for name, func, text in (
+        ("h0", _cmd_count, "dim H0"),
+        ("h1", _cmd_count, "dim H1 by Serre duality"),
+        ("deg", _cmd_deg, "bundle degree"),
+        ("chi", _cmd_count, "Euler characteristic h0 - h1"),
     ):
-        p = sub.add_parser(name, parents=parents, help=text)
+        p = sub.add_parser(name, parents=[common], help=text)
         p.add_argument("file")
         p.set_defaults(func=func)
 
-    p = sub.add_parser("profile", parents=[common, windowed], help="h0 of twists over a range")
+    p = sub.add_parser("profile", parents=[common], help="h0 of twists over a range")
     p.add_argument("file")
     p.add_argument("--from", dest="m_from", type=int, required=True)
     p.add_argument("--to", dest="m_to", type=int, required=True)

