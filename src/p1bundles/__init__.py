@@ -68,8 +68,6 @@ _HOMES = {
         "Factorization",
         "SplittingType",
         "grothendieck_split",
-        "is_self_dual",
-        "iso",
         "splitting_type",
         "verify_factorization",
     ),

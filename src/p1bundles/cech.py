@@ -10,7 +10,8 @@ phrased through one primitive,
 
     sections_with_cutoff(E, c) = { f polynomial : T*f has exponents <= c },
 
-which is the chart-0 model of H0(E tensor O(c)).
+which is the chart-0 model of H0(E tensor O(c)).  It depends on the
+transition T alone, so the routines below take T, and no bundle is built.
 
 Assembly.  The system is block-Toeplitz: the entry multiplying f_{j,s} in
 the row for exponent t of component i is the z^(t-s) coefficient of T_ij.
@@ -21,41 +22,38 @@ denominators; no dense grid and no zero entry is made.  The shape is known
 before anything is allocated, and a system over MAX_SYSTEM_CELLS
 rows x unknowns raises SystemTooLarge.
 
-Truncation windows.  Every dimension is one primitive, _sections_dim(E, c,
-W): the sections with cutoff c and components of degree <= W.  Slot s of
+Truncation windows.  Every count is one tail solve at cutoff c: slot s of
 column j is unconstrained exactly when s <= c - M_j (M_j the top degree of
 that transition column), so those slots are counted structurally and only
-the tail s in [max(0, c - M_j + 1), W + 1] is solved, once.
+the tail s in [max(0, c - M_j + 1), W_j + 1] is solved, once.
 
-The window is a degree bound read off T alone.  With det T = c*z^e, every
-entry of T^-1 = adj(T) / (c*z^e) has exponents at most
+Each column has its own window W_j = c + hi_j, a degree bound read off T
+alone.  A section with cutoff c is f = T^-1 h with h of exponents <= c,
+and component j of f reads row j of T^-1 = adj(T) / (c*z^e).  The entries
+of that row are cofactors that drop column j of T and one row, so with
+rowmax/colmax the top exponents of T's rows and columns,
 
-    hi = min(sum(rowmax) - min(rowmax), sum(colmax) - min(colmax)) - e,
+    hi_j = min(sum(rowmax) - min(rowmax), sum(colmax) - colmax_j) - e
 
-rowmax/colmax the top exponents of T's rows and columns, since each
-cofactor takes one entry from all rows but one and all columns but one
-(Kailath, Linear Systems, 1980, ch. 6).  A section with cutoff c is
-f = T^-1 h with h of exponents <= c, so deg f <= c + hi, and every count
-runs at the window W = c + hi; no caller chooses a window.  When c + hi < 0
-the section space is 0 and nothing is solved.  Each solve still asserts
-that the count would not change at W + 1 (no slot W + 1 free by structure
-and no kernel vector touching one), so a wrong bound raises WindowUnstable
-instead of giving a wrong count.  h0_sections reads its basis off the same
-solve at cutoff 0.
+bounds deg f_j - c (Kailath, Linear Systems, 1980, ch. 6); no caller
+chooses a window.  When every c + hi_j < 0 the section space is 0 and
+nothing is solved, and a column with W_j < -1 has no unknowns.  Each
+solve still asserts that the count would not change at W_j + 1: on every
+column no slot past W_j is free by structure, and no kernel vector
+touches a slot W_j + 1.  So a wrong bound raises WindowUnstable instead
+of giving a wrong count.  h0_sections reads its basis off the
+same solve at cutoff 0.
 
 Nested cutoffs.  The section spaces S(c) = sections_with_cutoff(E, c) are
 nested, and a profile over c_lo..C needs several of them.  One tail solve
 at the top cutoff C gives a basis of S(C); S(c) is where the coefficients
 of T*f at the exponents in (c, C] vanish, so every dim S(c) follows from
 the prefix ranks of one matrix G^T (basis vectors x those coefficients, in
-descending exponent), read off one certified kernel (_nested_dims).  One
-routine (_counts) answers every h0, h1 and profile count: it sets up each
-cutoff once, sums the shapes of the separate systems, each cutoff charged
-at least one cell, and raises SystemTooLarge before the first solve; it
-then takes the chain when the cells it builds, bounded before any solve,
-are no more than the separate solves'.  Tiny systems with a wide band of
-free slots, such as a long profile of a line bundle, keep one solve per
-cutoff.
+descending exponent), read off one certified kernel (_nested_dims).  A
+run of cutoffs on one side (below) takes the chain when the cells it
+builds, bounded before any solve, are no more than the separate solves';
+tiny systems with a wide band of free slots, such as a profile of
+O(1000) + O(-1000), keep one solve per cutoff.
 
 H1 is an H0.  On P^1 the canonical bundle is O(-2), so h1(E) =
 h0(E*(-2)) (Serre, Ann. of Math. 61, 1955), and E*(-2) has transition
@@ -66,15 +64,27 @@ Serre partner
 
     P(z) = z^2 * T(1/z)^T,
 
-and every section g of P comes back from one f.  So h1(E) = h0(P): one
+and every section g of P comes back from one f.  So h1(E) = h0(P): a
 count at cutoff 0 on a transition read off T by negating and shifting
-its exponents, with det P = c*z^(2k - e), and no inverse.  On O(d),
-P = z^(d+2) is O(-d-2), and h0 = max(0, -d-1).
+its exponents, with det P = c*z^(2k - e), and no inverse.  Twisting E by
+O(c) twists P by O(-c), so h1(E(c)) = dim S_P(-c), and the partner of P
+is T again.  On O(d), P = z^(d+2) is O(-d-2), and h0 = max(0, -d-1).
+
+Which side is counted.  Riemann-Roch on P^1 gives every count two exact
+routes: dim S_E(c) = deg E + k*(c + 1) + dim S_P(-c).  The shapes of both
+systems are known before any solve, and _counts counts each cutoff on the
+side with the smaller system.  S_E(c) grows with c and S_P(-c) shrinks,
+so a range of cutoffs is split at one crossover, chosen to minimise the
+cells planned: E below it, P above it, each side one run (chain or
+separate solves).  Only a band of cutoffs needs a plan at all: below
+-max(hi_j of T) S_E(c) is 0, and above max(hi_j of P) S_P(-c) is 0, so
+the count there is the Riemann-Roch formula with no solve.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import accumulate
 
 from .bundle import VectorBundle
 from .errors import RefusedArgument, WindowUnstable
@@ -144,26 +154,16 @@ def is_section(e: VectorBundle, s: Section) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _tail_ranges(e: VectorBundle, cutoff: int, top: int):
-    """Ranges (lo_j, top) of the unknowns f_{j,s} that meet a row above the
-    cutoff: s > cutoff - M_j, M_j the top degree of transition column j
-    (finite: a valid transition has no zero column)."""
-    t, k = e.transition, e.rank
-    tops = [max(t[i, j].degree for i in range(k) if t[i, j]) for j in range(k)]
-    return [(max(0, cutoff - m + 1), top) for m in tops]
-
-
-def _system_shape(e: VectorBundle, cutoff: int, col_ranges):
+def _system_shape(t: LaurentMatrix, cutoff: int, col_ranges):
     """(rows, unknowns) of the Cech system, counted without building it.
 
     The rows of component i are the exponents above the cutoff in the union
     of the intervals [lo_j + d, hi_j + d], one per term z^d of each T_ij,
     merged in order of their start; nothing is allocated per row.
     """
-    t = e.transition
     ncols = sum(max(0, hi - lo + 1) for lo, hi in col_ranges)
     nrows = 0
-    for i in range(e.rank):
+    for i in range(t.rows):
         spans = sorted(
             (lo + d, hi + d)
             for j, (lo, hi) in enumerate(col_ranges)
@@ -177,7 +177,7 @@ def _system_shape(e: VectorBundle, cutoff: int, col_ranges):
     return nrows, ncols
 
 
-def _constraint_system(e: VectorBundle, cutoff: int, col_ranges, shape=None):
+def _constraint_system(t: LaurentMatrix, cutoff: int, col_ranges, shape=None):
     """Rows: coefficients of (T*f)_i at exponents above the cutoff, over Z[i].
 
     Unknowns are the coefficients f_{j,s} for s in col_ranges[j], numbered
@@ -193,12 +193,11 @@ def _constraint_system(e: VectorBundle, cutoff: int, col_ranges, shape=None):
     MAX_SYSTEM_CELLS rows x unknowns raises SystemTooLarge.
     """
     if shape is None:
-        shape = _system_shape(e, cutoff, col_ranges)
+        shape = _system_shape(t, cutoff, col_ranges)
     nrows, ncols = shape
     check_size(nrows * ncols, f"Cech system of up to {nrows} x {ncols}")
-    t = e.transition
     rows = []
-    for i in range(e.rank):
+    for i in range(t.rows):
         by_exp = {}
         start = 0  # the column of f_{j,s} is start + s - lo
         for j, (lo, hi) in enumerate(col_ranges):
@@ -222,79 +221,131 @@ def _record_stability(ok: bool, what: str):
         raise WindowUnstable(what)
 
 
-def _tail_plan(e: VectorBundle, cutoff: int, window: int):
-    """(window, ranges, shape) of the one tail solve at this cutoff and
-    window (>= 0): the set-up :func:`_counts` bounds before its first solve
-    and hands on to the solves, so no cutoff is set up twice."""
-    ranges = tuple(_tail_ranges(e, cutoff, window + 1))
-    return window, ranges, _system_shape(e, cutoff, ranges)
+# ---------------------------------------------------------------------------
+# Windows and tail solves
+# ---------------------------------------------------------------------------
 
 
-def _tail_solve(e: VectorBundle, cutoff: int, plan):
+def _column_windows(rowmax, colmax, x: int):
+    """[hi_j], hi_j bounding every exponent in row j of T^-1, for a
+    transition with these row and column maxima and det c*z^x.
+
+    (T^-1)_ji = C_ij / (c*z^x), C_ij the (i, j) cofactor: a (k-1)-minor
+    with one entry from each row but row i and from each column but column
+    j.  Each of its terms has top exponent at most sum(rowmax) - rowmax_i
+    <= sum(rowmax) - min(rowmax), and at most sum(colmax) - colmax_j
+    (Kailath, Linear Systems, 1980, ch. 6).
+    """
+    by_rows = sum(rowmax) - min(rowmax)
+    by_cols = sum(colmax)
+    return [min(by_rows, by_cols - m) - x for m in colmax]
+
+
+def _sides(e: VectorBundle):
+    """((M, hi) of T, (M, hi) of its Serre partner P), M_j the top exponent
+    of column j and hi_j the window bound of :func:`_column_windows`, read
+    off T's exponents in one pass: P_ij = z^2 T_ji(1/z), so P's row maxima
+    are 2 - colmin(T), its column maxima 2 - rowmin(T), and det P =
+    c*z^(2k - x) for det T = c*z^x.  A valid transition has no zero row or
+    column, so every extreme exists."""
+    k, x = e.rank, e.det_unit[1]
+    entries = e.transition.entries
+    grid = [[(p.order, p.degree) if p else None for p in row] for row in entries]
+    rows = [[b for b in line if b] for line in grid]
+    cols = [[b for b in line if b] for line in zip(*grid)]
+    rowmax = [max(d for _, d in r) for r in rows]
+    colmax = [max(d for _, d in c) for c in cols]
+    p_rowmax = [2 - min(o for o, _ in c) for c in cols]
+    p_colmax = [2 - min(o for o, _ in r) for r in rows]
+    return (
+        (colmax, _column_windows(rowmax, colmax, x)),
+        (p_colmax, _column_windows(p_rowmax, p_colmax, 2 * k - x)),
+    )
+
+
+def _tail_plan(t: LaurentMatrix, cutoff: int, side):
+    """(cutoff, ranges, shape) of the one tail solve at this cutoff, for
+    the side (M, hi) of :func:`_sides`: column j solves the slots
+    max(0, cutoff - M_j + 1) .. W_j + 1, W_j = cutoff + hi_j.  This is the
+    set-up :func:`_counts` bounds before its first solve and hands on to
+    the solves, so no cutoff is set up twice."""
+    tops, his = side
+    ranges = tuple((max(0, cutoff - m + 1), cutoff + h + 1) for m, h in zip(tops, his))
+    return cutoff, ranges, _system_shape(t, cutoff, ranges)
+
+
+def _cells(plan) -> int:
+    """Cells of a plan's system, at least one, as every count is charged."""
+    rows, cols = plan[2]
+    return max(1, rows * cols)
+
+
+def _tail_solve(t: LaurentMatrix, plan):
     """(free slot count, kernel basis, unknowns) of the one tail solve for
-    the (window, ranges, shape) of :func:`_tail_plan`.  The free slots are
-    s <= cutoff - M_j; the solve is stable when no slot window+1 is free or
-    touched by a kernel vector, and raises WindowUnstable otherwise."""
-    window, ranges, shape = plan
-    system, unknowns = _constraint_system(e, cutoff, ranges, shape)
+    a plan of :func:`_tail_plan`.  The free slots are s <= cutoff - M_j.
+    The solve is stable when on every column no slot past W_j is free and
+    no kernel vector touches slot W_j + 1; it raises WindowUnstable
+    otherwise.  A column with W_j < -1 has neither unknowns nor a check
+    slot, so it is stable when it has no free slot."""
+    cutoff, ranges, shape = plan
+    system, unknowns = _constraint_system(t, cutoff, ranges, shape)
     basis = kernel_basis(system)
-    top = [idx for idx, (_, s) in enumerate(unknowns) if s == window + 1]
-    stable = all(lo <= hi for lo, hi in ranges)
+    top = [idx for idx, (j, s) in enumerate(unknowns) if s == ranges[j][1]]
+    stable = all(lo <= max(0, hi) for lo, hi in ranges)
     stable = stable and not any(v[idx] for v in basis for idx in top)
-    _record_stability(stable, f"count changed between window {window} and {window + 1}")
+    windows = [hi - 1 for _, hi in ranges]
+    _record_stability(stable, f"count changed past the column windows {windows}")
     return sum(lo for lo, _ in ranges), basis, unknowns
 
 
-def _sections_dim(e: VectorBundle, cutoff: int, plan) -> int:
-    """dim { f : deg f_j <= window, T*f has exponents <= cutoff }, exactly,
+def _sections_dim(t: LaurentMatrix, plan) -> int:
+    """dim { f : deg f_j <= W_j, T*f has exponents <= cutoff }, exactly,
     from the one tail solve of :func:`_tail_solve`."""
-    free, basis, _ = _tail_solve(e, cutoff, plan)
+    free, basis, _ = _tail_solve(t, plan)
     return free + len(basis)
 
 
-def _band(e: VectorBundle, c_lo: int, plan):
+def _band(bottom, top):
     """Per column j, the bounds (a, b) of the slots a <= s < b that are free
-    at the plan's cutoff but not at c_lo (s > c_lo - M_j): the structural
-    monomials z^s e_j whose T*f reaches an exponent above c_lo.  Bounds,
-    not ranges: a band can be longer than ``len`` of a range takes."""
-    window, ranges, _ = plan
-    lows = _tail_ranges(e, c_lo, window)
-    return [(lo_c, lo) for (lo, _), (lo_c, _) in zip(ranges, lows)]
+    at the top plan's cutoff but not at the bottom's (s > c_lo - M_j): the
+    structural monomials z^s e_j whose T*f reaches an exponent above c_lo.
+    Bounds, not ranges: a band can be longer than ``len`` of a range
+    takes."""
+    return [(a, b) for (a, _), (b, _) in zip(bottom[1], top[1])]
 
 
-def _chain_cells(e: VectorBundle, c_lo: int, top: int, plan) -> int:
+def _chain_cells(k: int, bottom, top) -> int:
     """An upper bound on the cells :func:`_nested_dims` builds, known before
     any solve: the top system, and G^T of at most one row per band monomial
     (:func:`_band`) plus one per top unknown, by k*(top - c_lo) columns."""
-    rows, cols = plan[2]
-    band = sum(max(0, b - a) for a, b in _band(e, c_lo, plan))
-    return max(1, rows * cols) + (band + cols) * e.rank * (top - c_lo)
+    cols = top[2][1]
+    band = sum(max(0, b - a) for a, b in _band(bottom, top))
+    return _cells(top) + (band + cols) * k * (top[0] - bottom[0])
 
 
-def _nested_dims(e: VectorBundle, c_lo: int, top: int, plan):
-    """[dim S(c) for c in c_lo..top], S(c) = {f : T*f has exponents <= c},
-    from one tail solve at the top cutoff (plan its :func:`_tail_plan`)
-    and one certified rank computation.
+def _nested_dims(t: LaurentMatrix, bottom, top):
+    """[dim S(c) for c in c_lo..C], S(c) = {f : T*f has exponents <= c},
+    for the plans (:func:`_tail_plan`) at c_lo and C, from one tail solve
+    at C and one certified rank computation.
 
-    For c <= top, S(c) is the subspace of S(top) on which the coefficients
-    of T*f at exponents t in (c, top] vanish; the top's window bounds every
-    S(c), as the windows of :func:`_counts` do not fall as c grows.  G^T
-    has one row per basis vector of S(top) whose T*f reaches that band
-    (the free slots s <= c_lo - M_j never do), one column per (component
-    i, exponent t), in descending t.
+    For c <= C, S(c) is the subspace of S(C) on which the coefficients of
+    T*f at exponents t in (c, C] vanish; C's windows bound every S(c), as
+    the windows c + hi_j rise with c.  G^T has one row per basis vector of
+    S(C) whose T*f reaches that band (the free slots s <= c_lo - M_j never
+    do), one column per (component i, exponent t), in descending t.
     Each canonical kernel vector of G^T has 1 at its free column and 0
     after it, so its last nonzero entry marks a column that depends
     exactly (the kernel is verified) on earlier ones: the prefix rank is
     at most the pivots in the prefix.  A mod-p rank never
     exceeds the true rank, so it is also at least that.  Hence dim S(c) =
-    dim S(top) - (k*(top - c) - free columns among the first k*(top - c)).
-    The top solve's window+1 check covers every lower cutoff: a section of
-    one that touched that slot would lie in S(top).  The caller bounds the
+    dim S(C) - (k*(C - c) - free columns among the first k*(C - c)).
+    The top solve's W_j + 1 check covers every lower cutoff: a section of
+    one that touched that slot would lie in S(C).  The caller bounds the
     cells built through :func:`_chain_cells`.
     """
-    free, basis, unknowns = _tail_solve(e, top, plan)
-    t, k = e.transition, e.rank
-    band = enumerate(_band(e, c_lo, plan))
+    free, basis, unknowns = _tail_solve(t, top)
+    k, c_lo, c_top = t.rows, bottom[0], top[0]
+    band = enumerate(_band(bottom, top))
     vectors = [{(j, s): ONE} for j, (a, b) in band for s in range(a, b)]
     vectors += [{u: c for u, c in zip(unknowns, v) if c} for v in basis]
     rows = []
@@ -303,90 +354,119 @@ def _nested_dims(e: VectorBundle, c_lo: int, top: int, plan):
         for (j, s), c in vec.items():
             for i in range(k):
                 for d, a in t[i, j].items():
-                    if c_lo < s + d <= top:
-                        col = (top - s - d) * k + i
+                    if c_lo < s + d <= c_top:
+                        col = (c_top - s - d) * k + i
                         acc[col] = acc.get(col, ZERO) + a * c
         if row := [(col, x) for col, x in sorted(acc.items()) if x]:
             rows.append(clear_row(row))
-    g_t = SparseSystem(rows, k * (top - c_lo))
+    g_t = SparseSystem(rows, k * (c_top - c_lo))
     dependent = sorted(max(i for i, x in enumerate(v) if x) for v in kernel_basis(g_t))
     dim = free + len(basis)
     return [
-        dim - k * (top - c) + bisect_left(dependent, k * (top - c))
-        for c in range(c_lo, top + 1)
+        dim - k * (c_top - c) + bisect_left(dependent, k * (c_top - c))
+        for c in range(c_lo, c_top + 1)
     ]
 
 
-def _inverse_top(e: VectorBundle) -> int:
-    """hi, an upper bound on every exponent of every entry of T^-1, read
-    off the exponents of T alone.
-
-    (T^-1)_ij = C_ji / (c*z^e) for det T = c*z^e, C_ji the (j, i)
-    cofactor: a (k-1)-minor, one entry from each row but one and from each
-    column but one.  Each of its terms has top exponent at most the sum of
-    the row maxima less the dropped row's, so at most
-    sum(rowmax) - min(rowmax), and by columns at most sum(colmax) -
-    min(colmax); hence hi = min of the two, minus e (Kailath, Linear
-    Systems, 1980, ch. 6).
-    """
-    rows = e.transition.entries
-    tops = [
-        [max(p.degree for p in line if p) for line in lines]
-        for lines in (rows, zip(*rows))
-    ]
-    return min(sum(x) - min(x) for x in tops) - e.det_unit[1]
-
-
-def _counts(e: VectorBundle, c_lo: int, c_hi: int):
-    """[dim S(c) for c in c_lo..c_hi], S(c) = {f : T*f has exponents <= c}:
-    the one routine under every h0, h1 and profile count.
-
-    A section with cutoff c is f = T^-1 h with h of exponents <= c, so
-    deg f <= c + hi, hi the top exponent of T^-1 (:func:`_inverse_top`),
-    and each cutoff is counted at the window c + hi.  The cutoffs below
-    -hi have no section and no system, and are answered at once.  Every
-    other cutoff is set up once (:func:`_tail_plan`), and the cells of all
-    of them, each cutoff charged at least one, are checked against
-    MAX_SYSTEM_CELLS before the first solve.  One chain
-    (:func:`_nested_dims`) answers them when, by :func:`_chain_cells`, it
-    builds no more cells than the separate solves and fits the limit;
-    otherwise each cutoff is solved on its own.  The caller keeps the
-    number of cutoffs within the limit.
-
-    No top slot c + hi + 1 is free by structure: the diagonal entry of
-    T^-1 * T = I at column j needs a pair of exponents a <= hi and
-    b <= M_j with a + b = 0, so M_j >= -hi and c - M_j <= c + hi.
-    """
-    hi = _inverse_top(e)
-    skip = min(c_hi - c_lo + 1, max(0, -hi - c_lo))
-    cells = skip
-    live = range(c_lo + skip, c_hi + 1)
-    plans = []
-    for c in live:
-        plan = _tail_plan(e, c, c + hi)
-        rows, cols = plan[2]
-        cells += max(1, rows * cols)
-        check_size(cells, f"Cech systems at cutoffs {c_lo}..{c}")
-        plans.append(plan)
+def _run(t: LaurentMatrix, plans):
+    """[dim S(c)] over the consecutive ascending cutoffs of ``plans`` on one
+    side: one chain (:func:`_nested_dims`) when, by :func:`_chain_cells`,
+    it builds no more cells than the separate solves and fits the limit,
+    and otherwise one solve per cutoff."""
     if len(plans) > 1:
-        bottom, top = live[0], live[-1]
-        if _chain_cells(e, bottom, top, plans[-1]) <= min(cells - skip, MAX_SYSTEM_CELLS):
-            return [0] * skip + _nested_dims(e, bottom, top, plans[-1])
-    return [0] * skip + [_sections_dim(e, c, plan) for c, plan in zip(live, plans)]
+        separate = sum(map(_cells, plans))
+        if _chain_cells(t.rows, plans[0], plans[-1]) <= min(separate, MAX_SYSTEM_CELLS):
+            return _nested_dims(t, plans[0], plans[-1])
+    return [_sections_dim(t, plan) for plan in plans]
+
+
+def _serre_partner(t: LaurentMatrix) -> LaurentMatrix:
+    """P = z^2 * T(1/z)^T, whose sections count H1 (module docstring): each
+    term c*z^d of T_ji becomes c*z^(2 - d) of P_ij, with no arithmetic."""
+    k = t.rows
+    return LaurentMatrix(
+        [
+            [_poly({2 - d: a for d, a in t[j, i].items()}) for j in range(k)]
+            for i in range(k)
+        ]
+    )
+
+
+def _counts(e: VectorBundle, c_lo: int, c_hi: int, serre: bool = False):
+    """[dim S(c) for c in c_lo..c_hi], S(c) the sections with cutoff c of
+    E, or of its Serre partner P when ``serre``: the one routine under every
+    h0, h1 and profile count.
+
+    Call X the bundle counted and Y its partner (P, or T when X is P).  By
+    Riemann-Roch, dim S_X(c) = deg X + k*(c + 1) + dim S_Y(-c).  Cutoffs
+    below -max(hi_j of X) have no section and are answered 0; cutoffs
+    above max(hi_j of Y) have none on Y and are answered by the formula.
+    Each cutoff of the band between is planned on both sides
+    (:func:`_tail_plan`), so Y is built only when the band is not empty,
+    and SystemTooLarge is raised before the first solve once the smaller
+    of each cutoff's two systems sum over MAX_SYSTEM_CELLS, every cutoff
+    charged at least one cell.  The band is split where the planned cells
+    of X below and Y above are fewest, ties going to X, and each part is
+    one :func:`_run`.  The caller keeps the number of cutoffs within the
+    limit.
+
+    No top slot W_j + 1 is free by structure: the (j, j) entry of
+    T^-1 * T = I needs a pair of exponents a <= hi_j (row j of T^-1) and
+    b <= M_j with a + b = 0, so M_j >= -hi_j and c - M_j <= W_j.
+    """
+    sx, sy = _sides(e)
+    k, x = e.rank, e.det_unit[1]
+    deg = -x
+    if serre:
+        sx, sy, deg = sy, sx, x - 2 * k
+    lo = min(c_hi + 1, max(c_lo, -max(sx[1])))
+    hi = max(lo - 1, min(c_hi, max(sy[1])))
+    band = range(lo, hi + 1)
+    out = [0] * (lo - c_lo)
+    if band:
+        t = e.transition
+        tx, ty = t, _serre_partner(t)
+        if serre:
+            tx, ty = ty, tx
+        n = len(band)
+        outside = c_hi - c_lo + 1 - n
+        cells = outside
+        px, py = [], []
+        for c in band:
+            px.append(_tail_plan(tx, c, sx))
+            py.append(_tail_plan(ty, -c, sy))
+            cells += min(_cells(px[-1]), _cells(py[-1]))
+            check_size(cells, f"Cech systems at cutoffs {c_lo}..{c}")
+        below = list(accumulate(map(_cells, px), initial=0))
+        above = list(accumulate(map(_cells, reversed(py)), initial=0))
+        split = min(range(n + 1), key=lambda s: (below[s] + above[n - s], -s))
+        cells = outside + below[split] + above[n - split]
+        check_size(cells, f"Cech systems at cutoffs {c_lo}..{c_hi}")
+        out += _run(tx, px[:split])
+        partner = _run(ty, py[split:][::-1])[::-1]
+        out += [deg + k * (c + 1) + h for c, h in zip(band[split:], partner)]
+    out += [deg + k * (c + 1) for c in range(hi + 1, c_hi + 1)]
+    return out
 
 
 def h0_sections(e: VectorBundle):
     """Exact basis of H0(E), each as a Section.
 
-    One tail solve at cutoff 0 and its window hi (see :func:`_counts`),
-    with its window + 1 check: the free monomials z^s e_j (s <= -M_j) come
-    first, then the canonical kernel basis of the constrained tail.
+    One tail solve on E at cutoff 0 and its column windows hi_j (see the
+    module docstring), with its W_j + 1 check: the free monomials z^s e_j
+    (s <= -M_j) come first, then the canonical kernel basis of the
+    constrained tail.  A basis with more free monomials than
+    MAX_SYSTEM_CELLS is refused before the solve: a small system can
+    stand for a basis too long to list, such as the 10^20 + 1 sections of
+    O(10^20) + O(-10^20).
     """
-    hi = _inverse_top(e)
-    if hi < 0:
+    side, _ = _sides(e)
+    if max(side[1]) < 0:
         return []
-    plan = _tail_plan(e, 0, hi)
-    _, basis, unknowns = _tail_solve(e, 0, plan)
+    plan = _tail_plan(e.transition, 0, side)
+    free = sum(lo for lo, _ in plan[1])
+    check_size(free, f"a basis of at least {free} sections")
+    _, basis, unknowns = _tail_solve(e.transition, plan)
     vectors = [{(j, s): ONE} for j, (lo, _) in enumerate(plan[1]) for s in range(lo)]
     vectors += [{u: c for u, c in zip(unknowns, v) if c} for v in basis]
     sections = []
@@ -399,39 +479,25 @@ def h0_sections(e: VectorBundle):
 
 
 def h0_dim(e: VectorBundle) -> int:
-    """dim H0(E), exact.
-
-    The tail elimination runs at the cofactor degree bound hi on the
-    sections (see :func:`_counts`), and not at all when that is negative;
-    the solve is asserted stable against hi + 1.
-    """
+    """dim H0(E), exact: one count at cutoff 0, on E or, through
+    Riemann-Roch, on its Serre partner, whichever system is smaller (see
+    :func:`_counts`); no solve when either window is negative."""
     return _counts(e, 0, 0)[0]
-
-
-def _serre_partner(e: VectorBundle) -> VectorBundle:
-    """P = z^2 * T(1/z)^T, whose sections count H1(E) (module docstring):
-    each term c*z^d of T_ji becomes c*z^(2 - d) of P_ij, with no
-    arithmetic, and det P = c*z^(2k - e) for det T = c*z^e."""
-    t, k = e.transition, e.rank
-    c, x = e.det_unit
-    grid = [
-        [_poly({2 - d: a for d, a in t[j, i].items()}) for j in range(k)]
-        for i in range(k)
-    ]
-    return VectorBundle._with_det(LaurentMatrix(grid), (c, 2 * k - x))
 
 
 def h1_dim_oracle(e: VectorBundle) -> int:
     """dim H1(E) by Serre duality, exact: h0 of the Serre partner
-    P = z^2 * T(1/z)^T (see module docstring), one count at P's own
-    window, and no solve when that window is negative.
+    P = z^2 * T(1/z)^T (see module docstring), counted on P or, through
+    Riemann-Roch, on E, whichever system is smaller (see :func:`_counts`).
     """
-    return h0_dim(_serre_partner(e))
+    return _counts(e, 0, 0, serre=True)[0]
 
 
 def euler_char(e: VectorBundle) -> int:
-    """h0 - h1; equals deg E + rank E on every bundle (genus-0 index count)."""
-    return h0_dim(e) - h1_dim_oracle(e)
+    """h0 - h1 = deg E + rank E, by Riemann-Roch on P^1 (genus 0); no
+    count is solved.  The tests compare the two counts, each forced onto
+    its own side, against it."""
+    return e.degree + e.rank
 
 
 def h0_profile(e: VectorBundle, m_lo: int, m_hi: int):
@@ -440,11 +506,11 @@ def h0_profile(e: VectorBundle, m_lo: int, m_hi: int):
     The profile determines the splitting type: h0(E(m)) counts
     sum_i max(0, d_i + m + 1) over the splitting degrees d_i.  h0(E(m)) is
     the count of sections with cutoff m, so no twisted bundle is built.
-    All twists are counted by one call of :func:`_counts`: SystemTooLarge
-    is raised before the first solve when their cells sum over the limit,
-    every twist charged at least one cell, its entry in the answer, and
-    the twists are answered by one nested-cutoff chain topped at m_hi when
-    it builds no more cells than one solve per twist.
+    All twists are counted by one call of :func:`_counts`: 0 below the
+    band read off T, the Riemann-Roch formula above it, and inside it each
+    twist on E or on the Serre partner, split at one crossover.
+    SystemTooLarge is raised before the first solve when the cells sum
+    over the limit, every twist charged at least one cell.
     """
     if m_lo > m_hi:
         raise RefusedArgument("empty profile range")

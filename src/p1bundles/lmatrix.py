@@ -77,9 +77,10 @@ from .laurent import (
 # unknowns), the Cech systems of a whole twist profile together, or a w-adic
 # series (its cap of terms x k^2 entries).  A larger one raises
 # SystemTooLarge before anything is allocated.  The benchmark ladder's
-# largest jobs are 14,848 cells for one system and 1,080 for one series; its
-# largest profile is checked against the limit as 61,084 cells, the sum of
-# its per-twist systems, but builds 13,472.
+# largest jobs are 2,304 cells for one Cech system and 1,080 for one series;
+# its largest profile is checked against the limit as 8,862 cells, the sum
+# over its twists of the smaller of each twist's two systems (cech._counts),
+# and builds 3,202.
 MAX_SYSTEM_CELLS = 300_000
 
 

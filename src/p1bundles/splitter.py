@@ -19,8 +19,8 @@ with that matrix as its constant term, so it is w-unimodular, and
 Winv^-1 is summed as a w-adic series (:func:`lmatrix.w_adic_inverse`); a
 permutation sorts the diagonal.  The factorization is kept on the
 transition matrix, and ``LaurentMatrix.inverse`` reads T^-1 = U*D^-1*W
-off the same one, so splitting a bundle and then taking its dual, or
-testing it for isomorphism or self-duality, reduces it once.  Each
+off the same one, so splitting a bundle and then taking its dual
+reduces it once.  Each
 :func:`grothendieck_split` call still verifies the certificate.  The
 column degrees also give h0(E(m)) = sum_j max(0, d_j + m + 1) for every
 twist m at once, which the Cech module recomputes by brute-force linear
@@ -134,21 +134,3 @@ def verify_factorization(e: VectorBundle, fact: Factorization) -> bool:
     if kernel_basis(u0):
         return False
     return w * e.transition * u == d
-
-
-def iso(e1: VectorBundle, e2: VectorBundle) -> bool:
-    """Isomorphism test: equal ranks and equal sorted splitting types.
-
-    The splitting type is a complete invariant, so this decides the
-    isomorphism class exactly.
-    """
-    if e1.rank != e2.rank:
-        return False
-    return splitting_type(e1) == splitting_type(e2)
-
-
-def is_self_dual(e: VectorBundle) -> bool:
-    """Whether E is isomorphic to its dual, i.e. the type is symmetric
-    under negation (the bundles carrying an orthogonal structure)."""
-    t = splitting_type(e)
-    return list(t) == [-d for d in reversed(t)]

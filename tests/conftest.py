@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from p1bundles import GaussianRational, LaurentMatrix, LaurentPoly, monomial
+import p1bundles.cech as cech
 
 # Every property test draws the same examples on every run and writes no
 # example database; max_examples and deadline stay as each test sets them.
@@ -51,3 +52,22 @@ def unit_det_matrix(rng, k, shears):
 @pytest.fixture
 def unit_det():
     return unit_det_matrix
+
+
+def forced_h0_h1(e, c=0):
+    """(h0(E(c)), h1(E(c))), each solved on its own system with no choice
+    of side: h0 on T at cutoff c, h1 on the Serre partner at cutoff -c,
+    each at the library's column windows.  A side whose windows are all
+    negative counts 0 with no solve."""
+    t = e.transition
+    return tuple(
+        cech._sections_dim(m, cech._tail_plan(m, cut, side))
+        if cut + max(side[1]) >= 0
+        else 0
+        for m, side, cut in zip((t, cech._serre_partner(t)), cech._sides(e), (c, -c))
+    )
+
+
+@pytest.fixture
+def forced():
+    return forced_h0_h1

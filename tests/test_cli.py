@@ -108,14 +108,19 @@ def test_exit_code_parse_error():
     assert "line 1" in r.stderr
 
 
-def test_exit_code_window_unstable(monkeypatch, capsys):
-    # A cofactor bound two short of O(3)'s: the guard on the window fails,
-    # and the CLI reports it as a failed internal check, not as a count.
+def test_exit_code_window_unstable(monkeypatch, capsys, tmp_path):
+    # Column windows two short of the proven ones: the guard on the window
+    # fails on either side of z^-2, 0 ; z^12, z^10, whose h0 is solved, and
+    # the CLI reports it as a failed internal check, not as a count.
     from p1bundles import cech, cli
 
-    inverse_top = cech._inverse_top
-    monkeypatch.setattr(cech, "_inverse_top", lambda e: inverse_top(e) - 2)
-    assert cli.main(["h0", str(DATA / "o3.bundle")]) == 3
+    path = tmp_path / "wide.bundle"
+    path.write_text("z^-2, 0 ; z^12, z^10\n")
+    sides = cech._sides
+    monkeypatch.setattr(
+        cech, "_sides", lambda e: tuple((m, [h - 2 for h in hi]) for m, hi in sides(e))
+    )
+    assert cli.main(["h0", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal check failed:")
@@ -212,16 +217,19 @@ def test_negative_moves_is_usage_error(tmp_path):
     assert not out.exists()
 
 
-def test_unstable_modular_kernel_exits_3(monkeypatch, capsys):
+def test_unstable_modular_kernel_exits_3(monkeypatch, capsys, tmp_path):
     from p1bundles import cech, cli
     from p1bundles.errors import KernelBudgetExceeded
 
     def unstable(matrix):
         raise KernelBudgetExceeded("modular kernel failed to stabilize")
 
-    # Every count runs its kernel solve, so the patched solve is reached.
+    # The h0 of z^5, 1 ; 0, z^-5 lies in the band of twists that are
+    # solved, so the patched solve is reached.
+    path = tmp_path / "shear.bundle"
+    path.write_text("z^5, 1 ; 0, z^-5\n")
     monkeypatch.setattr(cech, "kernel_basis", unstable)
-    assert cli.main(["h0", str(DATA / "o3.bundle")]) == 3
+    assert cli.main(["h0", str(path)]) == 3
     err = capsys.readouterr().err
     assert "internal check failed" in err
     assert "Traceback" not in err
@@ -403,11 +411,11 @@ def test_closed_stdout_exits_141(tmp_path, args):
 
 
 def test_band_too_long_for_len_exits_4_or_answers(tmp_path):
-    # A 57-byte file whose h1 sections have degrees near 10^20 is refused
-    # as too large; file "5" answers, as its Serre partner O(-2) has no
-    # section window and nothing is solved.
+    # A file whose sections have degrees near 10^6 on E and on its Serre
+    # partner is refused as too large; file "5" answers, as its Serre
+    # partner O(-2) has no section window and nothing is solved.
     far = tmp_path / "far.bundle"
-    far.write_text("z^-100000000000000000000, 0 ; 0, z^100000000000000000000\n")
+    far.write_text("z^1000000, 1 ; 0, z^-1000000\n")
     r = run_cli("h1", str(far))
     assert r.returncode == 4
     assert r.stderr.startswith("too large:")
@@ -419,25 +427,78 @@ def test_band_too_long_for_len_exits_4_or_answers(tmp_path):
     assert r.stdout.strip() == "h1: 0"
 
 
-def test_h1_of_far_triangular_file_exits_4_where_h0_answers(tmp_path):
-    # The Serre partner of this valid file has an entry of degree
-    # 10^20 + 2, so its one h1 system is refused at once as too large;
-    # h0 reads only T and answers.
+def test_far_triangular_files_answer_or_exit_4_on_both_counts(tmp_path):
+    # h0 and h1 count on the same two systems, E's and its Serre partner's,
+    # so a file is answered by both or refused by both.  The partner of the
+    # first file has an entry of degree 10^20 + 2, but each column has its
+    # own window, and both counts answer.  z^1000000, 1 ; 0, z^-1000000 has
+    # a window near 10^6 on both sides, and both counts exit 4 at once.
     path = tmp_path / "tri.bundle"
     path.write_text(
         "rank: 2\n"
         "5/4*z^-20, 2*z^-20 + -1/5*z^-100000000000000000000 ;\n"
         "0, (1/2,1/1)*z^1\n"
     )
+    for command, expected in (("h1", "h1: 0\n"), ("h0", "h0: 21\n")):
+        r = run_cli(command, str(path))
+        assert r.returncode == 0
+        assert r.stdout == expected
+    far = tmp_path / "far.bundle"
+    far.write_text("z^1000000, 1 ; 0, z^-1000000\n")
+    for command in ("h1", "h0"):
+        start = time.monotonic()
+        r = run_cli(command, str(far))
+        assert time.monotonic() - start < 2
+        assert r.returncode == 4
+        assert r.stderr.startswith("too large:")
+        assert "Traceback" not in r.stderr
+
+
+_FAR = "100000000000000000000"
+
+
+@pytest.mark.parametrize(
+    "text, command, expected",
+    [
+        (
+            f"0, 129689824753715365306003630764*z^{_FAR} ;"
+            f" (-3/1,-1/3)*z^{_FAR}, -1*z^3 + 3/1*z^0",
+            "h1",
+            "h1: 199999999999999999998\n",
+        ),
+        (f"5/4*z^-20, 2*z^-20 + -1/5*z^-{_FAR} ; 0, (1/2,1/1)*z^1", "h1", "h1: 0\n"),
+        (f"z^-{_FAR}, 0 ; 0, z^{_FAR}", "h0", "h0: 100000000000000000001\n"),
+        (f"z^-{_FAR}, 0 ; 0, z^{_FAR}", "h1", "h1: 99999999999999999999\n"),
+    ],
+    ids=["far_shear_h1", "far_triangular_h1", "far_diagonal_h0", "far_diagonal_h1"],
+)
+def test_far_exponent_counts_are_answered(tmp_path, capsys, text, command, expected):
+    # Each count has a small system on one side once every column has its
+    # own window.  The first file has type (-10^20, -10^20), so its h1 is
+    # 2*(10^20 - 1); the second has type (20, -1); the third is
+    # O(10^20) + O(-10^20).
+    from p1bundles import cli
+
+    path = tmp_path / "far.bundle"
+    path.write_text(text + "\n")
+    assert cli.main([command, str(path)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_wide_diagonal_profile_is_answered(tmp_path, capsys):
+    # O(1000) + O(-1000) over twists -1001..1000: 1999 one-cell systems in
+    # the band, the rest read off it with no solve.
+    from p1bundles import cli
+
+    path = tmp_path / "wide.bundle"
+    path.write_text("z^-1000, 0 ; 0, z^1000\n")
     start = time.monotonic()
-    r = run_cli("h1", str(path))
-    assert time.monotonic() - start < 2
-    assert r.returncode == 4
-    assert r.stderr.startswith("too large:")
-    assert "Traceback" not in r.stderr
-    r = run_cli("h0", str(path))
-    assert r.returncode == 0
-    assert r.stdout == "h0: 21\n"
+    assert cli.main(["profile", str(path), "--from", "-1001", "--to", "1000"]) == 0
+    assert time.monotonic() - start < 10
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        f"h0(E({m})): {max(0, m + 1001) + max(0, m - 999)}" for m in range(-1001, 1001)
+    ]
 
 
 def test_number_over_print_limit_exits_4(tmp_path):
