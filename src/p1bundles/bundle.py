@@ -24,7 +24,7 @@ import random
 from .errors import InvalidBundle, RefusedArgument
 from .exact import ONE, GaussianRational
 from .laurent import Chart, LaurentPoly, ONE_POLY, ZERO_POLY, constant, z_power
-from .lmatrix import LaurentMatrix, block_diag, kron
+from .lmatrix import LaurentMatrix, block_diag, check_size, kron
 
 
 class VectorBundle:
@@ -217,6 +217,25 @@ def _random_move(k: int, chart: Chart, max_degree: int, rng: random.Random):
     return _shear(k, i, j, constant(_random_scalar(rng))), ONE
 
 
+def _charge_scramble(k: int, moves: int, max_degree: int, span: int):
+    """SystemTooLarge, before anything is drawn, when an upper bound on the
+    terms that ``moves`` products of k x k matrices multiply is over the
+    limit of ``check_size``.
+
+    A move is the identity but for one entry of at most max_degree + 1
+    terms, so a product multiplies each term of the matrix once and one
+    row or column once more by that entry.  The moves give U(w) *
+    diag(z^-d) * V(z), U and V of degree at most moves * max_degree
+    together, so an entry holds at most span + 1 + moves * max_degree
+    terms (span the range of the d_l), and moves * max_degree + 1 per
+    distinct d_l.  A rank-1 move is a unit scalar.
+    """
+    grow = max_degree if k > 1 else 0
+    reach = moves * grow
+    terms = min(span + 1 + reach, min(k, span + 1) * (reach + 1))
+    check_size(moves * k * (k + grow + 1) * terms, "a seeded gauge scramble")
+
+
 def random_unimodular(
     k: int, chart: Chart, max_degree: int, rng: random.Random, moves: int = 3
 ) -> LaurentMatrix:
@@ -230,14 +249,17 @@ def random_unimodular(
     At rank 1 ``moves`` is ignored: the result is always one random unit
     scalar, one draw from ``rng``, so ``moves=0`` does not give the
     identity there as it does at rank >= 2.  Seeded callers depend on that
-    draw order.
+    draw order.  A product over the size limit (:func:`_charge_scramble`)
+    raises SystemTooLarge before anything is drawn.
     """
     if max_degree < 0:
         raise RefusedArgument("max_degree must be >= 0")
     if moves < 0:
         raise RefusedArgument("moves must be >= 0")
+    moves = 1 if k == 1 else moves  # rank 1: one unit scaling
+    _charge_scramble(k, moves, max_degree, 0)
     acc = LaurentMatrix.identity(k)
-    for _ in range(1 if k == 1 else moves):  # rank 1: one unit scaling
+    for _ in range(moves):
         acc = acc * _random_move(k, chart, max_degree, rng)[0]
     return acc
 
@@ -254,6 +276,8 @@ def random_bundle(
     so the splitting type of the output is the input type by construction.
     Deterministic for a fixed (degrees, gauge_degree, seed, moves).  Not
     re-validated: det T is z^-(d1 + ... + dk) times the moves' unit dets.
+    A scramble over the size limit (:func:`_charge_scramble`) raises
+    SystemTooLarge before anything is drawn.
     """
     degrees = [int(d) for d in degrees]
     if gauge_degree < 0:
@@ -261,9 +285,11 @@ def random_bundle(
     if moves is not None and moves < 0:
         raise RefusedArgument("moves must be >= 0")
     k = len(degrees)
-    rng = random.Random(seed)
     if moves is None:
         moves = 2 * k + 2
+    span = max(degrees, default=0) - min(degrees, default=0)
+    _charge_scramble(k, moves, gauge_degree, span)
+    rng = random.Random(seed)
     t = LaurentMatrix.diagonal([z_power(-d) for d in degrees])
     det = ONE
     for step in range(moves):

@@ -392,42 +392,35 @@ def _serre_partner(t: LaurentMatrix) -> LaurentMatrix:
     )
 
 
-def _counts(e: VectorBundle, c_lo: int, c_hi: int, serre: bool = False):
-    """[dim S(c) for c in c_lo..c_hi], S(c) the sections with cutoff c of
-    E, or of its Serre partner P when ``serre``: the one routine under every
-    h0, h1 and profile count.
+def _counts(e: VectorBundle, c_lo: int, c_hi: int):
+    """[dim S(c) for c in c_lo..c_hi], S(c) the sections of E with cutoff
+    c: the one routine under every h0, h1 and profile count.
 
-    Call X the bundle counted and Y its partner (P, or T when X is P).  By
-    Riemann-Roch, dim S_X(c) = deg X + k*(c + 1) + dim S_Y(-c).  Cutoffs
-    below -max(hi_j of X) have no section and are answered 0; cutoffs
-    above max(hi_j of Y) have none on Y and are answered by the formula.
-    Each cutoff of the band between is planned on both sides
-    (:func:`_tail_plan`), so Y is built only when the band is not empty,
-    and SystemTooLarge is raised before the first solve once the smaller
-    of each cutoff's two systems sum over MAX_SYSTEM_CELLS, every cutoff
-    charged at least one cell.  The band is split where the planned cells
-    of X below and Y above are fewest, ties going to X, and each part is
-    one :func:`_run`.  The caller keeps the number of cutoffs within the
-    limit.
+    By Riemann-Roch, dim S_E(c) = deg E + k*(c + 1) + dim S_P(-c), P the
+    Serre partner.  Cutoffs below -max(hi_j of T) have no section and are
+    answered 0; cutoffs above max(hi_j of P) have none on P and are
+    answered by the formula.  Each cutoff of the band between is planned
+    on both sides (:func:`_tail_plan`), so P is built only when the band is
+    not empty, and SystemTooLarge is raised before the first solve once
+    the smaller of each cutoff's two systems sum over MAX_SYSTEM_CELLS,
+    every cutoff charged at least one cell.  The band is split where the
+    planned cells of E below and P above are fewest, ties going to E, and
+    each part is one :func:`_run`.  The caller keeps the number of cutoffs
+    within the limit.
 
     No top slot W_j + 1 is free by structure: the (j, j) entry of
     T^-1 * T = I needs a pair of exponents a <= hi_j (row j of T^-1) and
     b <= M_j with a + b = 0, so M_j >= -hi_j and c - M_j <= W_j.
     """
     sx, sy = _sides(e)
-    k, x = e.rank, e.det_unit[1]
-    deg = -x
-    if serre:
-        sx, sy, deg = sy, sx, x - 2 * k
+    k, deg = e.rank, e.degree
     lo = min(c_hi + 1, max(c_lo, -max(sx[1])))
     hi = max(lo - 1, min(c_hi, max(sy[1])))
     band = range(lo, hi + 1)
     out = [0] * (lo - c_lo)
     if band:
-        t = e.transition
-        tx, ty = t, _serre_partner(t)
-        if serre:
-            tx, ty = ty, tx
+        tx = e.transition
+        ty = _serre_partner(tx)
         n = len(band)
         outside = c_hi - c_lo + 1 - n
         cells = outside
@@ -486,11 +479,12 @@ def h0_dim(e: VectorBundle) -> int:
 
 
 def h1_dim_oracle(e: VectorBundle) -> int:
-    """dim H1(E) by Serre duality, exact: h0 of the Serre partner
-    P = z^2 * T(1/z)^T (see module docstring), counted on P or, through
-    Riemann-Roch, on E, whichever system is smaller (see :func:`_counts`).
+    """dim H1(E), exact: h0(E) - chi(E) by Riemann-Roch, from the one count
+    of :func:`h0_dim`.  That count runs on E or on the Serre partner
+    P = z^2 * T(1/z)^T, whose h0 is h1(E) (see module docstring),
+    whichever system is smaller; no solve when either window is negative.
     """
-    return _counts(e, 0, 0, serre=True)[0]
+    return _counts(e, 0, 0)[0] - euler_char(e)
 
 
 def euler_char(e: VectorBundle) -> int:

@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands cover the whole library: `split`, `h0`, `h1`, `deg`, `chi`,
-`profile`, `op`, `twist`, `iso`, `selfdual`, `random`, `verify`.  Reports
-are printed as stable `key: value` lines, or as one deterministic JSON
-object (sorted keys, no timestamps) under `--json`.
+`profile`, `op`, `twist`, `iso`, `selfdual`, `random`, `verify`.  Each
+handler builds one ``result`` dict.  Under `--json` it is printed as one
+deterministic JSON object (sorted keys, no timestamps); otherwise the text
+report, stable `key: value` lines, is rendered from that same dict
+(``_render``).  It is rendered in both modes before anything is printed or
+written, so a number over the printing limit is refused in either.
 
 Exit codes come from the error types: a library error exits with the
 code and prints the label that its class in ``errors`` carries, and the
@@ -47,23 +50,49 @@ def _write(path: str, text: str):
         raise ParseError(f"cannot write {path}: {exc}")
 
 
-def _emit(args, command: str, inputs, result: dict, human_lines, extra_text=None):
+def _emit(args, command: str, inputs, result: dict, text: str = "") -> int:
+    """Print ``result`` as JSON under --json, else as the lines of
+    :func:`_render` and then ``text`` (the bundle or certificate made),
+    unless the result names the ``path`` it went to; ``text`` is written to
+    ``-o`` if one is given.  The lines are rendered first in both modes, so
+    a number over the printing limit raises SystemTooLarge before any
+    output or file."""
+    lines = _render(result)
+    if getattr(args, "output", None):
+        _write(args.output, text)
     if args.json:
         report = {"command": command, "inputs": list(inputs), "result": result}
         print(json.dumps(report, sort_keys=True))
     else:
-        for line in human_lines:
-            print(line)
-        if extra_text:
-            print(extra_text, end="")
+        print(lines + ("" if "path" in result else text), end="")
+    return 0
 
 
-def _fmt_bool(b: bool) -> str:
-    return "true" if b else "false"
+def _render(result: dict) -> str:
+    """The text report of a result, one ``key: value`` line per field in
+    its order: a bool as true/false, a list of ints as (d1, ..., dk), every
+    int through ``_decimal``, ``path`` as ``wrote``, a ``profile`` as one
+    ``h0(E(m)): h`` line per twist (and nothing else), and the ``bundle``
+    text left to :func:`_emit`."""
+    if "profile" in result:
+        fields = [(f"h0(E({_decimal(m)}))", h) for m, h in result["profile"]]
+    else:
+        fields = [
+            ("wrote" if key == "path" else key, value)
+            for key, value in result.items()
+            if key != "bundle"
+        ]
+    return "".join(f"{key}: {_value(value)}\n" for key, value in fields)
 
 
-def _fmt_type(t) -> str:
-    return "(" + ", ".join(_decimal(d) for d in t) + ")"
+def _value(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return _decimal(v)
+    if isinstance(v, list):
+        return "(" + ", ".join(map(_decimal, v)) + ")"
+    return v
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -79,23 +108,8 @@ def _cmd_split(args):
     # grothendieck_split returns only a verified certificate; it raises
     # InternalCheckError (exit 3) otherwise.
     stype, fact = grothendieck_split(e)
-    fact_text = format_factorization(fact)
-    result = {
-        "rank": e.rank,
-        "type": list(stype),
-        "deg": e.degree,
-        "verified": True,
-    }
-    lines = [
-        f"rank: {e.rank}",
-        f"type: {_fmt_type(stype)}",
-        f"deg: {_decimal(e.degree)}",
-        "verified: true",
-    ]
-    if args.output:
-        _write(args.output, fact_text)
-    _emit(args, "split", [args.file], result, lines, extra_text=fact_text)
-    return 0
+    result = {"rank": e.rank, "type": list(stype), "deg": e.degree, "verified": True}
+    return _emit(args, "split", [args.file], result, format_factorization(fact))
 
 
 def _cmd_count(args):
@@ -103,31 +117,20 @@ def _cmd_count(args):
     from . import cech
     count = {"h0": cech.h0_dim, "h1": cech.h1_dim_oracle, "chi": cech.euler_char}
     key = args.command
-    value = count[key](e)
-    _emit(args, key, [args.file], {key: value}, [f"{key}: {_decimal(value)}"])
-    return 0
+    return _emit(args, key, [args.file], {key: count[key](e)})
 
 
 def _cmd_deg(args):
     e = parse_bundle(_read(args.file))
-    result = {"deg": e.degree, "rank": e.rank}
-    lines = [f"deg: {_decimal(e.degree)}", f"rank: {e.rank}"]
-    _emit(args, "deg", [args.file], result, lines)
-    return 0
+    return _emit(args, "deg", [args.file], {"deg": e.degree, "rank": e.rank})
 
 
 def _cmd_profile(args):
     e = parse_bundle(_read(args.file))
     from .cech import h0_profile
-    profile = h0_profile(e, args.m_from, args.m_to)
-    result = {
-        "from": args.m_from,
-        "to": args.m_to,
-        "profile": [[m, h] for m, h in profile],
-    }
-    lines = [f"h0(E({m})): {h}" for m, h in profile]
-    _emit(args, "profile", [args.file], result, lines)
-    return 0
+    profile = [[m, h] for m, h in h0_profile(e, args.m_from, args.m_to)]
+    result = {"from": args.m_from, "to": args.m_to, "profile": profile}
+    return _emit(args, "profile", [args.file], result)
 
 
 def _cmd_op(args):
@@ -154,16 +157,11 @@ def _cmd_twist(args):
 def _emit_bundle(args, command, inputs, out: VectorBundle):
     text = format_bundle(out)
     result = {"rank": out.rank, "deg": out.degree}
-    lines = [f"rank: {out.rank}", f"deg: {_decimal(out.degree)}"]
     if args.output:
-        _write(args.output, text)
         result["path"] = args.output
-        lines.append(f"wrote: {args.output}")
-        _emit(args, command, inputs, result, lines)
     else:
         result["bundle"] = text
-        _emit(args, command, inputs, result, lines, extra_text=text)
-    return 0
+    return _emit(args, command, inputs, result, text)
 
 
 def _cmd_iso(args):
@@ -173,26 +171,16 @@ def _cmd_iso(args):
     ta = splitting_type(a)
     tb = splitting_type(b)
     # The type is a complete invariant, and unequal ranks give unequal types.
-    same = ta == tb
-    result = {"iso": same, "type_a": list(ta), "type_b": list(tb)}
-    lines = [
-        f"iso: {_fmt_bool(same)}",
-        f"type_a: {_fmt_type(ta)}",
-        f"type_b: {_fmt_type(tb)}",
-    ]
-    _emit(args, "iso", [args.a, args.b], result, lines)
-    return 0
+    result = {"iso": ta == tb, "type_a": list(ta), "type_b": list(tb)}
+    return _emit(args, "iso", [args.a, args.b], result)
 
 
 def _cmd_selfdual(args):
     e = parse_bundle(_read(args.file))
     from .splitter import splitting_type
-    stype = splitting_type(e)
-    sd = list(stype) == [-d for d in reversed(stype)]
-    result = {"self_dual": sd, "type": list(stype)}
-    lines = [f"self_dual: {_fmt_bool(sd)}", f"type: {_fmt_type(stype)}"]
-    _emit(args, "selfdual", [args.file], result, lines)
-    return 0
+    stype = list(splitting_type(e))
+    result = {"self_dual": stype == [-d for d in reversed(stype)], "type": stype}
+    return _emit(args, "selfdual", [args.file], result)
 
 
 def _cmd_random(args):
@@ -203,18 +191,10 @@ def _cmd_random(args):
     if not degrees:
         raise ParseError("--type needs at least one degree")
     e = random_bundle(degrees, args.gauge_degree, args.seed, moves=args.moves)
-    _write(args.output, format_bundle(e))
     from .splitter import SplittingType
     stype = list(SplittingType(degrees))
     result = {"path": args.output, "rank": e.rank, "type": stype, "seed": args.seed}
-    lines = [
-        f"wrote: {args.output}",
-        f"rank: {e.rank}",
-        f"type: {_fmt_type(stype)}",
-        f"seed: {args.seed}",
-    ]
-    _emit(args, "random", [], result, lines)
-    return 0
+    return _emit(args, "random", [], result, format_bundle(e))
 
 
 def _cmd_verify(args):
@@ -222,14 +202,7 @@ def _cmd_verify(args):
     fact = parse_factorization(_read(args.factfile))
     from .splitter import verify_factorization
     ok = verify_factorization(e, fact)
-    _emit(
-        args,
-        "verify",
-        [args.file, args.factfile],
-        {"verified": ok},
-        [f"verified: {_fmt_bool(ok)}"],
-    )
-    return 0
+    return _emit(args, "verify", [args.file, args.factfile], {"verified": ok})
 
 
 # -- parser -------------------------------------------------------------------

@@ -19,7 +19,9 @@ subclass exits as its base does:
   (KernelBudgetExceeded).  Either is a library bug, never a verdict on the
   input.
 * 4, SystemTooLarge, "too large": a job over the fixed size limit, or a
-  number too long to print; nothing is printed and no ``-o`` file written.
+  number too long to print.  Any report holding a number over the
+  printing limit is refused, in text and in JSON mode alike, with nothing
+  printed and no ``-o`` file written.
 * 141 (a BrokenPipeError): the reader closed stdout before the report
   was written, as in ``p1bundles profile ... | head -c 80``; nothing more
   is printed.
@@ -78,9 +80,10 @@ class SystemTooLarge(P1BundlesError, ValueError):
     constraint system (rows x unknowns), to the Cech systems of one query
     together (all twists of a profile, each charged at least one cell),
     and to the cap of a w-adic series inverse
-    (terms x k^2).  The check runs before the work starts, so a tiny input
-    such as ``z^1000000`` is refused at once instead of running without
-    bound.  A column reduction is charged as it runs instead (its k x k
+    (terms x k^2), and to a seeded gauge scramble (an upper bound on the
+    terms its moves multiply).  The check runs before the work starts, so a
+    tiny input such as ``z^1000000`` is refused at once instead of running
+    without bound.  A column reduction is charged as it runs instead (its k x k
     leading-coefficient matrix and each coefficient it writes, by its size
     in 64-bit words, per step), and is stopped once the total is over the
     limit.  Also raised by the printers in ``text`` for a number with more

@@ -74,8 +74,9 @@ from .laurent import (
 )
 
 # The largest job, in cells, taken on: one Cech constraint system (rows x
-# unknowns), the Cech systems of a whole twist profile together, or a w-adic
-# series (its cap of terms x k^2 entries).  A larger one raises
+# unknowns), the Cech systems of a whole twist profile together, a w-adic
+# series (its cap of terms x k^2 entries), or a seeded gauge scramble (the
+# terms its moves multiply, bundle._charge_scramble).  A larger one raises
 # SystemTooLarge before anything is allocated.  The benchmark ladder's
 # largest jobs are 2,304 cells for one Cech system and 1,080 for one series;
 # its largest profile is checked against the limit as 8,862 cells, the sum

@@ -5,6 +5,7 @@ import pytest
 from p1bundles import (
     InvalidBundle,
     LaurentMatrix,
+    SystemTooLarge,
     VectorBundle,
     W_CHART,
     Z_CHART,
@@ -133,6 +134,18 @@ def test_random_generators_reject_negative_arguments():
             random_unimodular(2, Z_CHART, 1, random.Random(1), moves=moves)
     with pytest.raises(ValueError, match="max_degree must be >= 0"):
         random_unimodular(2, Z_CHART, -1, random.Random(1), moves=2)
+
+
+def test_random_generators_refuse_oversized_scrambles():
+    # The charge is made before anything is drawn: the refused call leaves
+    # the caller's generator where it was.
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(SystemTooLarge, match="seeded gauge scramble"):
+        random_unimodular(2, Z_CHART, 1, rng, moves=10**8)
+    assert rng.getstate() == state
+    with pytest.raises(SystemTooLarge, match="seeded gauge scramble"):
+        random_bundle([1, 0], 10**8, seed=0)
 
 
 def test_random_unimodular_lives_on_its_chart():

@@ -522,10 +522,14 @@ def test_report_number_over_print_limit_exits_4(tmp_path):
     # An 8.6 KB file whose degree 2*(10^4300 - 1) has 4301 digits, one over
     # the int -> str limit, while every exponent it holds has 4300.  Each
     # report that prints the degree, or h1 and chi, which grow with it, is
-    # refused before any output, and no -o file is written.
+    # refused before any output, and no -o file is written.  So is a
+    # profile whose counts have 4301 digits: h0(O(N)) = N + 1 on the
+    # trivial line bundle, and every twist of the file's dual.
     nines = "9" * 4300
     path = tmp_path / "tall_degree.bundle"
     path.write_text(f"z^{nines}, 0 ; 0, z^{nines}\n")
+    dual = tmp_path / "tall_dual.bundle"
+    dual.write_text(f"z^-{nines}, 0 ; 0, z^-{nines}\n")
     five = tmp_path / "five.bundle"
     five.write_text("5\n")
     out = tmp_path / "out.txt"
@@ -536,6 +540,8 @@ def test_report_number_over_print_limit_exits_4(tmp_path):
         ["split", str(path)],
         ["split", str(path), "-o", str(out)],
         ["op", "dsum", str(path), str(five), "-o", str(out)],
+        ["profile", str(five), "--from", nines, "--to", nines],
+        ["profile", str(dual), "--from", "-3", "--to", "3"],
     ):
         for args in ([], ["--json"]):
             r = run_cli(*command, *args)
@@ -561,6 +567,22 @@ def test_series_cap_over_print_limit_exits_4(tmp_path):
         assert max(map(len, re.findall(r"\d+", r.stderr))) <= 4300
         assert "Traceback" not in r.stderr
         assert r.stdout == ""
+
+
+def test_oversized_scramble_exits_4(tmp_path):
+    # A seeded scramble is charged an upper bound on the terms its moves
+    # multiply, from rank, moves, gauge degree and degree span, before
+    # anything is drawn; these two would otherwise draw shears of up to
+    # 10^8 terms, or make 10^8 matrix products.
+    out = tmp_path / "out.bundle"
+    for option in ("--gauge-degree", "--moves"):
+        argv = [sys.executable, "-m", "p1bundles.cli", "random", "--type", "1,0"]
+        argv += [option, "100000000", "-o", str(out)]
+        r = subprocess.run(argv, capture_output=True, text=True, timeout=2)
+        assert r.returncode == 4, (option, r.stderr)
+        assert r.stderr.startswith("too large:")
+        assert r.stdout == ""
+        assert not out.exists()
 
 
 def test_random_type_may_start_with_a_negative_degree(tmp_path):

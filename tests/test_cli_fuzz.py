@@ -6,7 +6,9 @@ ones, malformed tokens and truncated text, with Q(i) coefficients that
 carry denominators, 30-digit integers, and exponents from a fixed list
 that includes 10^6 and 10^20.  Each call must end with an exit code of
 the documented contract, and never with exit 3 (a failed internal
-check): every Cech count runs at a proven window.
+check): every Cech count runs at a proven window.  A second generator,
+with its own seed, adds calls whose integer arguments have up to 4300
+digits, the most the option parser reads.
 """
 
 import random
@@ -97,15 +99,44 @@ def _calls(rng, f, g, cert, out):
     yield ["random", f"--type={degrees}", "--seed", str(rng.randint(0, 99)), "-o", out]
 
 
+def _integer(rng):
+    """Argv text of an integer of either sign: small enough for a call to
+    be answered, 10^4300 - 1 (the largest the option parser reads), or of
+    1 to 4300 digits."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        n = rng.randint(0, 3)
+    elif kind == 1:
+        n = 10**4300 - 1
+    else:
+        digits = rng.randint(1, 4300)
+        n = rng.randint(10 ** (digits - 1), 10**digits - 1)
+    return str(rng.choice((n, -n)))
+
+
+def _integer_calls(rng, f, out):
+    m = _integer(rng)
+    mode = rng.choice(([], ["--json"]))
+    yield ["profile", f, "--from", m, "--to", rng.choice((m, _integer(rng))), *mode]
+    yield ["twist", f, _integer(rng), "--json"]
+    yield ["twist", f, _integer(rng), "-o", out]
+    options = ("--seed", "--gauge-degree", "--moves")
+    draws = [x for option in options for x in (option, _integer(rng))]
+    yield ["random", "--type=1,0,-1", *draws, "-o", out]
+
+
 def test_cli_exit_codes_stay_in_contract(tmp_path, capsys):
     rng = random.Random(20201)
+    big = random.Random(20281)
     f, g = tmp_path / "f.bundle", tmp_path / "g.bundle"
     cert, out = str(tmp_path / "f.fact"), str(tmp_path / "out.bundle")
     g.write_text(_bundle_text(rng))
     for _ in range(30):
         text = _bundle_text(rng)
         f.write_text(text)
-        for argv in _calls(rng, str(f), str(g), cert, out):
+        calls = [*_calls(rng, str(f), str(g), cert, out)]
+        calls += _integer_calls(big, str(f), out)
+        for argv in calls:
             code = cli.main(argv)
             err = capsys.readouterr().err
             assert code in CONTRACT, (argv, text, err)
