@@ -24,7 +24,7 @@ import re
 import sys
 
 from .bundle import VectorBundle, random_bundle
-from .errors import P1BundlesError, ParseError
+from .errors import P1BundlesError, ParseError, RefusedArgument
 from .text import (
     _decimal,
     format_bundle,
@@ -137,13 +137,13 @@ def _cmd_op(args):
     a = parse_bundle(_read(args.a))
     if args.kind in ("dsum", "tensor"):
         if args.b is None:
-            raise ParseError(f"op {args.kind} needs two bundle files")
+            raise RefusedArgument(f"op {args.kind} needs two bundle files")
         b = parse_bundle(_read(args.b))
         out = a.dsum(b) if args.kind == "dsum" else a.tensor(b)
         inputs = [args.a, args.b]
     else:
         if args.b is not None:
-            raise ParseError(f"op {args.kind} takes one bundle file")
+            raise RefusedArgument(f"op {args.kind} takes one bundle file")
         out = a.dual() if args.kind == "dual" else a.det_bundle()
         inputs = [args.a]
     return _emit_bundle(args, "op", inputs, out)
@@ -187,9 +187,9 @@ def _cmd_random(args):
     try:
         degrees = [int(part) for part in args.type.split(",") if part.strip() != ""]
     except ValueError:
-        raise ParseError(f"bad --type list: {args.type!r}")
+        raise RefusedArgument(f"bad --type list: {args.type!r}")
     if not degrees:
-        raise ParseError("--type needs at least one degree")
+        raise RefusedArgument("--type needs at least one degree")
     e = random_bundle(degrees, args.gauge_degree, args.seed, moves=args.moves)
     from .splitter import SplittingType
     stype = list(SplittingType(degrees))

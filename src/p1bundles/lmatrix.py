@@ -75,13 +75,14 @@ from .laurent import (
 
 # The largest job, in cells, taken on: one Cech constraint system (rows x
 # unknowns), the Cech systems of a whole twist profile together, a w-adic
-# series (its cap of terms x k^2 entries), or a seeded gauge scramble (the
-# terms its moves multiply, bundle._charge_scramble).  A larger one raises
+# series (its cap of terms x k^2 entries), a seeded gauge scramble (the
+# terms its moves multiply, bundle._charge_scramble), or a Kronecker product
+# (its entries plus its term products, kron).  A larger one raises
 # SystemTooLarge before anything is allocated.  The benchmark ladder's
 # largest jobs are 2,304 cells for one Cech system and 1,080 for one series;
 # its largest profile is checked against the limit as 8,862 cells, the sum
 # over its twists of the smaller of each twist's two systems (cech._counts),
-# and builds 3,202.
+# and builds 3,202.  Its largest Kronecker product is charged 312.
 MAX_SYSTEM_CELLS = 300_000
 
 
@@ -284,7 +285,17 @@ def _det_bareiss(grid) -> LaurentPoly:
 
 
 def kron(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
-    """Kronecker product (the transition matrix of a tensor product)."""
+    """Kronecker product (the transition matrix of a tensor product).
+
+    Charged before anything is built: its entries, and the products of
+    each term of ``a`` with each term of ``b``.
+    """
+    terms_a = sum(len(p) for row in a.entries for p in row)
+    terms_b = sum(len(p) for row in b.entries for p in row)
+    check_size(
+        a.rows * a.cols * b.rows * b.cols + terms_a * terms_b,
+        f"a Kronecker product of {a.rows}x{a.cols} by {b.rows}x{b.cols}",
+    )
     out = []
     for i1 in range(a.rows):
         for i2 in range(b.rows):

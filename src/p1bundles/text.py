@@ -7,214 +7,164 @@ and factorization certificates.
     row    := entry ("," entry)*
     entry  := term ("+" term)*
     term   := coeff ("*" monomial)? | monomial
-    monomial := "z^" SINT
+    monomial := "z^" INT
     coeff  := rat | "(" rat "," rat ")"
-    rat    := SINT ("/" UINT)?
+    rat    := ("+" | "-")? UINT ("/" UINT)?
 
-Whitespace and line breaks are insignificant outside tokens (the header
-newline excepted).  Example entry: ``(0,1)*z^-2 + 3/4 + z^5``.  The
-pretty-printers below emit exactly this grammar, so print -> parse is the
-identity.
+A monomial ``z^n`` is one token.  Whitespace and line breaks may fall
+between any two tokens (the header newline excepted), even between a sign
+and its digits: ``- 3`` is -3, and ``1+2`` is the two terms 1 and 2.
+Example entry: ``(0,1)*z^-2 + 3/4 + z^5``.  The pretty-printers below emit
+exactly this grammar, so print -> parse is the identity.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
+from math import gcd, lcm
 
 from .bundle import VectorBundle
 from .errors import ParseError, SystemTooLarge
-from .exact import GaussianRational, ONE
+from .exact import GaussianRational, ONE, _canonical
 from .laurent import LaurentPoly
 from .lmatrix import LaurentMatrix
 
+# One token after any whitespace; ``bad`` is a character that starts none.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<zpow>z\^[+-]?\d+)
-  | (?P<rat>[+-]?\d+(?:/\d+)?)
-  | (?P<punct>[(),;+*])
-    """,
-    re.VERBOSE,
+    r"\s*(?:(?P<zpow>z\^[+-]?\d+)|(?P<uint>\d+)|(?P<punct>[-+*/(),;])"
+    r"|(?P<bad>.)|(?P<end>\Z))"
 )
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "column")
-
-    def __init__(self, kind, value, line, column):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.column = column
+def _fail(message: str, text: str, pos: int):
+    """Raise ParseError at offset ``pos`` of ``text``, as a line and column."""
+    line = text.count("\n", 0, pos) + 1
+    raise ParseError(message, line, pos - text.rfind("\n", 0, pos))
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    line = 1
-    col = 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "ws":
-            tokens.append(_Token(kind if kind != "punct" else value, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    return tokens
-
-
-def _integer(text: str, line: int, column: int) -> int:
+def _integer(digits: str, text: str, pos: int) -> int:
     try:
-        return int(text)
+        return int(digits)
     except ValueError:  # more digits than int() will convert
-        message = f"number of {len(text)} characters is too long"
-        raise ParseError(message, line, column) from None
+        pass
+    _fail(f"number of {len(digits)} characters is too long", text, pos)
 
 
 class _Parser:
-    def __init__(self, tokens, end_line, end_col):
-        self.tokens = tokens
-        self.pos = 0
-        self.end = (end_line, end_col)
+    """Recursive descent over ``text[start:end]``, scanned in place with one
+    token of lookahead, ``tok`` = (kind, value, offset)."""
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def __init__(self, text: str, start: int, end: int):
+        self.text, self.pos, self.end = text, start, end
+        self.advance()
 
-    def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
+    def advance(self):
+        m = _TOKEN_RE.match(self.text, self.pos, self.end)
+        kind = m.lastgroup
+        self.tok = (kind, m.group(kind), m.start(kind))
+        if kind == "bad":
+            self.fail(f"unexpected character {m.group(kind)!r}")
+        self.pos = m.end()
 
-    def fail(self, message, tok=None):
-        if tok is None:
-            tok = self.peek()
-        if tok is None:
-            raise ParseError(message + " at end of input", *self.end)
-        raise ParseError(message, tok.line, tok.column)
+    def fail(self, message: str):
+        kind, _, pos = self.tok
+        _fail(message + (" at end of input" if kind == "end" else ""), self.text, pos)
 
-    def expect(self, kind):
-        tok = self.next()
-        if tok is None or tok.kind != kind:
-            self.fail(f"expected {kind!r}", tok)
-        return tok
+    def accept(self, char: str) -> bool:
+        if self.tok[1] != char:
+            return False
+        self.advance()
+        return True
 
-    def rational(self) -> Fraction:
-        tok = self.expect("rat")
-        num, _, den = tok.value.partition("/")
-        num = _integer(num, tok.line, tok.column)
+    def expect(self, char: str):
+        if not self.accept(char):
+            self.fail(f"expected {char!r}")
+
+    def integer(self, kind: str) -> int:
+        """The value of the next token, which must be a ``uint``, or a
+        ``zpow`` (its exponent), as ``kind`` says."""
+        tok_kind, value, pos = self.tok
+        if tok_kind != kind:
+            self.fail("expected a number" if kind == "uint" else "expected 'z^n'")
+        self.advance()
+        return _integer(value.removeprefix("z^"), self.text, pos)
+
+    def rational(self):
+        """(numerator, denominator), the denominator positive."""
+        sign = -1 if self.tok[1] == "-" else 1
+        if self.tok[1] in ("+", "-"):
+            self.advance()
+        num = sign * self.integer("uint")
+        if not self.accept("/"):
+            return num, 1
+        pos = self.tok[2]
+        den = self.integer("uint")
         if not den:
-            return Fraction(num)
-        den = _integer(den, tok.line, tok.column)
-        if den == 0:
-            self.fail("zero denominator", tok)
-        return Fraction(num, den)
+            _fail("zero denominator", self.text, pos)
+        return num, den
 
     def coeff(self) -> GaussianRational:
-        tok = self.peek()
-        if tok is not None and tok.kind == "(":
-            self.next()
-            re_part = self.rational()
-            self.expect(",")
-            im_part = self.rational()
-            self.expect(")")
-            return GaussianRational(re_part, im_part)
-        return GaussianRational(self.rational())
+        if not self.accept("("):
+            num, den = self.rational()
+            return _canonical(num, 0, den)
+        a, q = self.rational()
+        self.expect(",")
+        b, s = self.rational()
+        self.expect(")")
+        d = lcm(q, s)
+        return _canonical(a * (d // q), b * (d // s), d)
 
     def term(self):
-        tok = self.peek()
-        if tok is None:
-            self.fail("expected term")
-        if tok.kind == "zpow":
-            self.next()
-            return ONE, _integer(tok.value[2:], tok.line, tok.column)
+        if self.tok[0] == "zpow":
+            return ONE, self.integer("zpow")
         c = self.coeff()
-        tok = self.peek()
-        if tok is not None and tok.kind == "*":
-            self.next()
-            ztok = self.expect("zpow")
-            return c, _integer(ztok.value[2:], ztok.line, ztok.column)
-        return c, 0
+        return c, (self.integer("zpow") if self.accept("*") else 0)
 
     def entry(self) -> LaurentPoly:
         coeffs = {}
         while True:
             c, e = self.term()
-            if c:
-                prev = coeffs.get(e)
-                coeffs[e] = c if prev is None else prev + c
-            tok = self.peek()
-            if tok is not None and tok.kind == "+":
-                self.next()
-                continue
-            break
-        return LaurentPoly(coeffs)
+            coeffs[e] = coeffs[e] + c if e in coeffs else c
+            if not self.accept("+"):
+                return LaurentPoly(coeffs)
 
     def row(self):
         entries = [self.entry()]
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == ",":
-                self.next()
-                entries.append(self.entry())
-            else:
-                return entries
+        while self.accept(","):
+            entries.append(self.entry())
+        return entries
 
     def matrix(self) -> LaurentMatrix:
         rows = [self.row()]
-        while True:
-            tok = self.peek()
-            if tok is None:
-                break
-            if tok.kind == ";":
-                self.next()
-                rows.append(self.row())
-            else:
-                self.fail("expected ';' between rows")
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise ParseError("rows have differing entry counts", *self.end)
-        return LaurentMatrix(rows)
+        while self.accept(";"):
+            pos = self.tok[2]
+            rows.append(self.row())
+            if len(rows[-1]) != len(rows[0]):
+                _fail("rows have differing entry counts", self.text, pos)
+        return self.finish(LaurentMatrix(rows), "expected ';' between rows")
 
-
-def _end_position(text: str):
-    line = text.count("\n") + 1
-    col = len(text) - text.rfind("\n")
-    return line, col
+    def finish(self, value, message: str):
+        if self.tok[0] != "end":
+            self.fail(message)
+        return value
 
 
 def parse_scalar(text: str) -> GaussianRational:
     """Parse a standalone scalar: `a/b` or `(a/b, c/d)`."""
-    parser = _Parser(_tokenize(text), *_end_position(text))
-    value = parser.coeff()
-    if parser.peek() is not None:
-        parser.fail("trailing input after scalar")
-    return value
+    parser = _Parser(text, 0, len(text))
+    return parser.finish(parser.coeff(), "trailing input after scalar")
 
 
 def parse_poly(text: str) -> LaurentPoly:
     """Parse a standalone Laurent-polynomial entry."""
-    parser = _Parser(_tokenize(text), *_end_position(text))
-    value = parser.entry()
-    if parser.peek() is not None:
-        parser.fail("trailing input after entry")
-    return value
+    parser = _Parser(text, 0, len(text))
+    return parser.finish(parser.entry(), "trailing input after entry")
 
 
 def parse_matrix(text: str) -> LaurentMatrix:
     """Parse a matrix: entries separated by ',', rows by ';'."""
-    parser = _Parser(_tokenize(text), *_end_position(text))
-    return parser.matrix()
+    return _Parser(text, 0, len(text)).matrix()
 
 
 _HEADER_RE = re.compile(r"\A\s*rank\s*:\s*(?P<rank>[+-]?\d+)[^\S\n]*\n")
@@ -223,28 +173,18 @@ _HEADER_RE = re.compile(r"\A\s*rank\s*:\s*(?P<rank>[+-]?\d+)[^\S\n]*\n")
 def parse_bundle(text: str) -> VectorBundle:
     """Parse a bundle document: optional `rank: k` header, then a matrix.
 
-    A declared rank must match the parsed matrix size (ParseError
-    otherwise); validity of the transition matrix is then checked, raising
-    InvalidBundle for a degenerate determinant.
+    A declared rank must match the parsed matrix size (ParseError at the
+    rank otherwise); validity of the transition matrix is then checked,
+    raising InvalidBundle for a degenerate determinant.
     """
-    declared = None
-    body = text
-    offset_lines = 0
     m = _HEADER_RE.match(text)
+    matrix = _Parser(text, m.end() if m else 0, len(text)).matrix()
     if m is not None:
-        declared = _integer(m.group("rank"), *_end_position(text[: m.start("rank")]))
-        body = text[m.end():]
-        offset_lines = text[: m.end()].count("\n")
-    tokens = _tokenize(body)
-    for tok in tokens:
-        tok.line += offset_lines
-    end_line, end_col = _end_position(body)
-    parser = _Parser(tokens, end_line + offset_lines, end_col)
-    matrix = parser.matrix()
-    if declared is not None and declared != matrix.rows:
-        raise ParseError(
-            f"declared rank {declared} does not match matrix size {matrix.rows}"
-        )
+        pos = m.start("rank")
+        declared = _integer(m.group("rank"), text, pos)
+        if declared != matrix.rows:
+            message = f"declared rank {declared} does not match matrix size {matrix.rows}"
+            _fail(message, text, pos)
     return VectorBundle(matrix)
 
 
@@ -255,12 +195,10 @@ def parse_factorization(text: str):
     labels = list(re.finditer(r"([WUD])\s*:", text))
     if [m.group(1) for m in labels] != ["W", "U", "D"]:
         raise ParseError("factorization file must contain blocks W:, U:, D: in order")
-    blocks = {}
-    for idx, m in enumerate(labels):
-        start = m.end()
-        stop = labels[idx + 1].start() if idx + 1 < len(labels) else len(text)
-        blocks[m.group(1)] = parse_matrix(text[start:stop])
-    return Factorization(blocks["W"], blocks["U"], blocks["D"])
+    ends = [m.start() for m in labels[1:]] + [len(text)]
+    return Factorization(
+        *(_Parser(text, m.end(), end).matrix() for m, end in zip(labels, ends))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +230,20 @@ def _decimal(n: int) -> str:
         ) from None
 
 
-def _rational(q: Fraction) -> str:
-    num = _decimal(q.numerator)
-    return num if q.denominator == 1 else f"{num}/{_decimal(q.denominator)}"
+def _rational(num: int, den: int) -> str:
+    # num/den in lowest terms, den > 0.
+    g = gcd(num, den)
+    num = _decimal(num // g)
+    return num if den == g else f"{num}/{_decimal(den // g)}"
 
 
 def format_scalar(c: GaussianRational) -> str:
     """The coefficient in the grammar above; SystemTooLarge for a part over
     the printing limit (:func:`_decimal`), before anything is printed or
     written."""
-    if c.im == 0:
-        return _rational(c.re)
-    return f"({_rational(c.re)}, {_rational(c.im)})"
+    if not c.num_im:
+        return _rational(c.num_re, c.den)
+    return f"({_rational(c.num_re, c.den)}, {_rational(c.num_im, c.den)})"
 
 
 def format_poly(p: LaurentPoly) -> str:

@@ -668,3 +668,54 @@ def test_iso_and_selfdual_verify_one_split_per_file(monkeypatch, capsys):
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == out
         assert len(calls) == files
+
+
+def test_verify_reports_the_line_of_a_fault_in_the_certificate(tmp_path):
+    # Each block of a certificate is parsed where it sits, so a fault in
+    # the D: block is reported at its line in the whole file.
+    cert = tmp_path / "diag.cert"
+    r = run_cli("split", str(DATA / "diag.bundle"), "-o", str(cert))
+    assert r.returncode == 0, r.stderr
+    lines = cert.read_text().splitlines()
+    lines[-1] += " $"
+    cert.write_text("\n".join(lines) + "\n")
+    r = run_cli("verify", str(DATA / "diag.bundle"), str(cert))
+    assert r.returncode == 2
+    assert r.stderr.startswith("parse error: unexpected character '$'")
+    assert f"(line {len(lines)}, column {len(lines[-1])})" in r.stderr
+
+
+def test_oversized_tensor_exits_4(tmp_path):
+    # The rank-30 identity tensored with itself would build 810,000 entries;
+    # the product is charged before anything is built.
+    path = tmp_path / "id30.bundle"
+    rows = (", ".join("1" if i == j else "0" for j in range(30)) for i in range(30))
+    path.write_text(" ;\n".join(rows) + "\n")
+    out = tmp_path / "out.bundle"
+    start = time.monotonic()
+    r = run_cli("op", "tensor", str(path), str(path), "-o", str(out))
+    assert time.monotonic() - start < 5
+    assert r.returncode == 4, r.stderr
+    assert r.stderr.startswith("too large:")
+    assert r.stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["op", "dsum", "A"],
+        ["op", "dual", "A", "A"],
+        ["random", "--type", "1,x", "-o", "OUT"],
+        ["random", "--type", "", "-o", "OUT"],
+    ],
+)
+def test_bad_op_and_random_arguments_are_usage_errors(tmp_path, capsys, args):
+    from p1bundles import cli
+
+    paths = {"A": str(DATA / "diag.bundle"), "OUT": str(tmp_path / "out.bundle")}
+    assert cli.main([paths.get(a, a) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
+    assert not (tmp_path / "out.bundle").exists()

@@ -1,7 +1,11 @@
+import ast
+import re
+from functools import cache
+
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from p1bundles import (
     GaussianRational,
@@ -186,3 +190,69 @@ def test_grammar_text_raises_only_typed_errors(text):
         parse_bundle(text)
     except (ParseError, InvalidBundle):
         pass
+
+
+# -- positions and signs -------------------------------------------------------
+
+
+def test_positions_are_counted_in_the_whole_text():
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_bundle("rank: 2\nz^1, 1 ;\n0, $")
+    assert (err.value.line, err.value.column) == (3, 4)
+    text = "W:\n1, 0 ;\n0, 1\nU:\n1, 0 ;\n0, 1\nD:\n1, 0 ;\n0, $"
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_factorization(text)
+    assert (err.value.line, err.value.column) == (9, 4)
+
+
+def test_declared_rank_mismatch_points_at_the_rank():
+    with pytest.raises(ParseError, match="declared rank 3") as err:
+        parse_bundle("rank: 3\nz^1, 0 ; 0, z^-1")
+    assert (err.value.line, err.value.column) == (1, 7)
+
+
+def test_signs_are_tokens():
+    assert parse_poly("1+2") == parse_poly("1 + 2")
+    assert parse_poly("z^1 +3") == parse_poly("z^1 + 3")
+    assert parse_scalar("- 3") == parse_scalar("-3")
+    assert parse_scalar("( - 1 / 2 , + 3 )") == GaussianRational(Fraction(-1, 2), 3)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(_shear_products())
+@example(VectorBundle(parse_matrix("z^1, 1 + 3/4*z^2 ; 0, z^-1")))
+def test_format_parse_roundtrip_without_spaces(e):
+    assert parse_bundle(format_bundle(e).replace(" ", "")) == e
+
+
+@cache
+def _certificate() -> str:
+    _, fact = grothendieck_split(random_bundle([1, -1, 0], 2, seed=3))
+    return format_factorization(fact)
+
+
+@st.composite
+def _stray_characters(draw):
+    # A valid certificate, or bundle file with or without its header, with
+    # one character that starts no token put in somewhere.
+    if draw(st.booleans()):
+        parse, text = parse_factorization, _certificate()
+    else:
+        parse, text = parse_bundle, format_bundle(draw(_shear_products()))
+        if draw(st.booleans()):
+            text = text.split("\n", 1)[1]
+    pos = draw(st.integers(0, len(text)))
+    return parse, text[:pos] + draw(st.sampled_from("$@#!?x")) + text[pos:]
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(st.one_of(_stray_characters(), _texts.map(lambda t: (parse_bundle, t))))
+def test_unexpected_character_is_reported_where_it_stands(case):
+    parse, text = case
+    try:
+        parse(text)
+    except (ParseError, InvalidBundle) as exc:
+        found = re.match(r"unexpected character (.+) \(line", str(exc))
+        if found:
+            line = text.split("\n")[exc.line - 1]
+            assert line[exc.column - 1] == ast.literal_eval(found.group(1))
