@@ -81,9 +81,10 @@ class VectorBundle:
     def dual(self) -> "VectorBundle":
         """Dual bundle: transition is the inverse transpose.
 
-        Not re-validated: ``LaurentMatrix.inverse`` re-multiplies
-        T*T^-1 = I exactly, which proves det(T^-T) = c^-1 * z^-e for
-        det T = c*z^e.
+        Not re-validated: ``LaurentMatrix.inverse`` reads T^-1 off the
+        factorization W*T*U = D that ``lmatrix.wiener_hopf`` proved by an
+        exact product, so T*T^-1 = I, which proves det(T^-T) = c^-1 * z^-e
+        for det T = c*z^e.
         """
         c, e = self.det_unit
         return VectorBundle._with_det(

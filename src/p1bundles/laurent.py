@@ -11,12 +11,14 @@ Every product of Laurent polynomials is one fused multiply-accumulate,
 :func:`_dot`, which returns sum(a*b) over pairs of polynomials.  It keeps
 one int triple (re, im, den) per output exponent, adds the products of the
 operands' stored triples into it, and normalises each output coefficient
-once; a one-term operand is multiplied term by term with no accumulator.
-``LaurentPoly.__mul__`` and ``scale`` use it here, and in ``lmatrix`` the
-matrix product (one call per output entry, so ``kron``, ``twist`` and the
-certificate checks ``W*T*U = D`` and ``T*T^-1 = I``) and the column and
-frame updates of the column reduction; the w-adic series there runs the
-same accumulation on scalar matrices.
+once.  Beside it, :func:`_add_monomial_times` returns a + x*z^e*b in one
+pass over b; with a = 0 it is the product of a one-term operand, which
+``_dot`` and ``scale`` take.  ``LaurentPoly.__mul__`` and ``scale`` use
+them here, and in ``lmatrix`` the matrix product (one ``_dot`` per output
+entry, so ``kron``, ``twist``, the certificate check ``W*T*U = D`` and the
+inverse ``U*D^-1*W``) and each column and frame update of the column
+reduction (one ``_add_monomial_times`` per entry); the w-adic series there
+runs the same accumulation on scalar matrices.
 
 The chart predicate at the bottom (chart_contains) reads a polynomial's
 support to tell whether it lies in a chart ring.  The module has no
@@ -146,7 +148,7 @@ class LaurentPoly:
     def scale(self, c: GaussianRational) -> "LaurentPoly":
         if not c:
             return LaurentPoly()
-        return _poly(_monomial_times(0, c, self._coeffs))
+        return _add_monomial_times(ZERO_POLY, 0, c, self)
 
     def shift(self, n: int) -> "LaurentPoly":
         """Multiply by z^n."""
@@ -203,17 +205,33 @@ def _poly(coeffs) -> LaurentPoly:
     return out
 
 
-def _monomial_times(e1: int, x: GaussianRational, coeffs) -> dict:
-    """The terms of x*z^e1 times the polynomial with terms ``coeffs``:
-    exponents shifted by e1, each coefficient multiplied with one
-    normalisation (x != 0, so none vanishes)."""
+def _add_monomial_times(a: LaurentPoly, e: int, x: GaussianRational, b: LaurentPoly):
+    """a + x*z^e*b, for x != 0: one product and at most one sum per term of
+    b, each normalised once; a sum that cancels is dropped.  With a zero it
+    is the monomial product x*z^e*b, where no term vanishes."""
     xr, xi, xd = x.num_re, x.num_im, x.den
-    return {
-        e1 + e: _canonical(
-            xr * c.num_re - xi * c.num_im, xr * c.num_im + xi * c.num_re, xd * c.den
-        )
-        for e, c in coeffs.items()
-    }
+    out = dict(a._coeffs)
+    get = out.get
+    for eb, y in b._coeffs.items():
+        yr, yi = y.num_re, y.num_im
+        pr, pi, pd = xr * yr - xi * yi, xr * yi + xi * yr, xd * y.den
+        eb += e
+        s = get(eb)
+        if s is None:
+            out[eb] = _canonical(pr, pi, pd)
+            continue
+        d = s.den
+        if d != pd:
+            g = gcd(d, pd)
+            u, v = pd // g, d // g
+            pr, pi, pd = s.num_re * u + pr * v, s.num_im * u + pi * v, d * u
+        else:
+            pr, pi = s.num_re + pr, s.num_im + pi
+        if pr or pi:
+            out[eb] = _canonical(pr, pi, pd)
+        else:
+            del out[eb]
+    return _poly(out)
 
 
 def _dot(pairs) -> LaurentPoly:
@@ -226,24 +244,24 @@ def _dot(pairs) -> LaurentPoly:
     normalised once (``exact._canonical``), so no GaussianRational is built
     per term product or per partial sum; sums that cancel to zero are
     dropped.  Pairs with a zero operand are skipped, and one product with a
-    one-term operand takes the direct path of :func:`_monomial_times`.
+    one-term operand takes the direct path of :func:`_add_monomial_times`.
     """
-    pairs = [(a._coeffs, b._coeffs) for a, b in pairs if a._coeffs and b._coeffs]
+    pairs = [(a, b) for a, b in pairs if a._coeffs and b._coeffs]
     if not pairs:
         return ZERO_POLY
     if len(pairs) == 1:
         ((a, b),) = pairs
-        if len(a) == 1:
-            ((e, x),) = a.items()
-            return _poly(_monomial_times(e, x, b))
-        if len(b) == 1:
-            ((e, x),) = b.items()
-            return _poly(_monomial_times(e, x, a))
+        if len(a._coeffs) == 1:
+            ((e, x),) = a._coeffs.items()
+            return _add_monomial_times(ZERO_POLY, e, x, b)
+        if len(b._coeffs) == 1:
+            ((e, x),) = b._coeffs.items()
+            return _add_monomial_times(ZERO_POLY, e, x, a)
     acc = {}
     get = acc.get
     for a, b in pairs:
-        b = b.items()
-        for e1, x in a.items():
+        b = b._coeffs.items()
+        for e1, x in a._coeffs.items():
             xr, xi, xd = x.num_re, x.num_im, x.den
             for e2, y in b:
                 e = e1 + e2

@@ -6,24 +6,26 @@ Two layers live here:
   determinants, plus the one Wiener-Hopf factorization
   (:func:`wiener_hopf`) that both the splitter and
   :meth:`LaurentMatrix.inverse` read.  Column-reducing z^N*T
-  (:func:`column_reduce`) yields T = z^-N * Winv * diag(z^r_j) * V^-1 with
-  V unimodular over C[z] and, when det T is a unit, Winv unimodular over
+  (:func:`column_reduce`) by weak Popov transformations, which solve no
+  linear system, yields T = z^-N * Winv * diag(z^r_j) * V^-1 with V
+  unimodular over C[z] and, when det T is a unit, Winv unimodular over
   C[1/z]; Winv is inverted as a w-adic series (:func:`w_adic_inverse`), so
   no adjugate is ever formed.  The factorization W*T*U = diag(z^-d_j) is
-  computed at most once per matrix object and kept on it, and the inverse
-  is read off it as T^-1 = U * diag(z^d_j) * W.  Products and sums of
+  computed at most once per matrix object, proven by one exact product
+  when it is made, and kept on it; the inverse is read off it as
+  T^-1 = U * diag(z^d_j) * W with no further check.  Products and sums of
   products run on int triples and are normalised once per output
-  coefficient: each entry of a matrix product and each entry of the
-  reduction's column update sum_j u_j z^(r_j* - r_j) col_j is one call of
-  the fused ``laurent._dot``, and each term of the w-adic series is summed
-  on [re, im, den] accumulators (:func:`_mul_into`).  The determinant is
-  one Bareiss elimination at every size, which divides exactly in the
-  Laurent ring (:func:`_lp_divexact`).  It serves only two callers: the
-  validation of a transition that arrives from outside
-  (``VectorBundle.__init__``) and the error branch of
-  :meth:`LaurentMatrix.inverse`.  Derived and seeded bundles carry their
-  determinant, and certificates are checked by a degree-sum argument
-  (``splitter.verify_factorization``).
+  coefficient: each entry of a matrix product is one call of the fused
+  ``laurent._dot``, each entry of a reduction step col_f + x*z^e*col_g is
+  one call of ``laurent._add_monomial_times``, and each term of the
+  w-adic series is summed on [re, im, den] accumulators
+  (:func:`_mul_into`).  The determinant is one Bareiss elimination at
+  every size, which divides exactly in the Laurent ring
+  (:func:`_lp_divexact`).  It serves only two callers: the validation of
+  a transition that arrives from outside (``VectorBundle.__init__``) and
+  the error branch of :func:`wiener_hopf`.  Derived and seeded bundles
+  carry their determinant, and certificates are checked by a degree-sum
+  argument (``splitter.verify_factorization``).
 
 * :class:`SparseSystem` + :func:`kernel_basis` -- exact null spaces of
   coefficient-level linear systems.  A system has one input form: sparse
@@ -38,10 +40,11 @@ Two layers live here:
   echelon form by CRT and Wang's rational reconstruction, straight into
   those integer triples.  Only the echelon entries that are nonzero modulo
   some prime are carried through CRT and reconstruction; a missing entry
-  is 0.  *Every kernel vector is verified exactly*, in
-  Z[i] after scaling by the lcm of its denominators.  A verified basis of
-  size (cols - modular rank) pins the nullity on both sides, so the result
-  is exact, never probabilistic.  Reconstruction follows one schedule: it
+  is 0.  *Every kernel vector is verified exactly*, in Z[i] after scaling
+  by the lcm of its denominators.  A verified basis of size (cols -
+  modular rank) pins the nullity on both sides, so the result is exact,
+  never probabilistic; a system with a pivot in every column modulo one
+  prime has full column rank, and returns no vector at once.  Reconstruction follows one schedule: it
   is tried at the 1st, 2nd, 4th, 8th, ... prime accumulated for the
   current pivot structure, at the certain count and at the last prime of
   the budget, and only on a prime that was accumulated.  The
@@ -67,10 +70,12 @@ from .laurent import (
     LaurentPoly,
     ONE_POLY,
     ZERO_POLY,
+    _add_monomial_times,
     _dot,
     _poly,
     _promote_scalar,
     chart_contains,
+    z_power,
 )
 
 # The largest job, in cells, taken on: one Cech constraint system (rows x
@@ -198,23 +203,19 @@ class LaurentMatrix:
     def inverse(self) -> "LaurentMatrix":
         """Exact inverse; requires det to be a unit c*z^e of the Laurent ring.
 
-        Read off the factorization W*T*U = diag(z^-d_j) of
-        :func:`wiener_hopf` as T^-1 = U * diag(z^d_j) * W, so a matrix that
-        was already factorized (a split bundle's transition) runs no
-        reduction and no series.  The result is re-multiplied on every
-        call: T*T^-1 = I exactly proves det T a unit, so the determinant is
-        only computed when that check fails, to tell a non-unit determinant
-        (ValueError) from a failed internal check (InternalCheckError).
+        Read off the factorization W*T*U = D = diag(z^-d_j) of
+        :func:`wiener_hopf` as T^-1 = U * D^-1 * W, so a matrix that was
+        already factorized (a split bundle's transition) runs no reduction,
+        no series and no check.  The triple was proven by one exact product
+        when it was made: W*(T*U*D^-1) = I, and a one-sided inverse of a
+        square matrix over the commutative Laurent ring is two-sided, so
+        T*(U*D^-1*W) = I.  A matrix whose determinant is not a unit has no
+        factorization, and raises ValueError here.
         """
         if not self.is_square():
             raise DimensionMismatch("inverse of a non-square matrix")
         degrees, w, u = wiener_hopf(self)
-        inv = shift_columns(u, degrees) * w
-        if self * inv != LaurentMatrix.identity(self.rows):
-            if self.det().is_unit() is None:
-                raise ValueError("matrix determinant is not a unit; no Laurent inverse")
-            raise InternalCheckError("inverse failed to re-multiply to the identity")
-        return inv
+        return shift_columns(u, degrees) * w
 
     # -- comparisons / text -------------------------------------------------
 
@@ -328,11 +329,27 @@ def shift_columns(m: LaurentMatrix, shifts) -> LaurentMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _column_degree(col) -> int:
-    degs = [p.degree for p in col if p]
-    if not degs:
+def _pivot(col):
+    """(r, pi): the degree of a column and the last row that reaches it."""
+    r = pi = None
+    for i, p in enumerate(col):
+        if p:
+            d = p.degree
+            if r is None or d >= r:
+                r, pi = d, i
+    if r is None:
         raise ValueError("matrix is singular: a column reduced to zero")
-    return max(degs)
+    return r, pi
+
+
+def _words(polys) -> int:
+    # The coefficients' sizes in 64-bit words: the bits of each (re, im,
+    # den) triple rounded up, so at least 1 per coefficient.
+    return sum(
+        (c.num_re.bit_length() + c.num_im.bit_length() + c.den.bit_length() + 63) // 64
+        for p in polys
+        for c in p._coeffs.values()
+    )
 
 
 def column_reduce(t: LaurentMatrix):
@@ -341,29 +358,36 @@ def column_reduce(t: LaurentMatrix):
     T must be square; a singular T raises ValueError.  Returns (N, r, V, Q)
     with Q = P*V, V unimodular over C[z], r_j the degree of column j of Q,
     and the leading-coefficient matrix of Q (the z^(r_j) coefficients of
-    column j) nonsingular.  Each step takes a constant kernel vector u of the
-    leading-coefficient matrix and replaces the highest-degree
-    participating column j* by sum_j u_j z^(r_j* - r_j) col_j, which
-    strictly drops its degree.
+    column j) nonsingular.  Q*diag(z^-r_j) then lies in the w-chart ring
+    with that matrix as its constant term, so it is w-unimodular whenever
+    det T is a unit: z^N*T*V = Q is the Wiener-Hopf factorization of T.
 
-    Q*diag(z^-r_j) then lies in the w-chart ring with that nonsingular
-    matrix as its constant term, so it is w-unimodular whenever det T is a
-    unit: z^N*T*V = Q is the Wiener-Hopf factorization of T.
+    Weak Popov form by simple transformations (Mulders and Storjohann,
+    J. Symbolic Comput. 35, 2003), with no linear solve.  The pivot of
+    column j is its degree r_j and the last row pi_j that reaches it.
+    While two columns share a pivot row i, g is the one whose columns of Q
+    and V have the fewest coefficient words (ties to the lower index) and
+    f the highest-degree other one (ties to the higher index), the two
+    swapped if r_f < r_g; then col_f -= (lc_f/lc_g) * z^(r_f - r_g) * col_g
+    in Q and V, lc the row-i coefficient at the column's degree.  The rows
+    after i of both columns are below degree r_f, so r_f drops or pi_f
+    moves up: the potential k*r_f + pi_f drops by at least 1.  With
+    distinct pivot rows, the leading-coefficient matrix is triangular up to
+    a column permutation, with a nonzero diagonal.
 
-    The steps are at most the sum over the columns of T of their exponent
-    spans, colmax_j - colmin_j.  The column degrees of P start at
-    N + colmax_j, and those of Q sum to deg det P (the leading-coefficient
-    matrix is nonsingular), which is at least the order of det P,
-    kN + sum_j colmin_j: each term of the determinant takes one entry from
-    every column.  Every step lowers one degree by at least 1 and leaves the
-    others, so a reduction that runs past the cap proves T singular.
+    Cap.  The r_j start at N + colmax_j.  On a nonsingular T they sum to at
+    least deg det P (each transformation has determinant 1), which is at
+    least the order of det P, kN + sum_j colmin_j: each term of the
+    determinant takes one entry from every column.  So the potentials, with
+    0 <= pi_j < k, can drop at most k*cap + k*(k-1) times in all, for
+    cap = sum_j (colmax_j - colmin_j): a reduction that runs past that
+    proves T singular.
 
-    That cap bounds steps, not work, and can be far above the steps taken:
-    one step may lower a degree by much more than 1, so
-    ``z^1000000, 1 ; 0, z^-1000000`` takes one step under a cap of 10^6.
-    The work is therefore charged as it is done: each step counts its
-    k x k leading-coefficient matrix and the coefficients of the two
-    columns it writes, each by its size in 64-bit words and at least 1, and
+    Charge.  The cap bounds transformations, not work: one may lower a
+    degree by much more than 1, so ``z^1000000, 1 ; 0, z^-1000000`` takes
+    one under a cap of about 2*10^6.  The work is charged as it is done:
+    each transformation costs 2k plus the coefficients of the two columns
+    it writes, each by its size in 64-bit words and at least 1, and
     SystemTooLarge is raised once the total is over MAX_SYSTEM_CELLS.
     Charging by size, not by term count, bounds a reduction whose few terms
     grow by some 30 digits a step, as those of
@@ -381,38 +405,40 @@ def column_reduce(t: LaurentMatrix):
     )
     cols = [[t[i, j].shift(n) for i in range(k)] for j in range(k)]
     v = [[ONE_POLY if i == j else ZERO_POLY for i in range(k)] for j in range(k)]
-    cells = 0
-    for _ in range(cap + 1):
-        degs = [_column_degree(c) for c in cols]
-        lead = ScalarMatrix(
-            [[cols[j][i].coeff(degs[j]) for j in range(k)] for i in range(k)]
-        )
-        null = kernel_basis(lead)
-        if not null:
-            return n, degs, _from_columns(v), _from_columns(cols)
-        u = null[0]
-        picked = max(
-            (j for j in range(k) if u[j] != ZERO), key=lambda j: (degs[j], j)
-        )
-        # u_j * z^(r_j* - r_j), for the nonzero u_j
-        mono = [
-            (LaurentPoly({degs[picked] - degs[j]: u[j]}), j) for j in range(k) if u[j]
-        ]
-        cols[picked] = [_dot((m, cols[j][i]) for m, j in mono) for i in range(k)]
-        v[picked] = [_dot((m, v[j][i]) for m, j in mono) for i in range(k)]
-        # Each written coefficient is charged its size in 64-bit words, the
-        # bits of its (re, im, den) ints rounded up, so at least 1.
-        cells += k * k + sum(
-            (c.num_re.bit_length() + c.num_im.bit_length() + c.den.bit_length() + 63) // 64
-            for p in cols[picked] + v[picked]
-            for _, c in p.items()
-        )
+    pivots = [_pivot(c) for c in cols]
+    words = [_words(c) + _words(b) for c, b in zip(cols, v)]
+    left, cells = k * cap + k * (k - 1), 0
+    while True:
+        seen = set()  # pivot rows; stop at the first one taken twice
+        for _, i in pivots:
+            if i in seen:
+                break
+            seen.add(i)
+        else:
+            break
+        row = [m for m in range(k) if pivots[m][1] == i]
+        g = min(row, key=lambda m: (words[m], m))
+        f = max((m for m in row if m != g), key=lambda m: (pivots[m][0], m))
+        if pivots[f][0] < pivots[g][0]:
+            f, g = g, f
+        if not left:
+            raise ValueError(
+                "matrix is singular: its column reduction ran past the step cap"
+            )
+        left -= 1
+        (rf, _), (rg, _) = pivots[f], pivots[g]
+        x = -cols[f][i].coeff(rf) / cols[g][i].coeff(rg)
+        for side in (cols, v):
+            a, b = side[f], side[g]
+            for m in range(k):
+                if b[m]:
+                    a[m] = _add_monomial_times(a[m], rf - rg, x, b[m])
+        pivots[f] = _pivot(cols[f])
+        words[f] = _words(cols[f]) + _words(v[f])
+        cells += 2 * k + words[f]
         check_size(cells, "a column reduction")
-    raise ValueError("matrix is singular: its column reduction ran past the step cap")
-
-
-def _from_columns(cols) -> LaurentMatrix:
-    return LaurentMatrix([list(row) for row in zip(*cols)])
+    degs = [r for r, _ in pivots]
+    return n, degs, LaurentMatrix(list(zip(*v))), LaurentMatrix(list(zip(*cols)))
 
 
 def _sparse_rows(grid):
@@ -455,8 +481,8 @@ def w_adic_inverse(a: LaurentMatrix) -> LaurentMatrix:
     recurrence reads only the last s terms, so s consecutive zero terms
     end the series.  A w-unimodular input has a polynomial inverse of
     w-degree at most (k-1)*s (the adjugate bound), which caps the series;
-    on any other input the capped sum is no inverse, so callers
-    re-multiply.  Each term sums only the nonzero A_j, on int-triple
+    on any other input the capped sum is no inverse, so :func:`wiener_hopf`
+    re-multiplies.  Each term sums only the nonzero A_j, on int-triple
     accumulators (:func:`_mul_into`), and each entry of B_n is normalised
     once.  A cap of more than MAX_SYSTEM_CELLS entries ((k-1)*s terms of
     k x k) raises SystemTooLarge before the sum starts.
@@ -521,9 +547,14 @@ def wiener_hopf(t: LaurentMatrix):
     so Winv^-1 * T * V = diag(z^(r_j - N)) and d_j = N - r_j.  A
     permutation Perm sorts d into nonincreasing order, giving
     W = Perm*Winv^-1 and U = V*Perm^T (Kailath, Linear Systems, 1980,
-    sec. 6.3).  The triple is a certificate only when det T is a unit:
-    otherwise the capped series is no inverse, so every reader
-    re-multiplies.
+    sec. 6.3).
+
+    The triple is proven here, once, by re-multiplying W*T*U = D exactly;
+    only a triple that passes is kept, and every reader (the splitter and
+    :meth:`LaurentMatrix.inverse`) reads that one.  When det T is not a
+    unit, the capped series is no inverse and the product fails: that
+    raises ValueError, and a failed product on a unit determinant raises
+    InternalCheckError.  The determinant is computed only then.
 
     Computed at most once per matrix object and kept on it; a call that
     raises keeps nothing, so it raises again when called again.
@@ -535,6 +566,10 @@ def wiener_hopf(t: LaurentMatrix):
         w = LaurentMatrix([winv_inv.row(j) for j in order])
         u = LaurentMatrix([[row[j] for j in order] for row in v.entries])
         degrees = tuple(n - degs[j] for j in order)
+        if w * t * u != LaurentMatrix.diagonal([z_power(-d) for d in degrees]):
+            if t.det().is_unit() is None:
+                raise ValueError("matrix determinant is not a unit; no factorization")
+            raise InternalCheckError("factorization failed to re-multiply to D")
         object.__setattr__(t, "_wiener_hopf", (degrees, w, u))
     return t._wiener_hopf
 
@@ -629,7 +664,10 @@ def kernel_basis(m: SparseSystem):
     the others, so the list is empty exactly when the kernel is trivial.
 
     The basis comes from the certified multi-modular engine and is verified
-    exactly against m before it is returned.  The number of primes it may
+    exactly against m before it is returned, except when the first
+    elimination modulo the first prime finds a pivot in every column: that
+    proves the kernel trivial, and [] is returned with no second
+    embedding, reconstruction or verification.  The number of primes it may
     use is derived from the Hadamard bound of m's rows, so the cost grows
     with coefficient height as well as with shape; KernelBudgetExceeded
     (an InternalCheckError and an ArithmeticError) means that budget ran out without a verified basis.  The residues of the
@@ -648,7 +686,9 @@ def kernel_basis(m: SparseSystem):
     residues = None  # nonzero {(i, f): (re, im)} modulo `modulus`, by CRT
     modulus = count = 0
     for used, (p, u) in enumerate(_primes_with_i(), 1):
-        key, fresh = _residues_mod_p(int_rows, p, u)
+        key, fresh = _residues_mod_p(int_rows, ncols, p, u)
+        if key is not None and key[0] == -ncols:
+            return []  # a pivot in every column: full column rank
         if key is not None and (best is None or key <= best):
             if key == best:
                 # CRT: the residue mod modulus*p that is c mod modulus, x mod
@@ -785,7 +825,7 @@ def _rref_mod_p(rows, p):
     return sorted(pivots.items())
 
 
-def _residues_mod_p(int_rows, p, u):
+def _residues_mod_p(int_rows, ncols, p, u):
     """Reduced echelon form mod p under both embeddings i -> u and i -> -u.
 
     Returns the structure key (-rank, pivot columns) and the residues
@@ -793,12 +833,21 @@ def _residues_mod_p(int_rows, p, u):
     f, or (None, None) when the two embeddings disagree (an unlucky prime).
     An entry that vanishes under both embeddings gets no key: a missing key
     is 0.  Entries that vanish mod p are dropped before elimination.
+
+    When the first embedding puts a pivot in every one of the ncols
+    columns, the key is returned at once with no residues: some
+    ncols x ncols minor is nonzero mod p, so it is nonzero over Z[i], and
+    the kernel is trivial.
     """
-    echelons = []
-    for v in (u, p - u):
+
+    def echelon(v):
         rows = [{j: x for j, a, b in row if (x := (a + b * v) % p)} for row in int_rows]
-        echelons.append(_rref_mod_p(rows, p))
-    ech1, ech2 = echelons
+        return _rref_mod_p(rows, p)
+
+    ech1 = echelon(u)
+    if len(ech1) == ncols:
+        return (-ncols, tuple(range(ncols))), {}
+    ech2 = echelon(p - u)
     piv_cols = [c for c, _ in ech1]
     if [c for c, _ in ech2] != piv_cols:
         return None, None

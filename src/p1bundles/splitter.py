@@ -9,7 +9,8 @@ certificate is the proof; no step of the output is trusted without it.
 The factorization is one column reduction (Kailath, Linear Systems,
 1980, sec. 6.3), computed by :func:`lmatrix.wiener_hopf`.  With N the
 largest |exponent| of T, the polynomial matrix z^N*T is column-reduced
-over C[z] to Q = z^N*T*V (:func:`lmatrix.column_reduce`): V is
+over C[z] to Q = z^N*T*V (:func:`lmatrix.column_reduce`, by the weak
+Popov transformations of Mulders and Storjohann, 2003): V is
 C[z]-unimodular, Q has column degrees r_j and a nonsingular
 leading-coefficient matrix.  Then Winv = Q*diag(z^(-r_j)) lies in C[1/z]
 with that matrix as its constant term, so it is w-unimodular, and
@@ -17,18 +18,21 @@ with that matrix as its constant term, so it is w-unimodular, and
     Winv^-1 * T * V = diag(z^(r_j - N)),  i.e.  d_j = N - r_j.
 
 Winv^-1 is summed as a w-adic series (:func:`lmatrix.w_adic_inverse`); a
-permutation sorts the diagonal.  The factorization is kept on the
-transition matrix, and ``LaurentMatrix.inverse`` reads T^-1 = U*D^-1*W
-off the same one, so splitting a bundle and then taking its dual
-reduces it once.  Each
-:func:`grothendieck_split` call still verifies the certificate.  The
-column degrees also give h0(E(m)) = sum_j max(0, d_j + m + 1) for every
-twist m at once, which the Cech module recomputes by brute-force linear
-algebra, so the two routes check each other.  The certificate also holds
-the classical splitting-off step: the first twist with a section is
-m = -d1, and the first column u_1 of U is a section of E(-d1) that
-vanishes nowhere (u_1(0) is a column of the nonsingular U(0), and
-z^(d1)*T*u_1 = W^-1*e_1 is a column of a w-unimodular matrix).
+permutation sorts the diagonal.  ``wiener_hopf`` proves W*T*U = D by one
+exact product before it keeps the triple on the transition matrix, and
+``LaurentMatrix.inverse`` reads T^-1 = U*D^-1*W off the same one, so
+splitting a bundle and then taking its dual reduces it, and multiplies
+out its certificate, once.  Each :func:`grothendieck_split` call runs the
+form checks of the certificate (shapes, D, the charts, the degree sum and
+U(0)); with the product they are all of :func:`verify_factorization`,
+which checks certificates from outside.  The column degrees also give
+h0(E(m)) = sum_j max(0, d_j + m + 1) for every twist m at once, which the
+Cech module recomputes by brute-force linear algebra, so the two routes
+check each other.  The certificate also holds the classical
+splitting-off step: the first twist with a section is m = -d1, and the
+first column u_1 of U is a section of E(-d1) that vanishes nowhere
+(u_1(0) is a column of the nonsingular U(0), and z^(d1)*T*u_1 = W^-1*e_1
+is a column of a w-unimodular matrix).
 """
 
 from __future__ import annotations
@@ -67,15 +71,17 @@ def grothendieck_split(e: VectorBundle):
     """Full splitting: returns (SplittingType, Factorization).
 
     W and U come from :func:`lmatrix.wiener_hopf` (see the module
-    docstring), computed once per transition matrix.  The certificate
-    passes :func:`verify_factorization` on every call, degree sum
-    included; a failed verification raises InternalCheckError rather than
-    producing an unproven answer.
+    docstring), computed once per transition matrix, which proves
+    W*T*U = D by one exact product before it keeps them.  Every call then
+    runs the form checks of the certificate (:func:`_well_formed`: shapes,
+    D, the charts, the degree sum and U(0)); with that product they are
+    all of :func:`verify_factorization`.  A failed check raises InternalCheckError rather
+    than producing an unproven answer.
     """
     degrees, w, u = wiener_hopf(e.transition)
     d = LaurentMatrix.diagonal([z_power(-di) for di in degrees])
     fact = Factorization(w, u, d)
-    if not verify_factorization(e, fact):
+    if not _well_formed(e, fact):
         raise InternalCheckError("factorization certificate failed to verify")
     return SplittingType(degrees), fact
 
@@ -88,20 +94,30 @@ def splitting_type(e: VectorBundle) -> SplittingType:
 def verify_factorization(e: VectorBundle, fact: Factorization) -> bool:
     """Exact certificate check: W*T*U = D with W and U chart-unimodular.
 
+    The form checks of :func:`_well_formed`, then W*T*U = D exactly.  No
+    determinant is computed.  This is the check for a certificate from
+    outside (``p1bundles verify``); a certificate made here was proven by
+    its product in :func:`lmatrix.wiener_hopf`.
+    """
+    return _well_formed(e, fact) and fact.w * e.transition * fact.u == fact.d
+
+
+def _well_formed(e: VectorBundle, fact: Factorization) -> bool:
+    """The form checks of a certificate: with W*T*U = D, they prove W and
+    U chart-unimodular.
+
     Checks that W, U and D are k x k; that D = diag(z^(-d_i)) with unit
     coefficients and d_i nonincreasing; that W has entries in C[w] and U
-    in C[z]; that sum d_i = deg E; that the constant matrix U(0) is
-    nonsingular (one k x k :func:`kernel_basis`); and that W*T*U = D
-    exactly.  No determinant is computed.
+    in C[z]; that sum d_i = deg E; and that the constant matrix U(0) is
+    nonsingular (one k x k :func:`kernel_basis`).
 
-    Those checks prove W and U chart-unimodular.  With det T = c*z^(-deg E)
-    (``e.det_unit``), taking determinants of W*T*U = D gives
-    det W * det U * c*z^(-deg E) = z^(-sum d_i), so the degree sum leaves
-    det W * det U = c^-1.  A divisor of a unit is a unit, and the units of
-    the Laurent ring are the monomials, so det W = alpha*w^n in C[w] and
-    det U = beta*z^m in C[z] with n, m >= 0; their product is constant, so
-    m = n.  Finally det U(0) = beta*0^n is nonzero only for n = 0: both
-    determinants are nonzero constants.
+    With det T = c*z^(-deg E) (``e.det_unit``), taking determinants of
+    W*T*U = D gives det W * det U * c*z^(-deg E) = z^(-sum d_i), so the
+    degree sum leaves det W * det U = c^-1.  A divisor of a unit is a
+    unit, and the units of the Laurent ring are the monomials, so
+    det W = alpha*w^n in C[w] and det U = beta*z^m in C[z] with n, m >= 0;
+    their product is constant, so m = n.  Finally det U(0) = beta*0^n is
+    nonzero only for n = 0: both determinants are nonzero constants.
     """
     w, u, d = fact.w, fact.u, fact.d
     k = e.rank
@@ -131,6 +147,4 @@ def verify_factorization(e: VectorBundle, fact: Factorization) -> bool:
     if sum(degrees) != e.degree:
         return False
     u0 = ScalarMatrix([[p.coeff(0) for p in row] for row in u.entries])
-    if kernel_basis(u0):
-        return False
-    return w * e.transition * u == d
+    return not kernel_basis(u0)

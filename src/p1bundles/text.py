@@ -2,6 +2,7 @@
 and factorization certificates.
 
     file   := header? matrix
+    cert   := "W:" matrix "U:" matrix "D:" matrix
     header := "rank:" INT NEWLINE
     matrix := row (";" row)*
     row    := entry ("," entry)*
@@ -11,9 +12,10 @@ and factorization certificates.
     coeff  := rat | "(" rat "," rat ")"
     rat    := ("+" | "-")? UINT ("/" UINT)?
 
-A monomial ``z^n`` is one token.  Whitespace and line breaks may fall
-between any two tokens (the header newline excepted), even between a sign
-and its digits: ``- 3`` is -3, and ``1+2`` is the two terms 1 and 2.
+UINT is a run of the ASCII digits 0-9.  A monomial ``z^n`` is one token.
+Whitespace and line breaks may fall between any two tokens (the header
+newline excepted), even between a sign and its digits: ``- 3`` is -3, and
+``1+2`` is the two terms 1 and 2.
 Example entry: ``(0,1)*z^-2 + 3/4 + z^5``.  The pretty-printers below emit
 exactly this grammar, so print -> parse is the identity.
 """
@@ -32,7 +34,7 @@ from .lmatrix import LaurentMatrix
 
 # One token after any whitespace; ``bad`` is a character that starts none.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<zpow>z\^[+-]?\d+)|(?P<uint>\d+)|(?P<punct>[-+*/(),;])"
+    r"\s*(?:(?P<zpow>z\^[+-]?[0-9]+)|(?P<uint>[0-9]+)|(?P<punct>[-+*/(),;])"
     r"|(?P<bad>.)|(?P<end>\Z))"
 )
 
@@ -167,7 +169,7 @@ def parse_matrix(text: str) -> LaurentMatrix:
     return _Parser(text, 0, len(text)).matrix()
 
 
-_HEADER_RE = re.compile(r"\A\s*rank\s*:\s*(?P<rank>[+-]?\d+)[^\S\n]*\n")
+_HEADER_RE = re.compile(r"\A\s*rank\s*:\s*(?P<rank>[+-]?[0-9]+)[^\S\n]*\n")
 
 
 def parse_bundle(text: str) -> VectorBundle:
@@ -189,12 +191,16 @@ def parse_bundle(text: str) -> VectorBundle:
 
 
 def parse_factorization(text: str):
-    """Parse the three labeled blocks `W:`, `U:`, `D:` of a certificate."""
+    """Parse the three labeled blocks `W:`, `U:`, `D:` of a certificate.
+
+    Only whitespace may come before `W:`; other text there is refused at
+    its first token."""
     from .splitter import Factorization
 
     labels = list(re.finditer(r"([WUD])\s*:", text))
     if [m.group(1) for m in labels] != ["W", "U", "D"]:
         raise ParseError("factorization file must contain blocks W:, U:, D: in order")
+    _Parser(text, 0, labels[0].start()).finish(None, "expected 'W:'")
     ends = [m.start() for m in labels[1:]] + [len(text)]
     return Factorization(
         *(_Parser(text, m.end(), end).matrix() for m, end in zip(labels, ends))

@@ -156,6 +156,17 @@ def test_random_verify_roundtrip(tmp_path):
     assert r.stdout == "verified: false\n"
 
 
+def test_verify_refuses_text_before_the_w_block(tmp_path):
+    cert = tmp_path / "junk.cert"
+    cert.write_text("junk here!! W:\n1\nU:\n1\nD:\n1\n")
+    one = tmp_path / "one.bundle"
+    one.write_text("1\n")
+    r = run_cli("verify", str(one), str(cert))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("parse error: unexpected character 'j' (line 1, column 1)")
+
+
 def test_op_and_twist(tmp_path):
     out = tmp_path / "dual.bundle"
     r = run_cli("op", "dual", str(DATA / "o3.bundle"), "-o", str(out))
@@ -649,13 +660,17 @@ def test_window_option_is_refused():
 
 def test_iso_and_selfdual_verify_one_split_per_file(monkeypatch, capsys):
     # iso and selfdual print the types they compare, so each input file is
-    # split, and its certificate verified, once.
-    from p1bundles import cli, splitter
+    # split once: its transition is reduced, and its certificate proven by
+    # W*T*U = D, once, and the certificate's form is checked once.
+    from p1bundles import cli, lmatrix, splitter
 
-    calls = []
-    verify = splitter.verify_factorization
+    calls, reductions = [], []
+    well_formed, reduce = splitter._well_formed, lmatrix.column_reduce
     monkeypatch.setattr(
-        splitter, "verify_factorization", lambda *a: calls.append(1) or verify(*a)
+        splitter, "_well_formed", lambda *a: calls.append(1) or well_formed(*a)
+    )
+    monkeypatch.setattr(
+        lmatrix, "column_reduce", lambda t: reductions.append(1) or reduce(t)
     )
     diag, euler = str(DATA / "diag.bundle"), str(DATA / "euler.bundle")
     for argv, files, out in (
@@ -665,9 +680,11 @@ def test_iso_and_selfdual_verify_one_split_per_file(monkeypatch, capsys):
         (["selfdual", diag], 1, "self_dual: false\ntype: (2, -1)\n"),
     ):
         calls.clear()
+        reductions.clear()
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == out
         assert len(calls) == files
+        assert len(reductions) == files
 
 
 def test_verify_reports_the_line_of_a_fault_in_the_certificate(tmp_path):

@@ -15,7 +15,7 @@ from p1bundles import (
     parse_poly,
     z_power,
 )
-from p1bundles.laurent import ONE_POLY, ZERO_POLY
+from p1bundles.laurent import ONE_POLY, ZERO_POLY, _add_monomial_times
 
 
 def lp(d):
@@ -139,3 +139,18 @@ def test_products_that_cancel():
     q = monomial(half, 1) - constant(third)
     check_poly(p * q, {2: (Fraction(1, 4), 0), 0: (Fraction(-1, 9), 0)})
     assert (z - one) * ZERO_POLY == ZERO_POLY
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_polys, st.integers(-3, 3), wide_scalars.filter(bool), wide_polys, st.booleans())
+def test_add_monomial_times_matches_schoolbook(a, e, x, b, cancel):
+    # a + x*z^e*b; with ``cancel`` a holds -x*z^e*b as well, so terms cancel.
+    if cancel:
+        a = a - monomial(x, e) * b
+    expected = model(a)
+    for exp, (r, i) in schoolbook(model(monomial(x, e)), model(b)).items():
+        r0, i0 = expected.pop(exp, (0, 0))
+        if (r0 + r, i0 + i) != (0, 0):
+            expected[exp] = (r0 + r, i0 + i)
+    check_poly(_add_monomial_times(a, e, x, b), expected)
+    check_poly(_add_monomial_times(ZERO_POLY, e, x, b), model(monomial(x, e) * b))

@@ -591,9 +591,110 @@ def test_kernel_of_tall_small_system(monkeypatch):
     assert v == tuple(x / cross[2] for x in cross)
 
 
+def _reduction_inputs(unit_det):
+    # Seeded scrambles, Kronecker tensors and Q(i) shear products.
+    rng = random.Random(1903)
+    for _ in range(8):
+        degrees = [rng.randint(-4, 4) for _ in range(rng.randint(1, 5))]
+        yield random_bundle(degrees, rng.randint(0, 3), rng.randint(0, 10**6)).transition
+    for _ in range(4):
+        a, b = (random_bundle([rng.randint(-2, 2)] * 2, 2, rng.randint(0, 99)) for _ in "ab")
+        yield kron(a.transition, b.transition)
+        yield kron(unit_det(rng, 2, 2), unit_det(rng, 2, 1))
+    for _ in range(8):
+        yield unit_det(rng, rng.randint(1, 4), rng.randint(1, 4))
+
+
+def _pivot_rows(q):
+    # The last row of each column that reaches the column's degree.
+    rows = []
+    for j in range(q.cols):
+        col = q.column(j)
+        top = max(p.degree for p in col if p)
+        rows.append(max(i for i, p in enumerate(col) if p and p.degree == top))
+    return rows
+
+
+def test_column_reduce_reaches_weak_popov_form(monkeypatch, unit_det):
+    # z^N*T*V = Q with distinct pivot rows, so a nonsingular
+    # leading-coefficient matrix; V unimodular (det a nonzero constant);
+    # at most k*cap + k*(k-1) transformations, each charged once.
+    charges = []
+    charge = lmatrix.check_size
+    monkeypatch.setattr(
+        lmatrix, "check_size", lambda cells, what: charges.append(what) or charge(cells, what)
+    )
+    for t in _reduction_inputs(unit_det):
+        charges.clear()
+        n, degs, v, q = lmatrix.column_reduce(t)
+        k = t.rows
+        assert lm([[p.shift(n) for p in row] for row in t.entries]) * v == q
+        assert degs == [max(p.degree for p in q.column(j) if p) for j in range(k)]
+        assert sorted(_pivot_rows(q)) == list(range(k))
+        lead = [[q[i, j].coeff(degs[j]) for j in range(k)] for i in range(k)]
+        assert kernel_basis(ScalarMatrix(lead)) == []
+        c, e = v.det().is_unit()
+        assert c and e == 0
+        cap = sum(
+            max(p.degree for p in col if p) - min(p.order for p in col if p)
+            for col in map(t.column, range(k))
+        )
+        assert len(charges) <= k * cap + k * (k - 1)
+        assert set(charges) <= {"a column reduction"}
+
+
+def test_column_reduce_refuses_singular_input():
+    # The second column is z times the first, so it reduces to zero; the
+    # 3 x 3 has rank 2 with no column a monomial multiple of another.
+    one, z = ONE_POLY, z_power(1)
+    zero_column = lm([[one, z], [z_power(-1), one]])
+    rank_two = lm(
+        [
+            [one, z, one + z],
+            [z_power(-1), z + one, z_power(-1) + z + one],
+            [z, constant(2), z + constant(2)],
+        ]
+    )
+    for t in (zero_column, rank_two):
+        with pytest.raises(ValueError, match="singular"):
+            lmatrix.column_reduce(t)
+
+
+def test_reduction_runs_no_kernel_and_a_split_runs_two(monkeypatch):
+    # The reduction solves nothing; a split solves A_0^-1 in the w-adic
+    # series and checks U(0), and nothing more.
+    from p1bundles import grothendieck_split, splitter
+
+    solves = []
+    solve = lmatrix.kernel_basis
+    spy = lambda m: solves.append(m) or solve(m)  # noqa: E731
+    monkeypatch.setattr(lmatrix, "kernel_basis", spy)
+    monkeypatch.setattr(splitter, "kernel_basis", spy)
+    e = random_bundle([3, 1, 0, -2], 3, seed=77)
+    lmatrix.column_reduce(e.transition)
+    assert solves == []
+    grothendieck_split(e)
+    assert len(solves) == 2
+
+
+def test_full_column_rank_takes_one_elimination(monkeypatch):
+    # A pivot in every column under the first embedding proves the kernel
+    # trivial: no second embedding, reconstruction or verification.
+    calls = []
+    rref = lmatrix._rref_mod_p
+    monkeypatch.setattr(
+        lmatrix, "_rref_mod_p", lambda rows, p: calls.append(p) or rref(rows, p)
+    )
+    rng = random.Random(12)
+    tall = [[gq(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(3)] for _ in range(6)]
+    tall[0:3] = [[gq(1), gq(2), gq(0, 1)], [gq(0), gq(3), gq(1)], [gq(0), gq(0), gq(5, 2)]]
+    assert kernel_basis(ScalarMatrix(tall)) == []
+    assert len(calls) == 1
+
+
 def test_kept_factorization_hides_no_error(monkeypatch):
-    # A matrix keeps its factorization only when computing it succeeds, and
-    # inverse() re-multiplies on every call, so each error comes back.
+    # A matrix keeps its factorization only when computing it, and proving
+    # it by W*T*U = D, succeeds, so each error comes back on every call.
     reductions = []
     reduce = lmatrix.column_reduce
     monkeypatch.setattr(
@@ -603,7 +704,7 @@ def test_kept_factorization_hides_no_error(monkeypatch):
     singular = lm([[ONE_POLY, z_power(1)], [z_power(-1), ONE_POLY]])
     huge = lm([[z_power(1000000), ONE_POLY], [ZERO_POLY, z_power(-1000000)]])
     for t, error, reduced in (
-        (non_unit, ValueError, 1),  # factorized once, re-checked twice
+        (non_unit, ValueError, 2),  # the proof fails, nothing is kept
         (singular, ValueError, 2),  # the reduction raises, nothing is kept
         (huge, SystemTooLarge, 2),  # the series is refused, nothing is kept
     ):
@@ -611,7 +712,23 @@ def test_kept_factorization_hides_no_error(monkeypatch):
         for _ in range(2):
             with pytest.raises(error):
                 t.inverse()
+            assert t._wiener_hopf is None
         assert len(reductions) == reduced
+
+
+def test_failed_proof_on_a_unit_determinant_is_an_internal_error(monkeypatch):
+    # W*T*U = D is proven where the factorization is made: a wrong W on a
+    # transition with a unit determinant raises InternalCheckError, from
+    # the splitter and from inverse(), and nothing is kept.
+    from p1bundles import grothendieck_split
+
+    series = lmatrix.w_adic_inverse
+    monkeypatch.setattr(lmatrix, "w_adic_inverse", lambda a: series(a).scale(2))
+    e = random_bundle([2, 0, -1], 2, seed=31)
+    for call in (lambda: grothendieck_split(e), e.transition.inverse, e.dual):
+        with pytest.raises(InternalCheckError):
+            call()
+        assert e.transition._wiener_hopf is None
 
 
 # -- the fused products against a schoolbook (Fraction, Fraction) model -------

@@ -166,19 +166,19 @@ def test_split_and_derived_bundles_compute_no_determinant(monkeypatch, tmp_path)
     # A determinant is computed only to validate a transition from outside.
     # Splitting, checking a certificate, building sums and tensors of
     # validated bundles and scrambling a seeded one run none, and CLI split
-    # verifies once.
+    # checks the certificate's form once.
     a = random_bundle([2, 0, -1], 2, seed=21)
     b = random_bundle([1, -1], 2, seed=22)
     path = tmp_path / "a.bundle"
     path.write_text(format_bundle(a))
     dets, verifies = [], []
-    det, verify = LaurentMatrix.det, splitter.verify_factorization
+    det, well_formed = LaurentMatrix.det, splitter._well_formed
     monkeypatch.setattr(LaurentMatrix, "det", lambda self: dets.append(1) or det(self))
     monkeypatch.setattr(
-        splitter, "verify_factorization", lambda *args: verifies.append(1) or verify(*args)
+        splitter, "_well_formed", lambda *args: verifies.append(1) or well_formed(*args)
     )
     _, fact = grothendieck_split(a)
-    assert verify(a, fact)
+    assert verify_factorization(a, fact)
     assert a.dsum(b).degree == 1
     assert a.tensor(b).degree == 2
     assert random_bundle([3, 1, 0, -2], 2, seed=23).degree == 2
@@ -281,9 +281,9 @@ def test_split_cross_checks_on_shear_products(unit_det):
 def test_one_factorization_per_transition(monkeypatch):
     # Splitting a bundle, then taking its dual and comparing its type with
     # itself and with its negated reverse (as `cli iso` and `cli selfdual`
-    # do) reduce its transition once: the inverse is read off the kept
-    # factorization as U*D^-1*W.  Every split still verifies its
-    # certificate.
+    # do) reduce its transition, and prove W*T*U = D, once: the inverse is
+    # read off the kept factorization as U*D^-1*W.  Every split still
+    # checks the form of its certificate.
     e = random_bundle([2, 0, -1], 2, seed=1957)
     calls = []
 
@@ -296,9 +296,12 @@ def test_one_factorization_per_transition(monkeypatch):
             if getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counted(name, fn))
     monkeypatch.setattr(
-        splitter,
-        "verify_factorization",
-        counted("verify_factorization", splitter.verify_factorization),
+        splitter, "_well_formed", counted("_well_formed", splitter._well_formed)
+    )
+    products = []
+    mul = LaurentMatrix.__mul__
+    monkeypatch.setattr(
+        LaurentMatrix, "__mul__", lambda a, b: products.append(1) or mul(a, b)
     )
     grothendieck_split(e)
     dual = e.dual()
@@ -309,5 +312,7 @@ def test_one_factorization_per_transition(monkeypatch):
     assert Counter(calls) == {
         "column_reduce": 1,
         "w_adic_inverse": 1,
-        "verify_factorization": 4,
+        "_well_formed": 4,
     }
+    # W*T*U (two), U*D^-1*W (one) and the check above (one)
+    assert len(products) == 4

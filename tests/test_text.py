@@ -205,6 +205,28 @@ def test_positions_are_counted_in_the_whole_text():
     assert (err.value.line, err.value.column) == (9, 4)
 
 
+def test_text_before_the_w_block_is_refused_where_it_stands():
+    for text, at in (
+        ("junk here!! W:\n1\nU:\n1\nD:\n1\n", (1, 1)),
+        ("\n  12 W:\n1\nU:\n1\nD:\n1\n", (2, 3)),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_factorization(text)
+        assert (err.value.line, err.value.column) == at
+    # whitespace alone is still allowed there
+    blank = parse_factorization(" \n\tW:\n1\nU:\n1\nD:\n1\n")
+    assert blank.w == LaurentMatrix.identity(1)
+
+
+def test_numbers_are_ascii_digits():
+    # Arabic-Indic 3 and 1, and 2 in a header: not digits of the grammar.
+    for text in ("z^\u0663, 0 ; 0, \u0661", "rank: \u0662\nz^1, 0 ; 0, z^-1"):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_bundle(text)
+    with pytest.raises(ParseError):
+        parse_poly("\uff11")  # fullwidth 1
+
+
 def test_declared_rank_mismatch_points_at_the_rank():
     with pytest.raises(ParseError, match="declared rank 3") as err:
         parse_bundle("rank: 3\nz^1, 0 ; 0, z^-1")
