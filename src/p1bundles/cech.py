@@ -11,15 +11,18 @@ phrased through one primitive,
     sections_with_cutoff(E, c) = { f polynomial : T*f has exponents <= c },
 
 which is the chart-0 model of H0(E tensor O(c)).  It depends on the
-transition T alone, so the routines below take T, and no bundle is built.
+transition T alone, so the routines below read T's terms, and no bundle
+is built.
 
 Assembly.  The system is block-Toeplitz: the entry multiplying f_{j,s} in
 the row for exponent t of component i is the z^(t-s) coefficient of T_ij.
-It is built straight from the transition's sparse terms, each term c*z^d
-of T_ij landing in the rows t = s + d above the cutoff, as sparse Z[i]
-rows (lmatrix.SparseSystem), each cleared by the lcm of its own
-denominators; no dense grid and no zero entry is made.  The shape is known
-before anything is allocated, and a system over MAX_SYSTEM_CELLS
+It is built from a table of T's terms read once per count (_sides), each
+term c*z^d of T_ij landing in the rows t = s + d above the cutoff, as
+sparse Z[i] rows (lmatrix.SparseSystem), each cleared by the lcm of its
+own denominators; no dense grid and no zero entry is made.  The shape is
+counted first, by one linear merge per row: the rows a term z^d reaches
+above cutoff c start at max(c + 1, d), so a row's terms, sorted once by d,
+are in order of start at every cutoff.  A system over MAX_SYSTEM_CELLS
 rows x unknowns raises SystemTooLarge.
 
 Truncation windows.  Every count is one tail solve at cutoff c: slot s of
@@ -41,8 +44,7 @@ nothing is solved, and a column with W_j < -1 has no unknowns.  Each
 solve still asserts that the count would not change at W_j + 1: on every
 column no slot past W_j is free by structure, and no kernel vector
 touches a slot W_j + 1.  So a wrong bound raises WindowUnstable instead
-of giving a wrong count.  h0_sections reads its basis off the
-same solve at cutoff 0.
+of giving a wrong count.  h0_sections reads its basis off the same solve.
 
 Nested cutoffs.  The section spaces S(c) = sections_with_cutoff(E, c) are
 nested, and a profile over c_lo..C needs several of them.  One tail solve
@@ -71,7 +73,9 @@ O(c) twists P by O(-c), so h1(E(c)) = dim S_P(-c), and the partner of P
 is T again.  On O(d), P = z^(d+2) is O(-d-2), and h0 = max(0, -d-1).
 
 Which side is counted.  Riemann-Roch on P^1 gives every count two exact
-routes: dim S_E(c) = deg E + k*(c + 1) + dim S_P(-c).  The shapes of both
+routes: dim S_E(c) = deg E + k*(c + 1) + dim S_P(-c).  P is read as a
+table, never built as a matrix: the pass over T that makes T's table makes
+P's, each term c*z^d of T_ji read as c*z^(2-d) of P_ij.  The shapes of both
 systems are known before any solve, and _counts counts each cutoff on the
 side with the smaller system.  S_E(c) grows with c and S_P(-c) shrinks,
 so a range of cutoffs is split at one crossover, chosen to minimise the
@@ -84,14 +88,16 @@ the count there is the Riemann-Roch formula with no solve.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from itertools import accumulate
+from operator import itemgetter
 
 from .bundle import VectorBundle
 from .errors import RefusedArgument, WindowUnstable
 from .exact import ONE, ZERO
-from .laurent import LaurentPoly, _dot, _poly, chart_contains, Chart
+from .laurent import LaurentPoly, _dot, chart_contains, Chart
 from .lmatrix import MAX_SYSTEM_CELLS, SparseSystem, check_size  # noqa: F401
-from .lmatrix import LaurentMatrix, clear_row, kernel_basis
+from .lmatrix import clear_row, kernel_basis
 
 # Counters so test harnesses can confirm stability checks actually ran.
 STABILITY_CHECKS = 0
@@ -153,31 +159,36 @@ def is_section(e: VectorBundle, s: Section) -> bool:
 # Constraint assembly
 # ---------------------------------------------------------------------------
 
+# A transition's terms, read once per count (:func:`_sides`): per column j
+# its top exponent M_j and window bound hi_j; per row its terms (j, d, c), by
+# ascending d for the shape, and by column then descending d for assembly.
+_Side = namedtuple("_Side", "tops his by_d rows")
 
-def _system_shape(t: LaurentMatrix, cutoff: int, col_ranges):
+
+def _system_shape(side: _Side, cutoff: int, col_ranges):
     """(rows, unknowns) of the Cech system, counted without building it.
 
     The rows of component i are the exponents above the cutoff in the union
-    of the intervals [lo_j + d, hi_j + d], one per term z^d of each T_ij,
-    merged in order of their start; nothing is allocated per row.
+    of the spans [lo_j + d, hi_j + d], one per term z^d of row i.  On a
+    plan's ranges (:func:`_tail_plan`) lo_j = max(0, cutoff - M_j + 1), and
+    each d of column j is at most M_j, so a span clipped to the rows above
+    the cutoff starts at max(cutoff + 1, d): the row's terms, sorted once by
+    d, are in order of start at every cutoff, and one merge counts the
+    union.  On ranges with a larger lo_j the count is an upper bound.
     """
     ncols = sum(max(0, hi - lo + 1) for lo, hi in col_ranges)
     nrows = 0
-    for i in range(t.rows):
-        spans = sorted(
-            (lo + d, hi + d)
-            for j, (lo, hi) in enumerate(col_ranges)
-            if lo <= hi
-            for d in t[i, j].support
-        )
+    for terms in side.by_d:
         reach = cutoff  # exponents <= reach are counted or not above the cutoff
-        for a, b in spans:
-            nrows += max(0, b - max(a, reach + 1) + 1)
-            reach = max(reach, b)
+        for j, d, _ in terms:
+            lo, hi = col_ranges[j]
+            if lo <= hi and hi + d > reach:
+                nrows += hi + d - reach if d <= reach else hi + 1
+                reach = hi + d
     return nrows, ncols
 
 
-def _constraint_system(t: LaurentMatrix, cutoff: int, col_ranges, shape=None):
+def _constraint_system(side: _Side, cutoff: int, col_ranges, shape=None):
     """Rows: coefficients of (T*f)_i at exponents above the cutoff, over Z[i].
 
     Unknowns are the coefficients f_{j,s} for s in col_ranges[j], numbered
@@ -193,23 +204,23 @@ def _constraint_system(t: LaurentMatrix, cutoff: int, col_ranges, shape=None):
     MAX_SYSTEM_CELLS rows x unknowns raises SystemTooLarge.
     """
     if shape is None:
-        shape = _system_shape(t, cutoff, col_ranges)
+        shape = _system_shape(side, cutoff, col_ranges)
     nrows, ncols = shape
     check_size(nrows * ncols, f"Cech system of up to {nrows} x {ncols}")
+    offset, unknowns = [], []  # f_{j,s} is unknown offset[j] + s
+    for j, (lo, hi) in enumerate(col_ranges):
+        offset.append(len(unknowns) - lo)
+        unknowns += [(j, s) for s in range(lo, hi + 1)]
     rows = []
-    for i in range(t.rows):
+    for terms in side.rows:
         by_exp = {}
-        start = 0  # the column of f_{j,s} is start + s - lo
-        for j, (lo, hi) in enumerate(col_ranges):
-            # Descending d puts each row's entries in increasing column order.
-            for d, c in sorted(t[i, j].items(), reverse=True):
-                for s in range(max(lo, cutoff + 1 - d), hi + 1):
-                    by_exp.setdefault(s + d, []).append((start + s - lo, c))
-            start += max(0, hi - lo + 1)
+        # Terms by column, then descending d: each row's entries come in
+        # increasing column order.
+        for j, d, c in terms:
+            lo, hi = col_ranges[j]
+            for s in range(max(lo, cutoff + 1 - d), hi + 1):
+                by_exp.setdefault(s + d, []).append((offset[j] + s, c))
         rows += [clear_row(by_exp[x]) for x in sorted(by_exp)]
-    unknowns = [
-        (j, s) for j, (lo, hi) in enumerate(col_ranges) for s in range(lo, hi + 1)
-    ]
     return SparseSystem(rows, ncols), unknowns
 
 
@@ -242,36 +253,35 @@ def _column_windows(rowmax, colmax, x: int):
 
 
 def _sides(e: VectorBundle):
-    """((M, hi) of T, (M, hi) of its Serre partner P), M_j the top exponent
-    of column j and hi_j the window bound of :func:`_column_windows`, read
-    off T's exponents in one pass: P_ij = z^2 T_ji(1/z), so P's row maxima
-    are 2 - colmin(T), its column maxima 2 - rowmin(T), and det P =
-    c*z^(2k - x) for det T = c*z^x.  A valid transition has no zero row or
-    column, so every extreme exists."""
+    """(T's table, its Serre partner P's table), from one pass over T's
+    terms.  P is never built: each term c*z^d of T_ji is c*z^(2 - d) of
+    P_ij, so the top of column j on one side is 2 minus the lowest exponent
+    of row j on the other, and det P = c*z^(2k - x) for det T = c*z^x.  A
+    valid transition has no zero row or column: every extreme exists."""
     k, x = e.rank, e.det_unit[1]
-    entries = e.transition.entries
-    grid = [[(p.order, p.degree) if p else None for p in row] for row in entries]
-    rows = [[b for b in line if b] for line in grid]
-    cols = [[b for b in line if b] for line in zip(*grid)]
-    rowmax = [max(d for _, d in r) for r in rows]
-    colmax = [max(d for _, d in c) for c in cols]
-    p_rowmax = [2 - min(o for o, _ in c) for c in cols]
-    p_colmax = [2 - min(o for o, _ in r) for r in rows]
-    return (
-        (colmax, _column_windows(rowmax, colmax, x)),
-        (p_colmax, _column_windows(p_rowmax, p_colmax, 2 * k - x)),
-    )
+    rows, p_rows = [[] for _ in range(k)], [[] for _ in range(k)]
+    for i, line in enumerate(e.transition.entries):
+        for j in reversed(range(k)):
+            for d, c in sorted(line[j].items()):
+                rows[i].append((j, d, c))
+                p_rows[j].append((i, 2 - d, c))
+        rows[i].reverse()
+    by_d, p_by_d = ([sorted(t, key=itemgetter(1)) for t in r] for r in (rows, p_rows))
+    tops, p_tops = [2 - b[0][1] for b in p_by_d], [2 - b[0][1] for b in by_d]
+    his = _column_windows([b[-1][1] for b in by_d], tops, x)
+    p_his = _column_windows([b[-1][1] for b in p_by_d], p_tops, 2 * k - x)
+    return _Side(tops, his, by_d, rows), _Side(p_tops, p_his, p_by_d, p_rows)
 
 
-def _tail_plan(t: LaurentMatrix, cutoff: int, side):
-    """(cutoff, ranges, shape) of the one tail solve at this cutoff, for
-    the side (M, hi) of :func:`_sides`: column j solves the slots
+def _tail_plan(side: _Side, cutoff: int):
+    """(cutoff, ranges, shape) of the one tail solve at this cutoff on a
+    side of :func:`_sides`: column j solves the slots
     max(0, cutoff - M_j + 1) .. W_j + 1, W_j = cutoff + hi_j.  This is the
     set-up :func:`_counts` bounds before its first solve and hands on to
     the solves, so no cutoff is set up twice."""
-    tops, his = side
+    tops, his = side[:2]
     ranges = tuple((max(0, cutoff - m + 1), cutoff + h + 1) for m, h in zip(tops, his))
-    return cutoff, ranges, _system_shape(t, cutoff, ranges)
+    return cutoff, ranges, _system_shape(side, cutoff, ranges)
 
 
 def _cells(plan) -> int:
@@ -280,7 +290,7 @@ def _cells(plan) -> int:
     return max(1, rows * cols)
 
 
-def _tail_solve(t: LaurentMatrix, plan):
+def _tail_solve(side: _Side, plan):
     """(free slot count, kernel basis, unknowns) of the one tail solve for
     a plan of :func:`_tail_plan`.  The free slots are s <= cutoff - M_j.
     The solve is stable when on every column no slot past W_j is free and
@@ -288,7 +298,7 @@ def _tail_solve(t: LaurentMatrix, plan):
     otherwise.  A column with W_j < -1 has neither unknowns nor a check
     slot, so it is stable when it has no free slot."""
     cutoff, ranges, shape = plan
-    system, unknowns = _constraint_system(t, cutoff, ranges, shape)
+    system, unknowns = _constraint_system(side, cutoff, ranges, shape)
     basis = kernel_basis(system)
     top = [idx for idx, (j, s) in enumerate(unknowns) if s == ranges[j][1]]
     stable = all(lo <= max(0, hi) for lo, hi in ranges)
@@ -298,10 +308,10 @@ def _tail_solve(t: LaurentMatrix, plan):
     return sum(lo for lo, _ in ranges), basis, unknowns
 
 
-def _sections_dim(t: LaurentMatrix, plan) -> int:
+def _sections_dim(side: _Side, plan) -> int:
     """dim { f : deg f_j <= W_j, T*f has exponents <= cutoff }, exactly,
     from the one tail solve of :func:`_tail_solve`."""
-    free, basis, _ = _tail_solve(t, plan)
+    free, basis, _ = _tail_solve(side, plan)
     return free + len(basis)
 
 
@@ -314,16 +324,16 @@ def _band(bottom, top):
     return [(a, b) for (a, _), (b, _) in zip(bottom[1], top[1])]
 
 
-def _chain_cells(k: int, bottom, top) -> int:
+def _chain_cells(bottom, top) -> int:
     """An upper bound on the cells :func:`_nested_dims` builds, known before
     any solve: the top system, and G^T of at most one row per band monomial
     (:func:`_band`) plus one per top unknown, by k*(top - c_lo) columns."""
-    cols = top[2][1]
+    cols, k = top[2][1], len(top[1])
     band = sum(max(0, b - a) for a, b in _band(bottom, top))
     return _cells(top) + (band + cols) * k * (top[0] - bottom[0])
 
 
-def _nested_dims(t: LaurentMatrix, bottom, top):
+def _nested_dims(side: _Side, bottom, top):
     """[dim S(c) for c in c_lo..C], S(c) = {f : T*f has exponents <= c},
     for the plans (:func:`_tail_plan`) at c_lo and C, from one tail solve
     at C and one certified rank computation.
@@ -343,8 +353,12 @@ def _nested_dims(t: LaurentMatrix, bottom, top):
     one that touched that slot would lie in S(C).  The caller bounds the
     cells built through :func:`_chain_cells`.
     """
-    free, basis, unknowns = _tail_solve(t, top)
-    k, c_lo, c_top = t.rows, bottom[0], top[0]
+    free, basis, unknowns = _tail_solve(side, top)
+    k, c_lo, c_top = len(side.tops), bottom[0], top[0]
+    cols = [[] for _ in range(k)]  # the side's terms (i, d, a) by column
+    for i, terms in enumerate(side.rows):
+        for j, d, a in terms:
+            cols[j].append((i, d, a))
     band = enumerate(_band(bottom, top))
     vectors = [{(j, s): ONE} for j, (a, b) in band for s in range(a, b)]
     vectors += [{u: c for u, c in zip(unknowns, v) if c} for v in basis]
@@ -352,11 +366,10 @@ def _nested_dims(t: LaurentMatrix, bottom, top):
     for vec in vectors:
         acc = {}
         for (j, s), c in vec.items():
-            for i in range(k):
-                for d, a in t[i, j].items():
-                    if c_lo < s + d <= c_top:
-                        col = (c_top - s - d) * k + i
-                        acc[col] = acc.get(col, ZERO) + a * c
+            for i, d, a in cols[j]:
+                if c_lo < s + d <= c_top:
+                    col = (c_top - s - d) * k + i
+                    acc[col] = acc.get(col, ZERO) + a * c
         if row := [(col, x) for col, x in sorted(acc.items()) if x]:
             rows.append(clear_row(row))
     g_t = SparseSystem(rows, k * (c_top - c_lo))
@@ -368,28 +381,16 @@ def _nested_dims(t: LaurentMatrix, bottom, top):
     ]
 
 
-def _run(t: LaurentMatrix, plans):
+def _run(side: _Side, plans):
     """[dim S(c)] over the consecutive ascending cutoffs of ``plans`` on one
     side: one chain (:func:`_nested_dims`) when, by :func:`_chain_cells`,
     it builds no more cells than the separate solves and fits the limit,
     and otherwise one solve per cutoff."""
     if len(plans) > 1:
         separate = sum(map(_cells, plans))
-        if _chain_cells(t.rows, plans[0], plans[-1]) <= min(separate, MAX_SYSTEM_CELLS):
-            return _nested_dims(t, plans[0], plans[-1])
-    return [_sections_dim(t, plan) for plan in plans]
-
-
-def _serre_partner(t: LaurentMatrix) -> LaurentMatrix:
-    """P = z^2 * T(1/z)^T, whose sections count H1 (module docstring): each
-    term c*z^d of T_ji becomes c*z^(2 - d) of P_ij, with no arithmetic."""
-    k = t.rows
-    return LaurentMatrix(
-        [
-            [_poly({2 - d: a for d, a in t[j, i].items()}) for j in range(k)]
-            for i in range(k)
-        ]
-    )
+        if _chain_cells(plans[0], plans[-1]) <= min(separate, MAX_SYSTEM_CELLS):
+            return _nested_dims(side, plans[0], plans[-1])
+    return [_sections_dim(side, plan) for plan in plans]
 
 
 def _counts(e: VectorBundle, c_lo: int, c_hi: int):
@@ -400,8 +401,8 @@ def _counts(e: VectorBundle, c_lo: int, c_hi: int):
     Serre partner.  Cutoffs below -max(hi_j of T) have no section and are
     answered 0; cutoffs above max(hi_j of P) have none on P and are
     answered by the formula.  Each cutoff of the band between is planned
-    on both sides (:func:`_tail_plan`), so P is built only when the band is
-    not empty, and SystemTooLarge is raised before the first solve once
+    on both sides (:func:`_tail_plan`), each from its table of
+    :func:`_sides`, and SystemTooLarge is raised before the first solve once
     the smaller of each cutoff's two systems sum over MAX_SYSTEM_CELLS,
     every cutoff charged at least one cell.  The band is split where the
     planned cells of E below and P above are fewest, ties going to E, and
@@ -414,20 +415,18 @@ def _counts(e: VectorBundle, c_lo: int, c_hi: int):
     """
     sx, sy = _sides(e)
     k, deg = e.rank, e.degree
-    lo = min(c_hi + 1, max(c_lo, -max(sx[1])))
-    hi = max(lo - 1, min(c_hi, max(sy[1])))
+    lo = min(c_hi + 1, max(c_lo, -max(sx.his)))
+    hi = max(lo - 1, min(c_hi, max(sy.his)))
     band = range(lo, hi + 1)
     out = [0] * (lo - c_lo)
     if band:
-        tx = e.transition
-        ty = _serre_partner(tx)
         n = len(band)
         outside = c_hi - c_lo + 1 - n
         cells = outside
         px, py = [], []
         for c in band:
-            px.append(_tail_plan(tx, c, sx))
-            py.append(_tail_plan(ty, -c, sy))
+            px.append(_tail_plan(sx, c))
+            py.append(_tail_plan(sy, -c))
             cells += min(_cells(px[-1]), _cells(py[-1]))
             check_size(cells, f"Cech systems at cutoffs {c_lo}..{c}")
         below = list(accumulate(map(_cells, px), initial=0))
@@ -435,8 +434,8 @@ def _counts(e: VectorBundle, c_lo: int, c_hi: int):
         split = min(range(n + 1), key=lambda s: (below[s] + above[n - s], -s))
         cells = outside + below[split] + above[n - split]
         check_size(cells, f"Cech systems at cutoffs {c_lo}..{c_hi}")
-        out += _run(tx, px[:split])
-        partner = _run(ty, py[split:][::-1])[::-1]
+        out += _run(sx, px[:split])
+        partner = _run(sy, py[split:][::-1])[::-1]
         out += [deg + k * (c + 1) + h for c, h in zip(band[split:], partner)]
     out += [deg + k * (c + 1) for c in range(hi + 1, c_hi + 1)]
     return out
@@ -454,12 +453,12 @@ def h0_sections(e: VectorBundle):
     O(10^20) + O(-10^20).
     """
     side, _ = _sides(e)
-    if max(side[1]) < 0:
+    if max(side.his) < 0:
         return []
-    plan = _tail_plan(e.transition, 0, side)
+    plan = _tail_plan(side, 0)
     free = sum(lo for lo, _ in plan[1])
     check_size(free, f"a basis of at least {free} sections")
-    _, basis, unknowns = _tail_solve(e.transition, plan)
+    _, basis, unknowns = _tail_solve(side, plan)
     vectors = [{(j, s): ONE} for j, (lo, _) in enumerate(plan[1]) for s in range(lo)]
     vectors += [{u: c for u, c in zip(unknowns, v) if c} for v in basis]
     sections = []

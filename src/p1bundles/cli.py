@@ -208,7 +208,17 @@ def _cmd_verify(args):
 # -- parser -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The subcommands, in --help order.
+COMMANDS = (
+    "split", "h0", "h1", "deg", "chi", "profile", "op", "twist", "iso", "selfdual",
+    "random", "verify",
+)
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone: building one
+    subparser is most of the cost of a call.  Its help and usage text are
+    the full tree's, as the one subparser is listed under every name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable report")
 
@@ -217,12 +227,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Splitting types and cohomology of vector bundles on the "
         "Riemann sphere, with exact certificates.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    names = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
 
-    p = sub.add_parser("split", parents=[common], help="splitting type + certificate")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", default=None, help="write the certificate here")
-    p.set_defaults(func=_cmd_split)
+    def add(name, text):
+        if command in (None, name):
+            return sub.add_parser(name, parents=[common], help=text)
+
+    if p := add("split", "splitting type + certificate"):
+        p.add_argument("file")
+        p.add_argument(
+            "-o", "--output", default=None, help="write the certificate here"
+        )
+        p.set_defaults(func=_cmd_split)
 
     # The one-file reports in --help order; h0, h1 and chi share one handler.
     for name, func, text in (
@@ -231,50 +248,52 @@ def build_parser() -> argparse.ArgumentParser:
         ("deg", _cmd_deg, "bundle degree"),
         ("chi", _cmd_count, "Euler characteristic h0 - h1"),
     ):
-        p = sub.add_parser(name, parents=[common], help=text)
+        if p := add(name, text):
+            p.add_argument("file")
+            p.set_defaults(func=func)
+
+    if p := add("profile", "h0 of twists over a range"):
         p.add_argument("file")
-        p.set_defaults(func=func)
+        p.add_argument("--from", dest="m_from", type=int, required=True)
+        p.add_argument("--to", dest="m_to", type=int, required=True)
+        p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser("profile", parents=[common], help="h0 of twists over a range")
-    p.add_argument("file")
-    p.add_argument("--from", dest="m_from", type=int, required=True)
-    p.add_argument("--to", dest="m_to", type=int, required=True)
-    p.set_defaults(func=_cmd_profile)
+    if p := add("op", "bundle operations"):
+        p.add_argument("kind", choices=("dual", "det", "dsum", "tensor"))
+        p.add_argument("a")
+        p.add_argument("b", nargs="?", default=None)
+        p.add_argument("-o", "--output", default=None)
+        p.set_defaults(func=_cmd_op)
 
-    p = sub.add_parser("op", parents=[common], help="bundle operations")
-    p.add_argument("kind", choices=("dual", "det", "dsum", "tensor"))
-    p.add_argument("a")
-    p.add_argument("b", nargs="?", default=None)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_op)
+    if p := add("twist", "tensor by O(m)"):
+        p.add_argument("file")
+        p.add_argument("m", type=int)
+        p.add_argument("-o", "--output", default=None)
+        p.set_defaults(func=_cmd_twist)
 
-    p = sub.add_parser("twist", parents=[common], help="tensor by O(m)")
-    p.add_argument("file")
-    p.add_argument("m", type=int)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_twist)
+    if p := add("iso", "isomorphism test"):
+        p.add_argument("a")
+        p.add_argument("b")
+        p.set_defaults(func=_cmd_iso)
 
-    p = sub.add_parser("iso", parents=[common], help="isomorphism test")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=_cmd_iso)
+    if p := add("selfdual", "isomorphic to its dual?"):
+        p.add_argument("file")
+        p.set_defaults(func=_cmd_selfdual)
 
-    p = sub.add_parser("selfdual", parents=[common], help="isomorphic to its dual?")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_selfdual)
+    if p := add("random", "seeded gauge scramble"):
+        p.add_argument(
+            "--type", required=True, help="comma-separated degrees, e.g. 2,-1"
+        )
+        p.add_argument("--gauge-degree", type=int, default=2)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--moves", type=int, default=None)
+        p.add_argument("-o", "--output", required=True)
+        p.set_defaults(func=_cmd_random)
 
-    p = sub.add_parser("random", parents=[common], help="seeded gauge scramble")
-    p.add_argument("--type", required=True, help="comma-separated degrees, e.g. 2,-1")
-    p.add_argument("--gauge-degree", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--moves", type=int, default=None)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_random)
-
-    p = sub.add_parser("verify", parents=[common], help="check a certificate file")
-    p.add_argument("file")
-    p.add_argument("factfile")
-    p.set_defaults(func=_cmd_verify)
+    if p := add("verify", "check a certificate file"):
+        p.add_argument("file")
+        p.add_argument("factfile")
+        p.set_defaults(func=_cmd_verify)
 
     return parser
 
@@ -296,8 +315,9 @@ def _bind_type(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_bind_type(sys.argv[1:] if argv is None else argv))
+    argv = _bind_type(sys.argv[1:] if argv is None else argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         code = args.func(args)
         # Flushed here, so that a closed pipe is caught below rather than in

@@ -59,12 +59,11 @@ def forced_h0_h1(e, c=0):
     of side: h0 on T at cutoff c, h1 on the Serre partner at cutoff -c,
     each at the library's column windows.  A side whose windows are all
     negative counts 0 with no solve."""
-    t = e.transition
     return tuple(
-        cech._sections_dim(m, cech._tail_plan(m, cut, side))
-        if cut + max(side[1]) >= 0
+        cech._sections_dim(side, cech._tail_plan(side, cut))
+        if cut + max(side.his) >= 0
         else 0
-        for m, side, cut in zip((t, cech._serre_partner(t)), cech._sides(e), (c, -c))
+        for side, cut in zip(cech._sides(e), (c, -c))
     )
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -169,12 +170,12 @@ def test_explicit_window_and_instability():
     # wrong count.
     o3 = line_bundle(3)
     with pytest.raises(WindowUnstable):
-        cech._tail_solve(o3.transition, _plan(o3, 0, 1))
+        cech._tail_solve(cech._sides(o3)[0], _plan(o3, 0, 1))
     e = parse_bundle("z^-2, 0 ; z^12, z^10")
     plan = _plan(e, 0, 1)
     assert all(lo <= top for lo, top in plan[1])
     with pytest.raises(WindowUnstable):
-        cech._tail_solve(e.transition, plan)
+        cech._tail_solve(cech._sides(e)[0], plan)
 
 
 def _plan(e, cutoff, window=None):
@@ -182,14 +183,14 @@ def _plan(e, cutoff, window=None):
     # column windows, or at one window shared by every column.
     side, _ = cech._sides(e)
     if window is not None:
-        side = (side[0], [window - cutoff] * e.rank)
-    return cech._tail_plan(e.transition, cutoff, side)
+        side = side._replace(his=[window - cutoff] * e.rank)
+    return cech._tail_plan(side, cutoff)
 
 
 def _top(e):
     # The largest column window bound hi_j of T: cutoffs below -_top(e)
     # have no section.
-    return max(cech._sides(e)[0][1])
+    return max(cech._sides(e)[0].his)
 
 
 def test_explicit_window_past_the_bound_counts_at_the_bound():
@@ -318,7 +319,7 @@ def test_sparse_assembly_matches_dense_oracle(unit_det):
             dw = max(0, cutoff) + window + 1
             cases.append((cutoff, [(max(0, cutoff + n + 1 - m), dw) for m in range(k)]))
         for cutoff, ranges in cases:
-            system, unknowns = cech._constraint_system(e.transition, cutoff, ranges)
+            system, unknowns = cech._constraint_system(cech._sides(e)[0], cutoff, ranges)
             rows, expected_unknowns = _dense_constraint_rows(e, cutoff, ranges)
             assert unknowns == expected_unknowns
             assert system.int_rows == rows
@@ -327,15 +328,27 @@ def test_sparse_assembly_matches_dense_oracle(unit_det):
 
 def test_system_shape_counts_built_rows(unit_det):
     # The shape counted before assembly is the shape built, so the cell
-    # limit refuses no system that would fit.
-    for e in _assembly_inputs(unit_det):
-        k = e.rank
-        for cutoff in (-2, 0, 3):
-            for window in (0, 2, k * (e.max_exponent + 1)):
-                ranges = _plan(e, cutoff, window)[1]
-                system, _ = cech._constraint_system(e.transition, cutoff, ranges)
-                shape = cech._system_shape(e.transition, cutoff, ranges)
-                assert shape == (system.rows, system.cols)
+    # limit refuses no system that would fit.  On T and on its Serre
+    # partner: at every cutoff of the band at the library's windows, and at
+    # three cutoffs at shared windows.  Two far files at small windows have
+    # a row whose spans lie far apart, at the band's ends and around 0.
+    cases = [(e, None) for e in _assembly_inputs(unit_det)]
+    cases += [(parse_bundle(text), (0, 2)) for text in _FAR_FILES[1::2]]
+    for e, windows in cases:
+        sides = cech._sides(e)
+        lo, hi = -max(sides[0].his) - 1, max(sides[1].his) + 1
+        runs = [((lo, lo + 1, -1, 0, 1, hi - 1, hi), windows)]
+        if windows is None:
+            runs = [(range(lo, hi + 1), [None])]
+            runs.append(((-2, 0, 3), (0, 2, e.rank * (e.max_exponent + 1))))
+        for cutoffs, shared in runs:
+            for c, window in itertools.product(cutoffs, shared):
+                for side, cutoff in zip(sides, (c, -c)):
+                    if window is not None:
+                        side = side._replace(his=[window - cutoff] * e.rank)
+                    plan = cech._tail_plan(side, cutoff)
+                    system, _ = cech._constraint_system(side, *plan)
+                    assert plan[2] == (system.rows, system.cols), (e, cutoff, window)
 
 
 def test_riemann_roch_profile_and_dual_on_shear_products(unit_det, forced):
@@ -397,9 +410,9 @@ def test_explicit_windows_match_full_system_oracle(unit_det):
     # The h0 of this scramble is counted on the Serre partner, whose system
     # is the smaller, so the oracle checks the choice of side too.
     chosen = random_bundle([2, 0, -1], 2, seed=21)
-    t, (e_side, p_side) = chosen.transition, cech._sides(chosen)
-    on_p = cech._tail_plan(cech._serre_partner(t), 0, p_side)
-    assert cech._cells(on_p) < cech._cells(cech._tail_plan(t, 0, e_side))
+    e_side, p_side = cech._sides(chosen)
+    on_p = cech._tail_plan(p_side, 0)
+    assert cech._cells(on_p) < cech._cells(cech._tail_plan(e_side, 0))
     inputs.append(chosen)
     for e in inputs:
         assert h0_dim(e) == _blanket_oracle(e, 0)
@@ -505,11 +518,7 @@ def test_h1_system_is_bounded_before_its_solve(monkeypatch):
     # column windows; one cell over the limit is refused before anything
     # is solved.
     e = random_bundle([2, 0, -3], 2, seed=4242)
-    t = e.transition
-    cells = min(
-        cech._cells(cech._tail_plan(m, 0, side))
-        for m, side in zip((cech._serre_partner(t), t), reversed(cech._sides(e)))
-    )
+    cells = min(cech._cells(cech._tail_plan(side, 0)) for side in cech._sides(e))
     assert cells > 1
     monkeypatch.setattr(lmatrix, "MAX_SYSTEM_CELLS", cells - 1)
     monkeypatch.setattr(cech, "MAX_SYSTEM_CELLS", cells - 1)
@@ -605,9 +614,9 @@ def _chain_and_separate(e, cutoffs):
     # Counts on E at the consecutive ascending cutoffs, each at its column
     # windows, by both paths: one chain from the top cutoff, and one solve
     # per cutoff.
-    t, plans = e.transition, [_plan(e, c) for c in cutoffs]
-    chain = cech._nested_dims(t, plans[0], plans[-1])
-    separate = [cech._sections_dim(t, p) for p in plans]
+    side, plans = cech._sides(e)[0], [_plan(e, c) for c in cutoffs]
+    chain = cech._nested_dims(side, plans[0], plans[-1])
+    separate = [cech._sections_dim(side, p) for p in plans]
     return chain, separate
 
 
@@ -737,6 +746,30 @@ def test_serre_partner_agrees_with_cokernel_and_type(unit_det):
     assert compared >= 0.6 * len(inputs)
 
 
+def test_split_type_and_cech_counts_agree_on_fuzz_files():
+    # Two independent routes on the grammar fuzz's valid files (Laurent
+    # entries, Q(i) and 30-digit coefficients, exponents up to 10^20): the
+    # verified column-reduction type d and the Cech counts.  Wherever both
+    # answer, h0(E(m)) = sum max(0, d_j + m + 1) over m in -4..4 and h1 =
+    # sum max(0, -d_j - 1).  The files each route answers are counted by
+    # class, so a file moving from answered to refused shows here.
+    names = {
+        (1, 1): "both", (1, 0): "split only", (0, 1): "cech only", (0, 0): "neither"
+    }
+    classes = dict.fromkeys(names.values(), 0)
+    disagree = []
+    for e in _fuzz_bundles([5], 1000):
+        split = _answer(lambda: grothendieck_split(e)[0])
+        counts = _answer(lambda: (h0_profile(e, -4, 4), h1_dim_oracle(e)))
+        classes[names[split is not None, counts is not None]] += 1
+        if split is not None and counts is not None:
+            h0 = [(m, sum(max(0, d + m + 1) for d in split)) for m in range(-4, 5)]
+            if counts != (h0, sum(max(0, -d - 1) for d in split)):
+                disagree.append((e, split, counts))
+    assert disagree == []
+    assert classes == {"both": 497, "split only": 0, "cech only": 42, "neither": 30}
+
+
 def test_h1_runs_no_factorization(monkeypatch):
     # The partner is read off T's exponents: no column reduction, w-adic
     # series or inverse runs for h1, on a transition never factorized.
@@ -777,7 +810,7 @@ def test_both_sides_agree_across_the_band(unit_det, forced):
     inputs = [VectorBundle(unit_det(rng, k, rng.randint(1, 3))) for k in (2, 2, 3, 3)]
     inputs.append(VectorBundle(kron(unit_det(rng, 2, 1), unit_det(rng, 2, 1))))
     for e in inputs:
-        (_, hi_e), (_, hi_p) = cech._sides(e)
+        hi_e, hi_p = (side.his for side in cech._sides(e))
         twists = range(-max(hi_e) - 1, max(hi_p) + 2)
         counts = [forced(e, c) for c in twists]
         for c, (h0, h1) in zip(twists, counts):
@@ -789,7 +822,7 @@ def test_both_sides_agree_across_the_band(unit_det, forced):
     compared = 0
     for text in _FAR_FILES:
         e = parse_bundle(text)
-        (_, hi_e), (_, hi_p) = cech._sides(e)
+        hi_e, hi_p = (side.his for side in cech._sides(e))
         for c in (-max(hi_e) - 1, -max(hi_e), 0, max(hi_p), max(hi_p) + 1):
             both = _answer(lambda: forced(e, c))
             if both is not None:

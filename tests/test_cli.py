@@ -118,7 +118,9 @@ def test_exit_code_window_unstable(monkeypatch, capsys, tmp_path):
     path.write_text("z^-2, 0 ; z^12, z^10\n")
     sides = cech._sides
     monkeypatch.setattr(
-        cech, "_sides", lambda e: tuple((m, [h - 2 for h in hi]) for m, hi in sides(e))
+        cech,
+        "_sides",
+        lambda e: tuple(s._replace(his=[h - 2 for h in s.his]) for s in sides(e)),
     )
     assert cli.main(["h0", str(path)]) == 3
     captured = capsys.readouterr()
@@ -736,3 +738,47 @@ def test_bad_op_and_random_arguments_are_usage_errors(tmp_path, capsys, args):
     assert captured.out == ""
     assert captured.err.startswith("usage error:")
     assert not (tmp_path / "out.bundle").exists()
+
+
+def _exit_text(parse, argv, capsys):
+    # The exit code and the text that one argv prints before it exits.
+    with pytest.raises(SystemExit) as exited:
+        parse(argv)
+    out = capsys.readouterr()
+    return exited.value.code, out.out, out.err
+
+
+def _parser_argvs():
+    from p1bundles.cli import COMMANDS
+
+    yield from (["--help"], [], ["bogus", "f"], ["h0", "f", "extra"])
+    for name in COMMANDS:
+        yield [name, "-h"]
+        yield [name]  # a missing argument
+
+
+@pytest.mark.parametrize("argv", list(_parser_argvs()), ids=" ".join)
+def test_one_subparser_prints_what_the_full_tree_prints(capsys, argv):
+    # main builds only the subparser that argv[0] names.  Help, usage errors
+    # and unknown commands read byte for byte as from all twelve.
+    from p1bundles import cli
+
+    full = _exit_text(cli.build_parser().parse_args, argv, capsys)
+    assert _exit_text(cli.main, argv, capsys) == full
+    assert full[1] or full[2].startswith("usage: p1bundles")
+
+
+def test_main_builds_only_the_subparser_it_runs(monkeypatch, capsys):
+    from p1bundles import cli
+
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(
+        cli, "build_parser", lambda c=None: built.append(build(c)) or built[-1]
+    )
+    assert cli.main(["deg", str(DATA / "o3.bundle")]) == 0
+    assert capsys.readouterr().out == "deg: 3\nrank: 1\n"
+    (parser,) = built
+    subcommands = next(a.choices for a in parser._actions if a.dest == "command")
+    assert list(subcommands) == ["deg"]
+    full = next(a.choices for a in build()._actions if a.dest == "command")
+    assert tuple(full) == cli.COMMANDS

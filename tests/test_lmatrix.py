@@ -312,10 +312,10 @@ def _cech_systems(unit_det):
     qi = VectorBundle(unit_det(rng, 3, 4))
     for e, cutoffs in ((tensor, (-3, 0, 2)), (qi, (-1, 2, 6))):
         top = e.rank * (e.max_exponent + 1)
-        tops = cech._sides(e)[0][0]  # the top exponent of each column of T
+        side = cech._sides(e)[0]  # T's terms, and the top exponent of each column
         for cutoff in cutoffs:
-            ranges = [(max(0, cutoff - m + 1), max(0, cutoff) + top) for m in tops]
-            system, _ = cech._constraint_system(e.transition, cutoff, ranges)
+            ranges = [(max(0, cutoff - m + 1), max(0, cutoff) + top) for m in side.tops]
+            system, _ = cech._constraint_system(side, cutoff, ranges)
             grid = [[gq(0)] * system.cols for _ in range(system.rows)]
             for i, row in enumerate(system.int_rows):
                 for j, a, b in row:
