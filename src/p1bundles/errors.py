@@ -79,14 +79,15 @@ class SystemTooLarge(P1BundlesError, ValueError):
     The limit is ``lmatrix.MAX_SYSTEM_CELLS`` cells, applied to one Cech
     constraint system (rows x unknowns), to the Cech systems of one query
     together (all twists of a profile, each charged at least one cell),
-    to the cap of a w-adic series inverse (terms x k^2), to a seeded gauge
+    to a w-adic series inverse (its cap of sum_j s_j - min_j s_j terms,
+    s_j the w-degree of column j, times k^2 entries), to a seeded gauge
     scramble (an upper bound on the terms its moves multiply), and to the
     Kronecker product of ``op tensor`` ((kA*kB)^2 entries plus the
     products of each term of A with each term of B).  The check runs
     before the work starts, so a tiny input such as ``z^1000000`` is
     refused at once instead of running without bound.  A column reduction
-    is charged as it runs instead (its k x k leading-coefficient matrix and
-    each coefficient it writes, by its size in 64-bit words, per step), and
+    is charged as it runs instead (2k per step, plus each coefficient of
+    the two columns it writes, by its size in 64-bit words), and
     is stopped once the total is over the limit.  Also raised by the
     printers in ``text`` for a number with more digits than the interpreter
     converts to text, which the parser could not read back.

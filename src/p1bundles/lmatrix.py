@@ -10,7 +10,11 @@ Two layers live here:
   linear system, yields T = z^-N * Winv * diag(z^r_j) * V^-1 with V
   unimodular over C[z] and, when det T is a unit, Winv unimodular over
   C[1/z]; Winv is inverted as a w-adic series (:func:`w_adic_inverse`), so
-  no adjugate is ever formed.  The factorization W*T*U = diag(z^-d_j) is
+  no adjugate is ever formed.  Its constant term, the weak Popov
+  leading-coefficient matrix, is triangular up to a column permutation and
+  is inverted by back substitution, with no kernel solve, and the series
+  stops at the column-degree bound sum_j s_j - min_j s_j, s_j the w-degree
+  of column j of Winv.  The factorization W*T*U = diag(z^-d_j) is
   computed at most once per matrix object, proven by one exact product
   when it is made, and kept on it; the inverse is read off it as
   T^-1 = U * diag(z^d_j) * W with no further check.  Products and sums of
@@ -84,10 +88,10 @@ from .laurent import (
 # terms its moves multiply, bundle._charge_scramble), or a Kronecker product
 # (its entries plus its term products, kron).  A larger one raises
 # SystemTooLarge before anything is allocated.  The benchmark ladder's
-# largest jobs are 2,304 cells for one Cech system and 1,080 for one series;
+# largest jobs are 2,304 cells for one Cech system and 576 for one series;
 # its largest profile is checked against the limit as 8,862 cells, the sum
 # over its twists of the smaller of each twist's two systems (cech._counts),
-# and builds 3,202.  Its largest Kronecker product is charged 312.
+# and builds 3,202.  Its largest Kronecker product is charged 416.
 MAX_SYSTEM_CELLS = 300_000
 
 
@@ -472,26 +476,69 @@ def _mul_into(acc, rows, b):
                     s[2] = d * u
 
 
+def _triangular_inverse(a0):
+    """A_0^-1 by back substitution, for a k x k grid of Q(i) scalars whose
+    columns have distinct last nonzero rows.
+
+    Ordered by those rows, the columns make A_0 upper triangular with a
+    nonzero diagonal: the weak Popov leading-coefficient matrix of
+    :func:`column_reduce` is one.  With c the column whose last row is t,
+    row t of A_0*X = I reads A_0[t][c]*X[c] + sum_j A_0[t][j]*X[j] = e_t
+    over the columns j whose last row is below t, so the rows of X are
+    solved bottom-up, exactly, with no pivot search.  A zero column, or two
+    columns sharing a last row, raises ValueError.
+    """
+    k = len(a0)
+    col_of = [None] * k  # last nonzero row -> its column
+    for j in range(k):
+        last = max((i for i in range(k) if a0[i][j]), default=None)
+        if last is None or col_of[last] is not None:
+            raise ValueError("singular constant matrix")
+        col_of[last] = j
+    inv = [None] * k  # row j of A_0^-1, for column j of A_0
+    for t in range(k - 1, -1, -1):
+        row, c = a0[t], col_of[t]
+        later = [(row[j], inv[j]) for j in col_of[t + 1 :] if row[j]]
+        pivot = row[c].inverse()
+        out = []
+        for m in range(k):
+            x = ONE if m == t else ZERO
+            for y, b in later:
+                if b[m]:
+                    x -= y * b[m]
+            out.append(x * pivot)
+        inv[c] = out
+    return inv
+
+
 def w_adic_inverse(a: LaurentMatrix) -> LaurentMatrix:
     """Inverse of a w-unimodular matrix, summed as a w-adic series.
 
-    a = A_0 + A_1 w + ... + A_s w^s (w = 1/z) must lie in the w-chart ring
-    with A_0 nonsingular.  The inverse is B_0 + B_1 w + ... with
-    B_0 = A_0^-1 and B_n = -A_0^-1 * sum_{j=1..s} A_j B_(n-j).  The
-    recurrence reads only the last s terms, so s consecutive zero terms
-    end the series.  A w-unimodular input has a polynomial inverse of
-    w-degree at most (k-1)*s (the adjugate bound), which caps the series;
-    on any other input the capped sum is no inverse, so :func:`wiener_hopf`
+    a = A_0 + A_1 w + ... + A_s w^s (w = 1/z) must lie in the w-chart ring,
+    with columns of A_0 that have distinct last nonzero rows, as the weak
+    Popov form of :func:`column_reduce` gives; then A_0 is triangular up to
+    a column permutation with a nonzero diagonal, and B_0 = A_0^-1 is read
+    off by back substitution (:func:`_triangular_inverse`).  Any other A_0,
+    singular or not, raises ValueError.  The inverse is B_0 + B_1 w + ...
+    with B_n = -A_0^-1 * sum_{j=1..s} A_j B_(n-j).  The recurrence reads
+    only the last s terms, so s consecutive zero terms end the series.
+
+    Cap.  With s_j the w-degree of column j of a, entry (i, j) of a
+    w-unimodular input's inverse is a cofactor that drops column i, divided
+    by the constant det a, so its w-degree is at most sum_(m != i) s_m <=
+    sum_j s_j - min_j s_j, which caps the series (and is at most (k-1)*s).
+    On any other input the capped sum is no inverse, so :func:`wiener_hopf`
     re-multiplies.  Each term sums only the nonzero A_j, on int-triple
     accumulators (:func:`_mul_into`), and each entry of B_n is normalised
-    once.  A cap of more than MAX_SYSTEM_CELLS entries ((k-1)*s terms of
-    k x k) raises SystemTooLarge before the sum starts.
+    once.  A cap of more than MAX_SYSTEM_CELLS entries (its terms of k x k)
+    raises SystemTooLarge before the sum starts.
     """
     k = a.rows
     if any(not chart_contains(p, Chart.W) for row in a.entries for p in row):
         raise ValueError("matrix is not holomorphic on the w-chart")
-    s = max((-p.order for row in a.entries for p in row if p), default=0)
-    cap = (k - 1) * s
+    degs = [max((-p.order for p in col if p), default=0) for col in zip(*a.entries)]
+    s = max(degs)
+    cap = sum(degs) - min(degs)
     # The message names no count: cap may have more digits than an int can
     # be printed with.
     check_size(cap * k * k, f"a w-adic series of {k}x{k} terms")
@@ -501,16 +548,7 @@ def w_adic_inverse(a: LaurentMatrix) -> LaurentMatrix:
             for e, c in p.items():
                 coeffs.setdefault(-e, [[ZERO] * k for _ in range(k)])[i][m] = c
     a_rows = [(j, _sparse_rows(coeffs[j])) for j in sorted(coeffs) if j]
-    # A_0^-1 from the kernel of [A_0 | -I]: its canonical vector at free
-    # column k+m is (A_0^-1 e_m, e_m) exactly when A_0 is nonsingular.
-    ident = [[ONE if i == m else ZERO for m in range(k)] for i in range(k)]
-    a0 = coeffs.get(0, [[ZERO] * k for _ in range(k)])
-    null = kernel_basis(
-        ScalarMatrix([row + [-x for x in e] for row, e in zip(a0, ident)])
-    )
-    if [list(v[k:]) for v in null] != ident:
-        raise ValueError("singular constant matrix")
-    a0inv = [[v[i] for v in null] for i in range(k)]
+    a0inv = _triangular_inverse(coeffs.get(0, [[ZERO] * k for _ in range(k)]))
     minus_a0inv = _sparse_rows([[-x for x in row] for row in a0inv])
     series = [[{0: x} if x else {} for x in row] for row in a0inv]  # {-n: B_n entry}
     terms = [_sparse_rows(a0inv)]  # B_n as _sparse_rows

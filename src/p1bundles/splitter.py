@@ -17,15 +17,20 @@ with that matrix as its constant term, so it is w-unimodular, and
 
     Winv^-1 * T * V = diag(z^(r_j - N)),  i.e.  d_j = N - r_j.
 
-Winv^-1 is summed as a w-adic series (:func:`lmatrix.w_adic_inverse`); a
+Winv^-1 is summed as a w-adic series (:func:`lmatrix.w_adic_inverse`):
+its first term inverts the leading-coefficient matrix, which the weak
+Popov form makes triangular up to a column permutation, by back
+substitution, and the series stops at the column-degree bound
+sum_j s_j - min_j s_j, s_j the w-degree of column j of Winv.  A
 permutation sorts the diagonal.  ``wiener_hopf`` proves W*T*U = D by one
 exact product before it keeps the triple on the transition matrix, and
 ``LaurentMatrix.inverse`` reads T^-1 = U*D^-1*W off the same one, so
 splitting a bundle and then taking its dual reduces it, and multiplies
 out its certificate, once.  Each :func:`grothendieck_split` call runs the
 form checks of the certificate (shapes, D, the charts, the degree sum and
-U(0)); with the product they are all of :func:`verify_factorization`,
-which checks certificates from outside.  The column degrees also give
+U(0), which is a split's one kernel solve); with the product they are
+all of :func:`verify_factorization`, which checks certificates from
+outside.  The column degrees also give
 h0(E(m)) = sum_j max(0, d_j + m + 1) for every twist m at once, which the
 Cech module recomputes by brute-force linear algebra, so the two routes
 check each other.  The certificate also holds the classical

@@ -1,6 +1,8 @@
 """Shared seeded inputs for the property tests."""
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -12,6 +14,11 @@ import p1bundles.cech as cech
 # example database; max_examples and deadline stay as each test sets them.
 settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
+
+# pyproject's `pythonpath` reaches only the pytest process: the CLI children
+# that the tests start find the package through PYTHONPATH, with src first.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def _qi_scalar(rng):

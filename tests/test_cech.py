@@ -11,6 +11,7 @@ from p1bundles import (
     LaurentPoly,
     P1BundlesError,
     Section,
+    SplittingType,
     SystemTooLarge,
     VectorBundle,
     WindowUnstable,
@@ -262,7 +263,7 @@ def test_h0_of_tall_coefficient_bundle(monkeypatch):
 
 def test_tall_coefficient_reconstruction_work(monkeypatch):
     # Euclid runs only at the scheduled attempts, at most twice per echelon
-    # entry at each: the tall bundle's solve makes 128 _rat_recon calls.
+    # entry at each: the tall bundle's solve makes 72 _rat_recon calls.
     calls = []
     recon = lmatrix._rat_recon
 
@@ -768,6 +769,43 @@ def test_split_type_and_cech_counts_agree_on_fuzz_files():
                 disagree.append((e, split, counts))
     assert disagree == []
     assert classes == {"both": 497, "split only": 0, "cech only": 42, "neither": 30}
+
+
+def test_type_arithmetic_holds_on_fuzz_pairs():
+    # Type arithmetic on the grammar fuzz's valid files, each file E paired
+    # with the next file F: E.dual() has the negated reverse of E's type,
+    # E.dsum(F) the union of the types and E.tensor(F) the pairwise sums.
+    # An op is compared when both factors split ("both"); the classes are
+    # counted, so a file moving from answered to refused shows here.
+    files = list(_fuzz_bundles([5], 300))
+    types = [_answer(lambda: grothendieck_split(e)[0]) for e in files]
+    ops = {
+        "dual": (1, lambda e: e.dual(), lambda d: [-x for x in d]),
+        "dsum": (2, lambda e, f: e.dsum(f), lambda d, d2: d + d2),
+        "tensor": (2, lambda e, f: e.tensor(f), lambda d, d2: [a + b for a in d for b in d2]),
+    }
+    classes = {op: dict.fromkeys(("both", "derived refused", "factor refused"), 0) for op in ops}
+    disagree = []
+    for op, (arity, build, predict) in ops.items():
+        for i in range(len(files) - arity + 1):
+            factors = types[i : i + arity]
+            if None in factors:
+                classes[op]["factor refused"] += 1
+                continue
+            derived = _answer(lambda: grothendieck_split(build(*files[i : i + arity]))[0])
+            if derived is None:
+                classes[op]["derived refused"] += 1
+                continue
+            classes[op]["both"] += 1
+            if derived != SplittingType(predict(*factors)):
+                disagree.append((op, i, factors, derived))
+    assert len(files) == 170
+    assert disagree == []
+    assert classes == {
+        "dual": {"both": 143, "derived refused": 0, "factor refused": 27},
+        "dsum": {"both": 118, "derived refused": 0, "factor refused": 51},
+        "tensor": {"both": 117, "derived refused": 1, "factor refused": 51},
+    }
 
 
 def test_h1_runs_no_factorization(monkeypatch):

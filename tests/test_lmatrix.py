@@ -660,9 +660,9 @@ def test_column_reduce_refuses_singular_input():
             lmatrix.column_reduce(t)
 
 
-def test_reduction_runs_no_kernel_and_a_split_runs_two(monkeypatch):
-    # The reduction solves nothing; a split solves A_0^-1 in the w-adic
-    # series and checks U(0), and nothing more.
+def test_reduction_runs_no_kernel_and_a_split_runs_one(monkeypatch):
+    # The reduction solves nothing, and neither does the w-adic series (its
+    # A_0^-1 is a back substitution); a split checks U(0), and nothing more.
     from p1bundles import grothendieck_split, splitter
 
     solves = []
@@ -674,7 +674,90 @@ def test_reduction_runs_no_kernel_and_a_split_runs_two(monkeypatch):
     lmatrix.column_reduce(e.transition)
     assert solves == []
     grothendieck_split(e)
-    assert len(solves) == 2
+    assert len(solves) == 1
+
+
+def _w_unimodular_inputs(unit_det):
+    # Winv = Q*diag(z^-r_j) of each reduction input: w-unimodular, with
+    # the weak Popov leading-coefficient matrix as its constant term.
+    for t in _reduction_inputs(unit_det):
+        _, degs, _, q = lmatrix.column_reduce(t)
+        yield lmatrix.shift_columns(q, [-r for r in degs])
+
+
+def test_leading_matrix_inverse_by_back_substitution(unit_det):
+    # A_0 * A_0^-1 = I exactly, and the inverse is the one read off the
+    # kernel of [A_0 | -I], whose canonical vector at free column k+m is
+    # (A_0^-1 e_m, e_m).
+    for a in _w_unimodular_inputs(unit_det):
+        k = a.rows
+        a0 = [[p.coeff(0) for p in row] for row in a.entries]
+        inv = lmatrix._triangular_inverse(a0)
+        ident = [[gq(int(i == m)) for m in range(k)] for i in range(k)]
+        product = [
+            [sum((a0[i][j] * inv[j][m] for j in range(k)), gq(0)) for m in range(k)]
+            for i in range(k)
+        ]
+        assert product == ident
+        null = kernel_basis(
+            ScalarMatrix([row + [-x for x in e] for row, e in zip(a0, ident)])
+        )
+        assert [[v[i] for v in null] for i in range(k)] == inv
+
+
+def test_w_adic_inverse_refuses_a_constant_term_out_of_weak_popov_form():
+    # A zero column of A_0, or two columns with the same last nonzero row,
+    # raise ValueError, singular or not.
+    one, zero, w = ONE_POLY, ZERO_POLY, z_power(-1)
+    zero_column = lm([[one, zero], [zero, w]])
+    shared_singular = lm([[one, one + w], [zero, w]])
+    shared_nonsingular = lm([[one, zero], [one, one]])
+    for a in (zero_column, shared_singular, shared_nonsingular):
+        with pytest.raises(ValueError, match="singular constant matrix"):
+            lmatrix.w_adic_inverse(a)
+        with pytest.raises(ValueError, match="singular constant matrix"):
+            lmatrix._triangular_inverse([[p.coeff(0) for p in row] for row in a.entries])
+
+
+def _series_calls(a, inv, cap):
+    # The _mul_into calls of the series under a cap, read off its exact
+    # inverse: term n (1 <= n <= cap) sums each nonzero A_j with j <= n and
+    # multiplies by -A_0^-1 once; s zero terms in a row end the series.
+    js = {-e for row in a.entries for p in row for e, _ in p.items() if e}
+    support = {-e for row in inv.entries for p in row for e, _ in p.items()}
+    s = max(js, default=0)
+    calls = zeros = n = 0
+    while zeros < s and n < cap:
+        n += 1
+        calls += 1 + sum(j <= n for j in js)
+        zeros = 0 if n in support else zeros + 1
+    return calls
+
+
+def test_series_stops_at_the_column_degree_cap(monkeypatch, unit_det):
+    # With s_j the w-degree of column j, the inverse has w-degree at most
+    # sum s_j - min s_j, and the series stops there: its _mul_into calls
+    # are exactly those of that cap, never more than under the adjugate
+    # bound (k-1)*max s_j, and fewer on some input.
+    calls = []
+    mul_into = lmatrix._mul_into
+    monkeypatch.setattr(
+        lmatrix, "_mul_into", lambda *args: calls.append(1) or mul_into(*args)
+    )
+    saved = 0
+    for a in _w_unimodular_inputs(unit_det):
+        k = a.rows
+        calls.clear()
+        inv = lmatrix.w_adic_inverse(a)
+        assert a * inv == LaurentMatrix.identity(k)
+        s = [max(-p.order for p in col if p) for col in zip(*a.entries)]
+        cap = sum(s) - min(s)
+        assert max(-p.order for row in inv.entries for p in row if p) <= cap
+        assert len(calls) == _series_calls(a, inv, cap)
+        old = _series_calls(a, inv, (k - 1) * max(s))
+        assert len(calls) <= old
+        saved += old - len(calls)
+    assert saved > 0
 
 
 def test_full_column_rank_takes_one_elimination(monkeypatch):
