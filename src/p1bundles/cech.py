@@ -96,8 +96,7 @@ from .bundle import VectorBundle
 from .errors import RefusedArgument, WindowUnstable
 from .exact import ONE, ZERO
 from .laurent import LaurentPoly, _dot, chart_contains, Chart
-from .lmatrix import MAX_SYSTEM_CELLS, SparseSystem, check_size  # noqa: F401
-from .lmatrix import clear_row, kernel_basis
+from .lmatrix import MAX_SYSTEM_CELLS, SparseSystem, check_size, clear_row, kernel_basis
 
 # Counters so test harnesses can confirm stability checks actually ran.
 STABILITY_CHECKS = 0

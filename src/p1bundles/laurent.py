@@ -13,12 +13,16 @@ one int triple (re, im, den) per output exponent, adds the products of the
 operands' stored triples into it, and normalises each output coefficient
 once.  Beside it, :func:`_add_monomial_times` returns a + x*z^e*b in one
 pass over b; with a = 0 it is the product of a one-term operand, which
-``_dot`` and ``scale`` take.  ``LaurentPoly.__mul__`` and ``scale`` use
-them here, and in ``lmatrix`` the matrix product (one ``_dot`` per output
-entry, so ``kron``, ``twist``, the certificate check ``W*T*U = D`` and the
-inverse ``U*D^-1*W``) and each column and frame update of the column
-reduction (one ``_add_monomial_times`` per entry); the w-adic series there
-runs the same accumulation on scalar matrices.
+``_dot`` and ``scale`` take.  These two are the library's only Q(i)
+accumulators.  ``LaurentPoly.__mul__`` and ``scale`` use them here, and in
+``lmatrix`` the matrix product (one ``_dot`` per output entry, so ``kron``,
+``twist``, the certificate check ``W*T*U = D`` and the inverse
+``U*D^-1*W``), each Bareiss update of the determinant (one ``_dot``), each
+row of a Q(i) scalar-matrix product in the w-adic series and its back
+substitution (one ``_dot``, the row read as a polynomial whose exponents
+are the column indices), and each column and frame update of the column
+reduction and each step of the exact division (one
+``_add_monomial_times``).
 
 The chart predicate at the bottom (chart_contains) reads a polynomial's
 support to tell whether it lies in a chart ring.  The module has no

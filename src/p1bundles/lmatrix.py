@@ -17,15 +17,16 @@ Two layers live here:
   of column j of Winv.  The factorization W*T*U = diag(z^-d_j) is
   computed at most once per matrix object, proven by one exact product
   when it is made, and kept on it; the inverse is read off it as
-  T^-1 = U * diag(z^d_j) * W with no further check.  Products and sums of
-  products run on int triples and are normalised once per output
-  coefficient: each entry of a matrix product is one call of the fused
-  ``laurent._dot``, each entry of a reduction step col_f + x*z^e*col_g is
-  one call of ``laurent._add_monomial_times``, and each term of the
-  w-adic series is summed on [re, im, den] accumulators
-  (:func:`_mul_into`).  The determinant is one Bareiss elimination at
-  every size, which divides exactly in the Laurent ring
-  (:func:`_lp_divexact`).  It serves only two callers: the validation of
+  T^-1 = U * diag(z^d_j) * W with no further check.  Every exact product
+  here runs on the two int-triple kernels of ``laurent``, normalised once
+  per output coefficient: each entry of a matrix product, each row of a
+  scalar-matrix product in the w-adic series and its back substitution (a
+  row read as a polynomial in its column index) and each Bareiss update
+  a*d - b*c is one call of the fused ``laurent._dot``; each entry of a
+  reduction step col_f + x*z^e*col_g and each step of an exact division is
+  one call of ``laurent._add_monomial_times``.  The determinant is one
+  Bareiss elimination at every size, which divides exactly in the Laurent
+  ring (:func:`_lp_divexact`).  It serves only two callers: the validation of
   a transition that arrives from outside (``VectorBundle.__init__``) and
   the error branch of :func:`wiener_hopf`.  Derived and seeded bundles
   carry their determinant, and certificates are checked by a degree-sum
@@ -241,26 +242,24 @@ class LaurentMatrix:
 
 
 def _lp_divexact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    # Exact division in the Laurent ring, top term first.  The quotient's
-    # exponents lie in [f.order - g.order, f.degree - g.degree]; a remainder
-    # below that range means g does not divide f, which Bareiss rules out.
+    # Exact division in the Laurent ring, top term first: each step takes
+    # c*z^e off the remainder with c*z^e*g, which cancels its top term
+    # exactly.  The quotient's exponents lie in [f.order - g.order,
+    # f.degree - g.degree]; a remainder below that range means g does not
+    # divide f, which Bareiss rules out.
     if f.is_zero():
         return ZERO_POLY
     top, lowest = g.degree, f.order - g.order
     lead_inv = g.coeff(top).inverse()
-    rem, q = dict(f.items()), {}
+    rem, q = f, {}
     while rem:
-        head = max(rem)
-        c = rem.pop(head) * lead_inv
-        if c:  # else the term cancelled
-            e = head - top
-            if e < lowest:
-                raise InternalCheckError("Bareiss division left a remainder")
-            q[e] = c
-            for eg, cg in g.items():
-                if eg != top:
-                    rem[eg + e] = rem.get(eg + e, ZERO) - c * cg
-    return LaurentPoly(q)
+        head = rem.degree
+        c, e = rem.coeff(head) * lead_inv, head - top
+        if e < lowest:
+            raise InternalCheckError("Bareiss division left a remainder")
+        q[e] = c
+        rem = _add_monomial_times(rem, e, -c, g)
+    return _poly(q)
 
 
 def _det_bareiss(grid) -> LaurentPoly:
@@ -280,8 +279,9 @@ def _det_bareiss(grid) -> LaurentPoly:
             m[c], m[pivot] = m[pivot], m[c]
             sign = -sign
         for i in range(c + 1, n):
+            minus = -m[i][c]
             for j in range(c + 1, n):
-                num = m[i][j] * m[c][c] - m[i][c] * m[c][j]
+                num = _dot(((m[i][j], m[c][c]), (minus, m[c][j])))
                 m[i][j] = _lp_divexact(num, prev)
             m[i][c] = ZERO_POLY
         prev = m[c][c]
@@ -445,48 +445,19 @@ def column_reduce(t: LaurentMatrix):
     return n, degs, LaurentMatrix(list(zip(*v))), LaurentMatrix(list(zip(*cols)))
 
 
-def _sparse_rows(grid):
-    """Rows of (col, re, im, den) for the nonzero entries of a Q(i) grid."""
-    return [
-        [(j, x.num_re, x.num_im, x.den) for j, x in enumerate(row) if x] for row in grid
-    ]
-
-
-def _mul_into(acc, rows, b):
-    """acc += rows * b for Q(i) matrices on int triples: rows and b are
-    given by _sparse_rows (b's entries may be unnormalised), and acc is a
-    grid of [re, im, den] accumulators, added to over the lcm of the
-    denominators like laurent._dot's and normalised by the caller."""
-    for out, row in zip(acc, rows):
-        for j, xr, xi, xd in row:
-            for m, yr, yi, yd in b[j]:
-                s = out[m]
-                pr = xr * yr - xi * yi
-                pi = xr * yi + xi * yr
-                pd = xd * yd
-                if s[2] == pd:
-                    s[0] += pr
-                    s[1] += pi
-                else:
-                    d = s[2]
-                    g = math.gcd(d, pd)
-                    u, v = pd // g, d // g
-                    s[0] = s[0] * u + pr * v
-                    s[1] = s[1] * u + pi * v
-                    s[2] = d * u
-
-
 def _triangular_inverse(a0):
     """A_0^-1 by back substitution, for a k x k grid of Q(i) scalars whose
-    columns have distinct last nonzero rows.
+    columns have distinct last nonzero rows; its rows are returned as
+    polynomials, row j of A_0^-1 being sum_m A_0^-1[j][m] * z^m.
 
     Ordered by those rows, the columns make A_0 upper triangular with a
     nonzero diagonal: the weak Popov leading-coefficient matrix of
     :func:`column_reduce` is one.  With c the column whose last row is t,
     row t of A_0*X = I reads A_0[t][c]*X[c] + sum_j A_0[t][j]*X[j] = e_t
     over the columns j whose last row is below t, so the rows of X are
-    solved bottom-up, exactly, with no pivot search.  A zero column, or two
-    columns sharing a last row, raises ValueError.
+    solved bottom-up, exactly, with no pivot search: each is one ``_dot``
+    of the later rows, plus z^t, scaled by 1/A_0[t][c].  A zero column, or
+    two columns sharing a last row, raises ValueError.
     """
     k = len(a0)
     col_of = [None] * k  # last nonzero row -> its column
@@ -498,16 +469,8 @@ def _triangular_inverse(a0):
     inv = [None] * k  # row j of A_0^-1, for column j of A_0
     for t in range(k - 1, -1, -1):
         row, c = a0[t], col_of[t]
-        later = [(row[j], inv[j]) for j in col_of[t + 1 :] if row[j]]
-        pivot = row[c].inverse()
-        out = []
-        for m in range(k):
-            x = ONE if m == t else ZERO
-            for y, b in later:
-                if b[m]:
-                    x -= y * b[m]
-            out.append(x * pivot)
-        inv[c] = out
+        rest = _dot((_poly({0: -row[j]}), inv[j]) for j in col_of[t + 1 :] if row[j])
+        inv[c] = _add_monomial_times(rest, t, ONE, ONE_POLY).scale(row[c].inverse())
     return inv
 
 
@@ -520,18 +483,22 @@ def w_adic_inverse(a: LaurentMatrix) -> LaurentMatrix:
     a column permutation with a nonzero diagonal, and B_0 = A_0^-1 is read
     off by back substitution (:func:`_triangular_inverse`).  Any other A_0,
     singular or not, raises ValueError.  The inverse is B_0 + B_1 w + ...
-    with B_n = -A_0^-1 * sum_{j=1..s} A_j B_(n-j).  The recurrence reads
-    only the last s terms, so s consecutive zero terms end the series.
+    with B_n = sum_{j=1..s} M_j B_(n-j), M_j = -A_0^-1 * A_j formed once
+    for the nonzero A_j.  The recurrence reads only the last s terms, so s
+    consecutive zero terms end the series.
+
+    Each scalar matrix is held as its rows, row i read as the polynomial
+    sum_m x_im * z^m with the column index as the exponent, so a row of a
+    product of scalar matrices is one ``laurent._dot`` call, normalised
+    once per entry: each row of M_j is one, and so is each row of B_n.
 
     Cap.  With s_j the w-degree of column j of a, entry (i, j) of a
     w-unimodular input's inverse is a cofactor that drops column i, divided
     by the constant det a, so its w-degree is at most sum_(m != i) s_m <=
     sum_j s_j - min_j s_j, which caps the series (and is at most (k-1)*s).
     On any other input the capped sum is no inverse, so :func:`wiener_hopf`
-    re-multiplies.  Each term sums only the nonzero A_j, on int-triple
-    accumulators (:func:`_mul_into`), and each entry of B_n is normalised
-    once.  A cap of more than MAX_SYSTEM_CELLS entries (its terms of k x k)
-    raises SystemTooLarge before the sum starts.
+    re-multiplies.  A cap of more than MAX_SYSTEM_CELLS entries (its terms
+    of k x k) raises SystemTooLarge before the sum starts.
     """
     k = a.rows
     if any(not chart_contains(p, Chart.W) for row in a.entries for p in row):
@@ -542,37 +509,33 @@ def w_adic_inverse(a: LaurentMatrix) -> LaurentMatrix:
     # The message names no count: cap may have more digits than an int can
     # be printed with.
     check_size(cap * k * k, f"a w-adic series of {k}x{k} terms")
-    coeffs = {}  # j -> A_j, for the nonzero A_j only
+    coeffs = {}  # j -> the rows of A_j, {column: entry}, for the nonzero A_j
     for i, row in enumerate(a.entries):
         for m, p in enumerate(row):
             for e, c in p.items():
-                coeffs.setdefault(-e, [[ZERO] * k for _ in range(k)])[i][m] = c
-    a_rows = [(j, _sparse_rows(coeffs[j])) for j in sorted(coeffs) if j]
-    a0inv = _triangular_inverse(coeffs.get(0, [[ZERO] * k for _ in range(k)]))
-    minus_a0inv = _sparse_rows([[-x for x in row] for row in a0inv])
-    series = [[{0: x} if x else {} for x in row] for row in a0inv]  # {-n: B_n entry}
-    terms = [_sparse_rows(a0inv)]  # B_n as _sparse_rows
+                coeffs.setdefault(-e, [{} for _ in range(k)])[i][m] = c
+    a0 = coeffs.pop(0, [{}] * k)
+    terms = [_triangular_inverse([[r.get(m, ZERO) for m in range(k)] for r in a0])]
+    minus_a0inv = [[(_poly({0: -x}), m) for m, x in row.items()] for row in terms[0]]
+    steps = []  # (j, the rows of M_j as (constant, column) pairs)
+    for j in sorted(coeffs):
+        a_j = [_poly(r) for r in coeffs[j]]
+        m_j = [_dot((x, a_j[m]) for x, m in row) for row in minus_a0inv]
+        steps.append((j, [[(_poly({0: x}), m) for m, x in r.items()] for r in m_j]))
     zeros = 0
     while zeros < s and len(terms) <= cap:
         n = len(terms)
-        acc = [[[0, 0, 1] for _ in range(k)] for _ in range(k)]
-        for j, rows in a_rows:
-            if j > n:
-                break
-            _mul_into(acc, rows, terms[n - j])
-        term = [[[0, 0, 1] for _ in range(k)] for _ in range(k)]
-        acc = [[(m, *x) for m, x in enumerate(row) if x[0] or x[1]] for row in acc]
-        _mul_into(term, minus_a0inv, acc)
-        rows = []
-        for i, row in enumerate(term):
-            out = []
-            for m, (re, im, den) in enumerate(row):
-                if re or im:
-                    x = series[i][m][-n] = _canonical(re, im, den)
-                    out.append((m, x.num_re, x.num_im, x.den))
-            rows.append(out)
+        rows = [
+            _dot((x, terms[n - j][m]) for j, mj in steps if j <= n for x, m in mj[i])
+            for i in range(k)
+        ]
         terms.append(rows)
         zeros = 0 if any(rows) else zeros + 1
+    series = [[{} for _ in range(k)] for _ in range(k)]  # {-n: B_n entry}
+    for n, rows in enumerate(terms):
+        for i, row in enumerate(rows):
+            for m, x in row.items():
+                series[i][m][-n] = x
     return LaurentMatrix([[_poly(entry) for entry in row] for row in series])
 
 
@@ -679,18 +642,6 @@ class ScalarMatrix(SparseSystem):
         ]
         super().__init__(int_rows, width)
         object.__setattr__(self, "entries", grid)
-
-    def __getitem__(self, key):
-        i, j = key
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, ScalarMatrix):
-            return NotImplemented
-        return self.cols == other.cols and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.cols, self.entries))
 
 
 def kernel_basis(m: SparseSystem):

@@ -65,6 +65,10 @@ def test_h0_sections_of_o3_window5():
     for s in secs:
         assert is_section(line_bundle(3), s)
         assert s.components[0].degree <= 3
+    # Not sections: two components on a line bundle, a component off C[z],
+    # and z^4, whose T*s = z^-3 * z^4 is not holomorphic at infinity.
+    for s in ((ONE_POLY, ONE_POLY), (z_power(-1),), (z_power(4),)):
+        assert not is_section(line_bundle(3), Section(s))
 
 
 def test_h0_sections_negative_line_bundle_empty():

@@ -1,6 +1,7 @@
-"""The lazy package namespace, the modules each CLI subcommand loads, and
-the value semantics of the two record classes."""
+"""The lazy package namespace, the modules each CLI subcommand loads, the
+value semantics of the two record classes, and no dead code in src."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -112,3 +113,49 @@ def test_factorization_is_a_read_only_value():
     assert repr(f) == f"Factorization(w={one!r}, u={one!r}, d={d!r})"
     with pytest.raises(AttributeError):
         f.d = one
+
+
+def test_src_has_no_unused_import_and_no_orphan_private_name():
+    # Every name a module imports is read in that module, and every private
+    # top-level name (one leading underscore) is read somewhere in src, so
+    # a deleted path leaves no helper or import behind.  __init__.py maps
+    # names to their home modules and is left out.
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(Path(p1bundles.__file__).parent.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    read = set()  # names read anywhere in src
+    unused = []
+    for name, tree in trees.items():
+        nodes = list(ast.walk(tree))
+        here = {
+            n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        here |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        read |= here
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom):
+                if node.module == "__future__":
+                    continue
+                read |= {alias.name for alias in node.names}
+            elif not isinstance(node, ast.Import):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in here:
+                    unused.append(f"{name}: import {bound}")
+    orphans = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for d in defined:
+                if d.startswith("_") and not d.startswith("__") and d not in read:
+                    orphans.append(f"{name}: {d}")
+    assert (unused, orphans) == ([], [])
+

@@ -147,6 +147,21 @@ def test_certificate_tampering_detected():
     assert not verify_factorization(
         e, Factorization(fact.w, fact.u, LaurentMatrix.diagonal(swapped))
     )
+    # Each form check on its own: a factor that is not k x k, an off-diagonal
+    # entry of D, a diagonal entry of D that is no z^-d, W off C[w], U off C[z].
+    small = LaurentMatrix.identity(k - 1)
+    w00, u00 = fact.w[0, 0], fact.u[0, 0]
+    for w, u, d in (
+        (small, fact.u, fact.d),
+        (fact.w, small, fact.d),
+        (fact.w, fact.u, small),
+        (fact.w, fact.u, fact.d.with_entry(0, 1, ONE_POLY)),
+        (fact.w, fact.u, fact.d.with_entry(0, 0, 2 * z_power(-1))),
+        (fact.w, fact.u, fact.d.with_entry(0, 0, z_power(-1) + ONE_POLY)),
+        (fact.w.with_entry(0, 0, w00 + z_power(1)), fact.u, fact.d),
+        (fact.w, fact.u.with_entry(0, 0, u00 + z_power(-1)), fact.d),
+    ):
+        assert verify_factorization(e, Factorization(w, u, d)) is False
     # W*T*U = D and the degrees sum to deg E, but U(0) is singular:
     # det W = w and det U = z, so neither gauge is unimodular.
     e = diagonal_bundle([2, -1])
