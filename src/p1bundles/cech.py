@@ -83,6 +83,17 @@ cells planned: E below it, P above it, each side one run (chain or
 separate solves).  Only a band of cutoffs needs a plan at all: below
 -max(hi_j of T) S_E(c) is 0, and above max(hi_j of P) S_P(-c) is 0, so
 the count there is the Riemann-Roch formula with no solve.
+
+Which route answers.  Every count is planned as above (_plan), so what is
+refused is refused before either route runs.  A plan that charges more
+than _CERTIFICATE_CELLS cells, a constant set from measured costs, is not
+solved: the count is read off the splitting type d of
+splitter.grothendieck_split, E = O(d_1) + ... + O(d_k), as
+dim S(c) = sum_j max(0, d_j + c + 1) at every cutoff at once.  That type
+is proven by its certificate W*T*U = D and its form checks.  A split
+refused as too large falls back to the planned solves (_solve), which
+answer every smaller count and stay the independent check of the
+splitter.  Either route gives the same answer, so the output is unchanged.
 """
 
 from __future__ import annotations
@@ -93,7 +104,7 @@ from itertools import accumulate
 from operator import itemgetter
 
 from .bundle import VectorBundle
-from .errors import RefusedArgument, WindowUnstable
+from .errors import RefusedArgument, SystemTooLarge, WindowUnstable
 from .exact import ONE, ZERO
 from .laurent import LaurentPoly, _dot, chart_contains, Chart
 from .lmatrix import MAX_SYSTEM_CELLS, SparseSystem, check_size, clear_row, kernel_basis
@@ -101,6 +112,23 @@ from .lmatrix import MAX_SYSTEM_CELLS, SparseSystem, check_size, clear_row, kern
 # Counters so test harnesses can confirm stability checks actually ran.
 STABILITY_CHECKS = 0
 STABILITY_FAILURES = 0
+
+# A count whose Cech plan charges more cells than this is read off the
+# verified splitting type instead (:func:`_counts`).  Set from a sweep of
+# 229 counts (h0, h1 and the profile over the type's range; best of 5 on
+# fresh copies, the plan timed on both routes; 2-vCPU Xeon, Python 3.11):
+# the 30 rungs of the benchmark ladder, 9 Q(i) shear products, 25
+# random_bundle scrambles of rank 2-6 at gauge degree 0-4, 8 Kronecker
+# tensors and 10 wide diagonals.  On the ladder the crossover lies between
+# 1,504 cells (rank-6 tensor h0: Cech 1.17 ms, certificate 2.68 ms) and
+# 2,170 (rank-5 scramble profile: 1.20 vs 0.82 ms).  Of the 33 counts above
+# 2,000 cells, 24 are cheaper through the certificate, up to 5.9x (a rank-6
+# tensor profile of 67,902 cells: 14.16 vs 2.41 ms); the other 9 lose at
+# most 2.4 ms (a shear product's profile of 2,262 cells: 4.06 vs 6.50 ms).
+# Below it, the largest loss is a wide diagonal's profile, whose cells, one
+# per twist, under-read a solve's fixed cost: O(500) + O(-500) over its
+# 1,002 twists takes 23.3 ms through Cech against 8.4 ms.
+_CERTIFICATE_CELLS = 2_000
 
 
 class Section:
@@ -392,9 +420,16 @@ def _run(side: _Side, plans):
     return [_sections_dim(side, plan) for plan in plans]
 
 
-def _counts(e: VectorBundle, c_lo: int, c_hi: int):
-    """[dim S(c) for c in c_lo..c_hi], S(c) the sections of E with cutoff
-    c: the one routine under every h0, h1 and profile count.
+# One count plan of :func:`_plan`: the cutoffs c_lo..c_hi, counted as 0
+# below ``lo``, on E's table ``sx`` at the plans ``xs`` (cutoffs lo..), on the
+# partner's table ``sy`` at the plans ``ys`` (ascending cutoff, ..hi), and by
+# Riemann-Roch alone above ``hi``; ``cells`` is what the solves are charged.
+_Plan = namedtuple("_Plan", "e c_lo c_hi lo hi sx xs sy ys cells")
+
+
+def _plan(e: VectorBundle, c_lo: int, c_hi: int) -> _Plan:
+    """The Cech plan of [dim S(c) for c in c_lo..c_hi], S(c) the sections
+    of E with cutoff c, bounded before anything is solved.
 
     By Riemann-Roch, dim S_E(c) = deg E + k*(c + 1) + dim S_P(-c), P the
     Serre partner.  Cutoffs below -max(hi_j of T) have no section and are
@@ -405,39 +440,71 @@ def _counts(e: VectorBundle, c_lo: int, c_hi: int):
     the smaller of each cutoff's two systems sum over MAX_SYSTEM_CELLS,
     every cutoff charged at least one cell.  The band is split where the
     planned cells of E below and P above are fewest, ties going to E, and
-    each part is one :func:`_run`.  The caller keeps the number of cutoffs
-    within the limit.
+    each part is one :func:`_run` of :func:`_solve`.  The caller keeps the
+    number of cutoffs within the limit.
 
     No top slot W_j + 1 is free by structure: the (j, j) entry of
     T^-1 * T = I needs a pair of exponents a <= hi_j (row j of T^-1) and
     b <= M_j with a + b = 0, so M_j >= -hi_j and c - M_j <= W_j.
     """
     sx, sy = _sides(e)
-    k, deg = e.rank, e.degree
     lo = min(c_hi + 1, max(c_lo, -max(sx.his)))
     hi = max(lo - 1, min(c_hi, max(sy.his)))
     band = range(lo, hi + 1)
-    out = [0] * (lo - c_lo)
-    if band:
-        n = len(band)
-        outside = c_hi - c_lo + 1 - n
-        cells = outside
-        px, py = [], []
-        for c in band:
-            px.append(_tail_plan(sx, c))
-            py.append(_tail_plan(sy, -c))
-            cells += min(_cells(px[-1]), _cells(py[-1]))
-            check_size(cells, f"Cech systems at cutoffs {c_lo}..{c}")
-        below = list(accumulate(map(_cells, px), initial=0))
-        above = list(accumulate(map(_cells, reversed(py)), initial=0))
-        split = min(range(n + 1), key=lambda s: (below[s] + above[n - s], -s))
-        cells = outside + below[split] + above[n - split]
-        check_size(cells, f"Cech systems at cutoffs {c_lo}..{c_hi}")
-        out += _run(sx, px[:split])
-        partner = _run(sy, py[split:][::-1])[::-1]
-        out += [deg + k * (c + 1) + h for c, h in zip(band[split:], partner)]
+    if not band:
+        return _Plan(e, c_lo, c_hi, lo, hi, sx, [], sy, [], 0)
+    n = len(band)
+    outside = c_hi - c_lo + 1 - n
+    cells = outside
+    px, py = [], []
+    for c in band:
+        px.append(_tail_plan(sx, c))
+        py.append(_tail_plan(sy, -c))
+        cells += min(_cells(px[-1]), _cells(py[-1]))
+        check_size(cells, f"Cech systems at cutoffs {c_lo}..{c}")
+    below = list(accumulate(map(_cells, px), initial=0))
+    above = list(accumulate(map(_cells, reversed(py)), initial=0))
+    split = min(range(n + 1), key=lambda s: (below[s] + above[n - s], -s))
+    cells = outside + below[split] + above[n - split]
+    check_size(cells, f"Cech systems at cutoffs {c_lo}..{c_hi}")
+    return _Plan(e, c_lo, c_hi, lo, hi, sx, px[:split], sy, py[split:][::-1], cells)
+
+
+def _solve(plan: _Plan):
+    """[dim S(c) for c in c_lo..c_hi] by the Cech solves of a plan of
+    :func:`_plan`: one :func:`_run` on each side of its crossover."""
+    e, c_lo, c_hi, lo, hi, sx, xs, sy, ys, _ = plan
+    k, deg = e.rank, e.degree
+    out = [0] * (lo - c_lo) + _run(sx, xs)
+    partner = _run(sy, ys)[::-1]
+    mid = hi + 1 - len(partner)  # the first cutoff counted on P
+    out += [deg + k * (c + 1) + h for c, h in zip(range(mid, hi + 1), partner)]
     out += [deg + k * (c + 1) for c in range(hi + 1, c_hi + 1)]
     return out
+
+
+def _counts(e: VectorBundle, c_lo: int, c_hi: int):
+    """[dim S(c) for c in c_lo..c_hi]: the one routine under every h0, h1
+    and profile count.
+
+    Planned by :func:`_plan`, which refuses what is too large.  A plan of
+    at most _CERTIFICATE_CELLS cells is solved (:func:`_solve`); a larger
+    one is read off the splitting type d of
+    :func:`splitter.grothendieck_split`, whose certificate W*T*U = D was
+    proven by its product and its form checks, as
+    dim S(c) = sum_j max(0, d_j + c + 1).  A split refused as too large
+    falls back to the solves.
+    """
+    plan = _plan(e, c_lo, c_hi)
+    if plan.cells <= _CERTIFICATE_CELLS:
+        return _solve(plan)
+    from . import splitter
+
+    try:
+        degrees = splitter.grothendieck_split(e)[0]
+    except SystemTooLarge:
+        return _solve(plan)
+    return [sum(max(0, d + c + 1) for d in degrees) for c in range(c_lo, c_hi + 1)]
 
 
 def h0_sections(e: VectorBundle):
@@ -471,7 +538,8 @@ def h0_sections(e: VectorBundle):
 
 def h0_dim(e: VectorBundle) -> int:
     """dim H0(E), exact: one count at cutoff 0, on E or, through
-    Riemann-Roch, on its Serre partner, whichever system is smaller (see
+    Riemann-Roch, on its Serre partner, whichever system is smaller, or
+    read off the splitting type when that system is large (see
     :func:`_counts`); no solve when either window is negative."""
     return _counts(e, 0, 0)[0]
 
@@ -480,7 +548,8 @@ def h1_dim_oracle(e: VectorBundle) -> int:
     """dim H1(E), exact: h0(E) - chi(E) by Riemann-Roch, from the one count
     of :func:`h0_dim`.  That count runs on E or on the Serre partner
     P = z^2 * T(1/z)^T, whose h0 is h1(E) (see module docstring),
-    whichever system is smaller; no solve when either window is negative.
+    whichever system is smaller, or is read off the splitting type when
+    that system is large; no solve when either window is negative.
     """
     return _counts(e, 0, 0)[0] - euler_char(e)
 
@@ -500,7 +569,8 @@ def h0_profile(e: VectorBundle, m_lo: int, m_hi: int):
     the count of sections with cutoff m, so no twisted bundle is built.
     All twists are counted by one call of :func:`_counts`: 0 below the
     band read off T, the Riemann-Roch formula above it, and inside it each
-    twist on E or on the Serre partner, split at one crossover.
+    twist on E or on the Serre partner, split at one crossover, or every
+    twist read off the splitting type when those systems are large.
     SystemTooLarge is raised before the first solve when the cells sum
     over the limit, every twist charged at least one cell.
     """

@@ -54,7 +54,7 @@ Two layers live here:
   current pivot structure, at the certain count and at the last prime of
   the budget, and only on a prime that was accumulated.  The
   prime budget comes from the Hadamard bound H of the rows: reconstruction
-  is certain once the modulus exceeds 2*H^4, and at most log2(H^2)/30 primes
+  is certain once the modulus exceeds 2*H^4, and at most log2(H^2)/29 primes
   can be unlucky, so the cost grows with coefficient height as well as with
   shape.  The basis is the canonical (reduced-echelon) one.
 """
@@ -392,7 +392,9 @@ def column_reduce(t: LaurentMatrix):
     one under a cap of about 2*10^6.  The work is charged as it is done:
     each transformation costs 2k plus the coefficients of the two columns
     it writes, each by its size in 64-bit words and at least 1, and
-    SystemTooLarge is raised once the total is over MAX_SYSTEM_CELLS.
+    SystemTooLarge is raised once the total is over MAX_SYSTEM_CELLS,
+    unless one determinant then shows T singular, which raises ValueError as
+    a zero column or the cap would have.
     Charging by size, not by term count, bounds a reduction whose few terms
     grow by some 30 digits a step, as those of
     ``(1/5,-2/3)*z^(10^20), -z^3 + 4/3*z^2 + c*z^-1 ; 0, c'*z^-1000000``
@@ -440,6 +442,8 @@ def column_reduce(t: LaurentMatrix):
         pivots[f] = _pivot(cols[f])
         words[f] = _words(cols[f]) + _words(v[f])
         cells += 2 * k + words[f]
+        if cells > MAX_SYSTEM_CELLS and t.det().is_zero():
+            raise ValueError("matrix is singular: its determinant is 0")
         check_size(cells, "a column reduction")
     degs = [r for r, _ in pivots]
     return n, degs, LaurentMatrix(list(zip(*v))), LaurentMatrix(list(zip(*cols)))
@@ -743,13 +747,16 @@ def _sqrt_minus_one(p: int) -> int:
 
 
 _PRIME_CACHE: list = []
-_PRIME_BITS = 30  # every prime used exceeds 2^30
+# Every prime used lies between 2^29 and 2^30.  CPython stores an int in
+# 30-bit digits, so below 2^30 every residue is one digit, and a product of
+# two residues and its `% p` take the interpreter's one-digit fast paths.
+_PRIME_BITS = 29
 
 
 def _primes_with_i():
-    """Primes p = 1 (mod 4) descending from 2^31, paired with sqrt(-1)."""
+    """Primes p = 1 (mod 4) descending from 2^30, paired with sqrt(-1)."""
     yield from _PRIME_CACHE
-    n = _PRIME_CACHE[-1][0] - 4 if _PRIME_CACHE else (2**31 - 3)
+    n = _PRIME_CACHE[-1][0] - 4 if _PRIME_CACHE else (2**30 - 3)
     while True:
         if _is_probable_prime(n):
             pair = (n, _sqrt_minus_one(n))
@@ -767,7 +774,7 @@ def _prime_budget(int_rows):
     N/D are fractions with numerator and denominator at most H^2; Wang's
     reconstruction recovers them once the modulus exceeds 2*H^4.  A prime
     can only be unlucky by dividing the norm |D|^2 <= H^2 of the pivot
-    minor, which at most log2(H^2)/30 primes above 2^30 do.
+    minor, which at most log2(H^2)/29 primes above 2^29 do.
     """
     h2 = math.prod(sum(a * a + b * b for _, a, b in row) or 1 for row in int_rows)
     bits = h2.bit_length()

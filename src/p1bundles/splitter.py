@@ -31,13 +31,13 @@ form checks of the certificate (shapes, D, the charts, the degree sum and
 U(0), which is a split's one kernel solve); with the product they are
 all of :func:`verify_factorization`, which checks certificates from
 outside.  The column degrees also give
-h0(E(m)) = sum_j max(0, d_j + m + 1) for every twist m at once, which the
-Cech module recomputes by brute-force linear algebra, so the two routes
-check each other.  The certificate also holds the classical
-splitting-off step: the first twist with a section is m = -d1, and the
-first column u_1 of U is a section of E(-d1) that vanishes nowhere
-(u_1(0) is a column of the nonsingular U(0), and z^(d1)*T*u_1 = W^-1*e_1
-is a column of a w-unimodular matrix).
+h0(E(m)) = sum_j max(0, d_j + m + 1) for every twist m at once.  The
+Cech module answers its largest counts from it, and recomputes the others
+by brute-force linear algebra; the tests compare the two routes.  The
+certificate also holds the classical splitting-off step: the first twist
+with a section is m = -d1, and the first column u_1 of U is a section of
+E(-d1) that vanishes nowhere (u_1(0) is a column of the nonsingular U(0),
+and z^(d1)*T*u_1 = W^-1*e_1 is a column of a w-unimodular matrix).
 """
 
 from __future__ import annotations

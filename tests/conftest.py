@@ -77,3 +77,10 @@ def forced_h0_h1(e, c=0):
 @pytest.fixture
 def forced():
     return forced_h0_h1
+
+
+def cech_counts(e, lo, hi):
+    """[h0(E(c)) for c in lo..hi] by the Cech solves alone: the plan and the
+    solve step under every count, never routed to the splitting type, so an
+    oracle compared with it never compares the splitter with itself."""
+    return cech._solve(cech._plan(e, lo, hi))

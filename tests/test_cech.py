@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import cech_counts
 from p1bundles import (
     GaussianRational,
     LaurentMatrix,
@@ -35,6 +37,7 @@ from p1bundles.laurent import ONE_POLY, ZERO_POLY
 from p1bundles.lmatrix import SparseSystem, kernel_basis
 import p1bundles.cech as cech
 import p1bundles.lmatrix as lmatrix
+import p1bundles.splitter as splitter
 
 
 def euler_extension():
@@ -198,6 +201,19 @@ def _top(e):
     return max(cech._sides(e)[0].his)
 
 
+# Counts by the Cech solves alone (conftest.cech_counts), for the oracles.
+def _cech_h0(e):
+    return cech_counts(e, 0, 0)[0]
+
+
+def _cech_h1(e):
+    return _cech_h0(e) - euler_char(e)
+
+
+def _cech_profile(e, lo, hi):
+    return list(zip(range(lo, hi + 1), cech_counts(e, lo, hi)))
+
+
 def test_explicit_window_past_the_bound_counts_at_the_bound():
     # Sections with cutoff c have degree <= c + hi, so each count runs at
     # c + hi, and the twists below -hi are answered with no system at all.
@@ -267,7 +283,7 @@ def test_h0_of_tall_coefficient_bundle(monkeypatch):
 
 def test_tall_coefficient_reconstruction_work(monkeypatch):
     # Euclid runs only at the scheduled attempts, at most twice per echelon
-    # entry at each: the tall bundle's solve makes 72 _rat_recon calls.
+    # entry at each: the tall bundle's solve makes 60 _rat_recon calls.
     calls = []
     recon = lmatrix._rat_recon
 
@@ -495,17 +511,17 @@ def test_default_windows_match_blanket_windows(e):
     # Oracles that share no window with the library: h0 by the full system
     # at the blanket window (2k-1)*N, and h1 by the truncated cokernel,
     # which never builds the Serre partner.
-    assert h0_dim(e) == _blanket_oracle(e, 0)
-    assert h1_dim_oracle(e) == _cokernel_h1(e)
+    assert _cech_h0(e) == _blanket_oracle(e, 0)
+    assert _cech_h1(e) == _cokernel_h1(e)
     d = list(grothendieck_split(e)[0])
     lo, hi = -d[0] - 1, -d[-1]
-    assert h0_profile(e, lo, hi) == [
+    assert _cech_profile(e, lo, hi) == [
         (m, sum(max(0, x + m + 1) for x in d)) for m in range(lo, hi + 1)
     ]
     # Riemann-Roch at both ends: no sections at lo, no H1 at hi.
-    for m, h0 in ((lo, 0), (hi, h0_dim(e.twist(hi)))):
+    for m, h0 in ((lo, 0), (hi, _cech_h0(e.twist(hi)))):
         twisted = e.twist(m)
-        assert h0 - h1_dim_oracle(twisted) == twisted.degree + twisted.rank
+        assert h0 - _cech_h1(twisted) == twisted.degree + twisted.rank
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -541,7 +557,7 @@ def test_profile_over_type_range_is_answered(degrees, gauge, seed):
     e = random_bundle(degrees, gauge, seed)
     d = sorted(degrees, reverse=True)
     lo, hi = -d[0] - 1, -d[-1]
-    assert h0_profile(e, lo, hi) == [
+    assert _cech_profile(e, lo, hi) == [
         (m, sum(max(0, x + m + 1) for x in d)) for m in range(lo, hi + 1)
     ]
 
@@ -594,21 +610,22 @@ def test_chain_guard_picks_the_cheaper_path(monkeypatch):
     # of its band [-1000, 998].  O(-10^6) has no twist in its band, so its
     # h1 is the Riemann-Roch formula with no solve.  A scrambled rank-3
     # bundle chains its profile on the Serre partner, one twist on E, and
-    # its h1 is one solve.
+    # its h1 is one solve.  Each count runs the Cech solves alone, as the
+    # wide profile's 2,002 planned cells would take the certificate route.
     systems, solves = _count_solves(monkeypatch)
     wide = diagonal_bundle([1000, -1000])
-    assert h0_profile(wide, -1001, 1000) == [
+    assert _cech_profile(wide, -1001, 1000) == [
         (m, max(0, m + 1001) + max(0, m - 999)) for m in range(-1001, 1001)
     ]
     assert len(solves) == 1999
     solves.clear()
-    assert h1_dim_oracle(VectorBundle(LaurentMatrix([[z_power(1000000)]]))) == 999999
+    assert _cech_h1(VectorBundle(LaurentMatrix([[z_power(1000000)]]))) == 999999
     assert len(solves) == 0
     e = random_bundle([2, 0, -3], 2, seed=4242)
     profile = [(m, sum(max(0, d + m + 1) for d in (2, 0, -3))) for m in range(-3, 4)]
     for call, expected, solved in (
-        (lambda: h0_profile(e, -3, 3), profile, 3),
-        (lambda: h1_dim_oracle(e), 2, 1),
+        (lambda: _cech_profile(e, -3, 3), profile, 3),
+        (lambda: _cech_h1(e), 2, 1),
     ):
         solves.clear()
         assert call() == expected
@@ -697,15 +714,15 @@ def test_band_too_long_for_len_is_refused_or_answered():
 
 
 def _cokernel_h1(e):
-    # The truncated-cokernel count, written over the public API and
-    # independent of the Serre partner: overlap tails with exponents in
-    # [-D, D] modulo coboundaries number k*D - h0(E(D)) + h0(E), which is
+    # The truncated-cokernel count, written over twisted bundles and Cech h0
+    # alone, independent of the Serre partner: overlap tails with exponents
+    # in [-D, D] modulo coboundaries number k*D - h0(E(D)) + h0(E), which is
     # h1(E) - h1(E(D)) by Riemann-Roch on E and E(D).  At D = k*(N+1), N
     # the largest |exponent| of T, h1(E(D)) = 0: every splitting degree
     # lies in [-N, N].  The count must not move between D and D + 1.
     k = e.rank
     d = k * (e.max_exponent + 1)
-    at_d, past_d = (k * w - h0_dim(e.twist(w)) + h0_dim(e) for w in (d, d + 1))
+    at_d, past_d = (k * w - _cech_h0(e.twist(w)) + _cech_h0(e) for w in (d, d + 1))
     assert at_d == past_d
     return at_d
 
@@ -742,7 +759,7 @@ def test_serre_partner_agrees_with_cokernel_and_type(unit_det):
     inputs.append(random_bundle([2, -1], 2, seed=7).dsum(line_bundle(-6)))
     compared = 0
     for e in inputs:
-        partner = _answer(lambda: h1_dim_oracle(e))
+        partner = _answer(lambda: _cech_h1(e))
         cokernel = _answer(lambda: _cokernel_h1(e))
         split = _answer(lambda: sum(max(0, -d - 1) for d in grothendieck_split(e)[0]))
         answers = {x for x in (partner, cokernel, split) if x is not None}
@@ -765,7 +782,7 @@ def test_split_type_and_cech_counts_agree_on_fuzz_files():
     disagree = []
     for e in _fuzz_bundles([5], 1000):
         split = _answer(lambda: grothendieck_split(e)[0])
-        counts = _answer(lambda: (h0_profile(e, -4, 4), h1_dim_oracle(e)))
+        counts = _answer(lambda: (_cech_profile(e, -4, 4), _cech_h1(e)))
         classes[names[split is not None, counts is not None]] += 1
         if split is not None and counts is not None:
             h0 = [(m, sum(max(0, d + m + 1) for d in split)) for m in range(-4, 5)]
@@ -872,3 +889,88 @@ def test_both_sides_agree_across_the_band(unit_det, forced):
                 assert h0 - h1 == e.degree + e.rank * (c + 1), (text, c)
                 compared += 1
     assert compared >= 9
+
+
+# -- which route answers -----------------------------------------------------
+
+
+def _split_calls(monkeypatch):
+    # Records each grothendieck_split call: None when it returned, else the
+    # class of what it raised.
+    calls = []
+    split = splitter.grothendieck_split
+
+    def spy(e):
+        try:
+            out = split(e)
+        except P1BundlesError as exc:
+            calls.append(type(exc))
+            raise
+        calls.append(None)
+        return out
+
+    monkeypatch.setattr(splitter, "grothendieck_split", spy)
+    return calls
+
+
+def test_counts_over_the_threshold_read_the_splitting_type(monkeypatch, unit_det):
+    # A count whose Cech plan charges more than _CERTIFICATE_CELLS makes one
+    # split and answers as the Cech solves do; any other count makes none.
+    # On tensors of the bench ladder's sizes, Q(i) shear products and the
+    # wide diagonal profile of O(1000) + O(-1000).
+    rng = random.Random(3737)
+    bundles = [
+        random_bundle([1, 0], g, 2 * g).tensor(random_bundle(b, g, 2 * g + 1))
+        for b, g in (([1, -1], 2), ([1, -1], 3), ([1, 0, -1], 1), ([1, 0, -1], 2))
+    ]
+    bundles += [VectorBundle(unit_det(rng, k, 6)) for k in (3, 3, 4, 4)]
+    queries = (
+        (0, 0, lambda e: [h0_dim(e)]),
+        (0, 0, lambda e: [h1_dim_oracle(e) + euler_char(e)]),
+        (-4, 4, lambda e: [h for _, h in h0_profile(e, -4, 4)]),
+    )
+    calls = _split_calls(monkeypatch)
+    routed = []
+    for e in bundles:
+        for lo, hi, count in queries:
+            over = cech._plan(e, lo, hi).cells > cech._CERTIFICATE_CELLS
+            calls.clear()
+            assert count(e) == cech_counts(e, lo, hi)
+            assert calls == [None] * over
+            routed.append(over)
+    assert 5 <= sum(routed) <= len(routed) - 5
+    wide = diagonal_bundle([1000, -1000])
+    calls.clear()
+    assert h0_profile(wide, -1001, 1000) == list(
+        zip(range(-1001, 1001), cech_counts(wide, -1001, 1000))
+    )
+    assert calls == [None]
+    # The rule at its edge: a plan of exactly the threshold is solved.
+    e = bundles[0]
+    cells = cech._plan(e, -4, 4).cells
+    for threshold, splits in ((cells, 0), (cells - 1, 1)):
+        monkeypatch.setattr(cech, "_CERTIFICATE_CELLS", threshold)
+        calls.clear()
+        assert h0_profile(e, -4, 4) == list(zip(range(-4, 5), cech_counts(e, -4, 4)))
+        assert len(calls) == splits
+
+
+def test_routed_count_falls_back_to_cech_when_the_split_is_too_large(monkeypatch):
+    # Every count routed: the split of this far-exponent file is refused
+    # (its w-adic series is charged about 10^20 terms), so its h0 of 21 is
+    # still answered, by the Cech solves.
+    monkeypatch.setattr(cech, "_CERTIFICATE_CELLS", 0)
+    calls = _split_calls(monkeypatch)
+    assert h0_dim(parse_bundle(_FAR_FILES[1])) == 21
+    assert calls == [SystemTooLarge]
+
+
+@settings(deadline=None, max_examples=40)
+@given(_shear_products())
+def test_routed_profile_equals_the_cech_profile(e):
+    # Every count routed: wherever the Cech solves answer a profile, the
+    # profile read off the splitting type (or, if the split is refused, the
+    # solves again) is the same, and each refusal is the same.
+    with mock.patch.object(cech, "_CERTIFICATE_CELLS", 0):
+        routed = _answer(lambda: h0_profile(e, -6, 6))
+    assert routed == _answer(lambda: list(zip(range(-6, 7), cech_counts(e, -6, 6))))

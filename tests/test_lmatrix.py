@@ -337,8 +337,8 @@ def test_kernel_matches_sympy_rref(unit_det):
     for system, dense in systems:
         assert kernel_basis(system) == _sympy_kernel(dense)
     # 40-, 80- and 150-digit entries and denominators: the echelon entries
-    # need about 50, 170, 100 and 190 primes, each between two powers of
-    # two, so the basis comes from an attempt past the one it needed.
+    # need 53, 173, 105 and 199 primes, each between two powers of two, so
+    # the basis comes from an attempt past the one it needed.
     tall_rng = random.Random(31)
     for rows, cols, digits in ((2, 3, 40), (3, 4, 40), (2, 3, 80), (2, 3, 150)):
         m = _tall_scalar_matrix(tall_rng, rows, cols, digits)
@@ -658,6 +658,49 @@ def test_column_reduce_refuses_singular_input():
     for t in (zero_column, rank_two):
         with pytest.raises(ValueError, match="singular"):
             lmatrix.column_reduce(t)
+
+
+def _rank_deficient_products(n):
+    # A 4 x 3 times a 3 x 4 Laurent matrix, so of rank at most 3: 1-3
+    # terms per entry, integer coefficients in [-5, 5], exponents within 6.
+    rng = random.Random(1)
+    coeffs = [c for c in range(-5, 6) if c]
+
+    def factor(rows, cols):
+        return lm(
+            [
+                [
+                    LaurentPoly(
+                        {rng.randint(-6, 6): rng.choice(coeffs) for _ in range(rng.randint(1, 3))}
+                    )
+                    for _ in range(cols)
+                ]
+                for _ in range(rows)
+            ]
+        )
+
+    return [factor(4, 3) * factor(3, 4) for _ in range(n)]
+
+
+def test_singular_inverse_past_the_work_charge_is_a_value_error(monkeypatch):
+    # A singular matrix whose reduction reaches the work charge before a
+    # column reduces to zero is refused as singular, not as too large: one
+    # determinant decides it before SystemTooLarge would be raised.  At the
+    # real limit 27 of these 300 products reach the charge, after up to
+    # about 0.45 s CPU each; at a lowered limit every one reaches it at its
+    # first transformation.  A nonsingular matrix that reaches it is still
+    # too large.
+    charged = []
+    det = LaurentMatrix.det
+    monkeypatch.setattr(LaurentMatrix, "det", lambda t: charged.append(1) or det(t))
+    monkeypatch.setattr(lmatrix, "MAX_SYSTEM_CELLS", 100)
+    for t in _rank_deficient_products(300):
+        with pytest.raises(ValueError, match="singular") as refused:
+            t.inverse()
+        assert not isinstance(refused.value, SystemTooLarge)
+    assert len(charged) == 300
+    with pytest.raises(SystemTooLarge):
+        random_bundle([3, 0, -3], 3, seed=4).transition.inverse()
 
 
 def test_reduction_runs_no_kernel_and_a_split_runs_one(monkeypatch):

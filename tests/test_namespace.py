@@ -59,6 +59,28 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path):
         assert "dataclasses" not in names, args
 
 
+def test_only_a_count_over_the_threshold_loads_the_splitter(tmp_path):
+    # h0 of a small file solves its Cech system, and its child never
+    # imports the splitter; a profile whose Cech plan is over the
+    # certificate threshold reads the splitting type, so its child does.
+    from p1bundles import random_bundle
+    from p1bundles.text import format_bundle
+
+    small = random_bundle([2, 0, -1], 2, seed=21)
+    large = random_bundle([1, 0], 2, 4).tensor(random_bundle([1, 0, -1], 2, 5))
+    assert 0 < cech._plan(small, 0, 0).cells <= cech._CERTIFICATE_CELLS
+    assert cech._plan(large, -4, 4).cells > cech._CERTIFICATE_CELLS
+    path = tmp_path / "e.bundle"
+    for e, args, loads in (
+        (small, ["h0", str(path)], False),
+        (large, ["profile", str(path), "--from", "-4", "--to", "4"], True),
+    ):
+        path.write_text(format_bundle(e))
+        code, names = _loaded(*args)
+        assert code == 0, args
+        assert ("p1bundles.splitter" in names) == loads, args
+
+
 def test_cli_runs_as_a_module_without_a_warning():
     # runpy warns when the package has already imported the module it runs.
     argv = [sys.executable, "-W", "error", "-m", "p1bundles.cli", "deg", str(DATA / "o3.bundle")]
